@@ -11,6 +11,20 @@ decision is an exact integer-exponent comparison and never a float one.
 Points on some Y_i have no proximity value and are skipped; points on a
 configured exclusion locus are tallied separately, mirroring the role of
 the exceptional closed subset in the inequality.
+
+The decision is made in ints.  Each generator g is compiled once into
+G / c with G integral, so at a point x of height H every G(x) is
+evaluated once.  The product Q_i over S of the local norms of Y_i is an
+unreduced pair num_i / den_i: the archimedean factor min_g c H^deg g /
+|G(x)|, times p^k for each finite p in S, k = min_g ord_p G(x) - ord_p c
+(found by repeated division).  With d the common denominator of the
+beta_i and 1 + epsilon, the point violates the inequality exactly when
+
+    prod_i num_i^(d beta_i)  >  H^(d (1 + epsilon)) prod_i den_i^(d beta_i).
+
+Floats appear only in the reported logs; log(num / den) is the same
+double as log of the reduced fraction, since int division rounds
+correctly.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import Subscheme, common_support_dim
-from .heights import PlaceSet, ProjectivePoint, weil_norm
+from .heights import PlaceSet, ProjectivePoint
 from .surface import (beta_closed_form, strict_transform_line, three_point_blowup,
                       weighted_lines_class)
 
@@ -103,7 +117,7 @@ class InequalityConfig:
             epsilon=Fraction(data["epsilon"]),
             exclusions=tuple(Subscheme.from_json(d)
                              for d in data.get("exclusions", [])),
-            min_height_norm=data.get("min_height_norm", 1),
+            min_height_norm=data.get("min_height_norm", cls.min_height_norm),
         )
 
 
@@ -192,6 +206,32 @@ class ScanReport:
         return buf.getvalue()
 
 
+def _check_sample(n, bound):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("projective dimension must be a positive integer")
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("coordinate bound must be a positive integer")
+
+
+def _iter_points(n, bound):
+    """The points of sample_points, produced lazily in the same order.
+
+    A canonical tuple is some zeros, a positive lead, then anything;
+    walking the number of leading zeros downwards and the lead upwards is
+    the lexicographic order and never builds a tuple that is rejected for
+    its sign.
+    """
+    rest = range(-bound, bound + 1)
+    gcd = math.gcd
+    for zeros in range(n, -1, -1):
+        prefix = (0,) * zeros
+        for lead in range(1, bound + 1):
+            head = prefix + (lead,)
+            for tail in itertools.product(rest, repeat=n - zeros):
+                if gcd(lead, *tail) == 1:
+                    yield head + tail
+
+
 def sample_points(n, bound):
     """Every point of P^n over the rationals whose canonical integer
     coordinates lie in [-bound, bound], in lexicographic order.
@@ -199,30 +239,121 @@ def sample_points(n, bound):
     Exactly the tuples with coprime entries and positive leading nonzero
     entry, so each point appears once.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("projective dimension must be a positive integer")
-    if not isinstance(bound, int) or bound < 1:
-        raise ValueError("coordinate bound must be a positive integer")
-    out = []
-    for tup in itertools.product(range(-bound, bound + 1), repeat=n + 1):
-        lead = next((c for c in tup if c != 0), 0)
-        if lead <= 0:
-            continue
-        if math.gcd(*tup) != 1:
-            continue
-        out.append(tup)
-    return out
+    _check_sample(n, bound)
+    return list(_iter_points(n, bound))
+
+
+def _integral(form):
+    """A form g as (terms, c) with g = G / c, G integral and c > 0.
+
+    Each term of G is (coefficient, variable indices), one index per unit
+    of exponent, so evaluating a term is a run of integer products.
+    """
+    c = math.lcm(*(v.denominator for v in form.terms.values()))
+    terms = tuple((v.numerator * (c // v.denominator),
+                   tuple(i for i, e in enumerate(exps) for _ in range(e)))
+                  for exps, v in sorted(form.terms.items()))
+    return terms, c
+
+
+def _evaluate(terms, x):
+    total = 0
+    for coeff, factors in terms:
+        for i in factors:
+            coeff *= x[i]
+        total += coeff
+    return total
+
+
+def _ord(v, p):
+    n = 0
+    while v % p == 0:
+        v //= p
+        n += 1
+    return n
+
+
+class _Kernel:
+    """A configuration compiled once for integer scanning (see the
+    module docstring): per generator of each Y_i the integral terms of G,
+    c, the degree and -ord_p(c) for every finite place p in S."""
+
+    def __init__(self, config):
+        primes = [v.p for v in config.places if not v.is_infinite]
+        self.primes = primes
+        self.subschemes = []
+        for Y in config.subschemes:
+            gens = []
+            for g in Y.generators:
+                terms, c = _integral(g)
+                gens.append((terms, c, g.degree, [-_ord(c, p) for p in primes]))
+            self.subschemes.append(gens)
+        self.exclusions = [[_integral(g)[0] for g in Z.generators]
+                           for Z in config.exclusions]
+
+    def values(self, x):
+        """G(x) for every generator of every Y_i, or None when x lies on
+        the support of some Y_i."""
+        out = []
+        for gens in self.subschemes:
+            vals = [_evaluate(terms, x) for terms, _, _, _ in gens]
+            if not any(vals):
+                return None
+            out.append(vals)
+        return out
+
+    def excluded(self, x):
+        return any(not any(_evaluate(terms, x) for terms in Z)
+                   for Z in self.exclusions)
+
+    def norm(self, gens, vals, H):
+        """The product over all places of the local norms of one Y_i, as
+        an unreduced positive (numerator, denominator) pair."""
+        num = den = 0
+        low = None
+        for (_, c, deg, neg_ord_c), v in zip(gens, vals):
+            if not v:
+                continue
+            a, b = c * H ** deg, abs(v)
+            if not den or a * den < num * b:
+                num, den = a, b
+            ks = []
+            for p, k in zip(self.primes, neg_ord_c):
+                while v % p == 0:
+                    v //= p
+                    k += 1
+                ks.append(k)
+            low = ks if low is None else list(map(min, low, ks))
+        for p, k in zip(self.primes, low):
+            if k > 0:
+                num *= p ** k
+            elif k < 0:
+                den *= p ** -k
+        return num, den
+
+
+def _explicit_points(points, nvars):
+    for pt in points:
+        P = pt if isinstance(pt, ProjectivePoint) else ProjectivePoint(pt)
+        if P.nvars != nvars:
+            raise ValueError("point %s does not live in P^%d" % (P, nvars - 1))
+        yield P.coords
 
 
 def scan_inequality(config, bound=None, points=None, keep_rows=False):
     """Test the weighted inequality at every sample point; exact decisions.
 
     Either a coordinate bound or an explicit point list must be given.
+    Explicit points may be ProjectivePoints or coordinate tuples, which
+    are canonicalized; an all-zero tuple is rejected.
     """
     if points is None:
         if bound is None:
             raise ValueError("need a coordinate bound or explicit points")
-        points = sample_points(config.nvars - 1, bound)
+        _check_sample(config.nvars - 1, bound)
+        points = _iter_points(config.nvars - 1, bound)
+    else:
+        points = _explicit_points(points, config.nvars)
 
     # clear the denominators once: compare prod_i Q_i^(d beta_i) with
     # H^(d (1+eps)) in integers
@@ -231,8 +362,9 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                  *(b.denominator for b in config.betas))
     exps = [int(d * b) for b in config.betas]
     rhs_exp = int(d * one_plus_eps)
-    places = tuple(config.places)
     log_betas = [float(b) for b in config.betas]
+    rhs_scale = float(one_plus_eps)
+    kernel = _Kernel(config)
 
     total = skipped = excluded = evaluated = zero_height = 0
     violations = []
@@ -240,39 +372,37 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     rows = [] if keep_rows else None
     best = None
     best_ratio = None
-    for tup in points:
+    for coords in points:
         total += 1
-        coords = tup.coords if isinstance(tup, ProjectivePoint) else tuple(tup)
-        if any(Y.vanishes_at(coords) for Y in config.subschemes):
+        values = kernel.values(coords)
+        if values is None:
             skipped += 1
             continue
-        if any(Z.vanishes_at(coords) for Z in config.exclusions):
+        if kernel.excluded(coords):
             excluded += 1
             continue
         evaluated += 1
-        P = ProjectivePoint.from_canonical(coords)
-        H = max(abs(c) for c in coords)
+        H = max(map(abs, coords))
         if H == 1:
             zero_height += 1
-        lhs_exact = Fraction(1)
+        lhs_num = lhs_den = 1
         lhs_log = 0.0
         proxim = []
-        for Y, e, lb in zip(config.subschemes, exps, log_betas):
-            q = Fraction(1)
-            for place in places:
-                q *= weil_norm(Y, P, place)
-            lhs_exact *= q ** e
-            m = math.log(q)
+        for gens, vals, e, lb in zip(kernel.subschemes, values, exps, log_betas):
+            num, den = kernel.norm(gens, vals, H)
+            lhs_num *= num ** e
+            lhs_den *= den ** e
+            # int / int is correctly rounded, so this is float(Q) exactly
+            m = math.log(num / den)
             proxim.append(m)
             lhs_log += lb * m
-        rhs_exact = Fraction(H) ** rhs_exp
-        violated = lhs_exact > rhs_exact
-        rhs_log = float(one_plus_eps) * math.log(H)
+        violated = lhs_num > H ** rhs_exp * lhs_den
+        rhs_log = rhs_scale * math.log(H)
         ratio = lhs_log / rhs_log if H > 1 else None
         track = violated or keep_rows or (ratio is not None and
                                           (best_ratio is None or ratio > best_ratio))
         if track:
-            row = ScanRow(":".join(str(c) for c in coords), H, tuple(proxim),
+            row = ScanRow(":".join(map(str, coords)), H, tuple(proxim),
                           lhs_log, rhs_log, ratio, violated)
             if violated:
                 if H >= config.min_height_norm:
@@ -331,7 +461,7 @@ def four_lines_exclusions():
 
 
 def four_lines_config(epsilon=Fraction(1, 2), places="inf,2,3,5",
-                      min_height_norm=10):
+                      min_height_norm=InequalityConfig.min_height_norm):
     """Weighted inequality data for the four-line configuration; each line
     carries its exact expansion weight 1/3."""
     return InequalityConfig(

@@ -160,14 +160,6 @@ class ProjectivePoint:
             raise ValueError("point syntax is a:b:... , got %r" % text)
         return cls(Fraction(part.strip()) for part in parts)
 
-    @classmethod
-    def from_canonical(cls, coords):
-        """Wrap coordinates the caller promises are already canonical;
-        skips normalization, used on hot enumeration paths."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coords", tuple(coords))
-        return self
-
     @property
     def nvars(self):
         return len(self.coords)

@@ -48,7 +48,7 @@ class TestSamplePoints:
         assert len(sample_points(2, 2)) == 49
 
     def test_matches_canonicalization(self):
-        for n, bound in ((1, 3), (2, 2)):
+        for n, bound in ((1, 3), (2, 2), (3, 2)):
             pts = sample_points(n, bound)
             assert len(set(pts)) == len(pts)
             assert set(pts) == brute_points(n, bound)
@@ -109,6 +109,11 @@ class TestConfigValidation:
         again = InequalityConfig.from_json(json.loads(blob))
         assert again.to_json() == cfg.to_json()
 
+    def test_json_without_floor_uses_field_default(self):
+        data = simple_config().to_json()
+        del data["min_height_norm"]
+        assert InequalityConfig.from_json(data).min_height_norm == 10
+
 
 class TestScanBasics:
     def test_counters_must_add_up(self):
@@ -142,6 +147,22 @@ class TestScanBasics:
                                  points=[(1, 2), (1, 3), (0, 1)])
         assert report.total == 3
         assert report.skipped == 1 and report.evaluated == 2
+
+    def test_explicit_points_are_canonicalized(self):
+        cfg = four_lines_config()
+        want = scan_inequality(cfg, points=[(1, 2, 3)], keep_rows=True)
+        assert want.rows[0].point == "1:2:3"
+        assert want.rows[0].height_norm == 3
+        for raw in [(2, 4, 6), (-1, -2, -3), (Fraction(1, 2), 1, Fraction(3, 2)),
+                    ProjectivePoint((2, 4, 6))]:
+            got = scan_inequality(cfg, points=[raw], keep_rows=True)
+            assert got.to_json() == want.to_json()
+
+    def test_explicit_points_rejected(self):
+        with pytest.raises(ValueError):
+            scan_inequality(simple_config(), points=[(0, 0)])
+        with pytest.raises(ValueError):
+            scan_inequality(simple_config(), points=[(1, 2, 3)])
 
     def test_keep_rows(self):
         report = scan_inequality(simple_config(), bound=2, keep_rows=True)
@@ -185,6 +206,110 @@ class TestScanViolations:
         lhs = q ** 10  # d = 2, beta d = 10
         rhs = Fraction(row.height_norm) ** 3  # (1 + 1/2) d = 3
         assert lhs > rhs
+
+
+def reference_points(n, bound):
+    """The sample by filtering the whole coordinate box."""
+    return [tup for tup in itertools.product(range(-bound, bound + 1),
+                                             repeat=n + 1)
+            if next((c for c in tup if c != 0), 0) > 0 and math.gcd(*tup) == 1]
+
+
+def reference_scan(config, points, keep_rows=False):
+    """The Fraction scanner: each generator evaluated through
+    Subscheme.vanishes_at and again through weil_norm at every place, the
+    inequality decided by comparing Fractions."""
+    one_plus_eps = 1 + config.epsilon
+    d = math.lcm(one_plus_eps.denominator,
+                 *(b.denominator for b in config.betas))
+    exps = [int(d * b) for b in config.betas]
+    rhs_exp = int(d * one_plus_eps)
+    total = skipped = excluded = evaluated = zero_height = 0
+    violations, low_hits = [], []
+    rows = [] if keep_rows else None
+    best = best_ratio = None
+    for tup in points:
+        total += 1
+        P = ProjectivePoint(tup)
+        if any(Y.vanishes_at(P.coords) for Y in config.subschemes):
+            skipped += 1
+            continue
+        if any(Z.vanishes_at(P.coords) for Z in config.exclusions):
+            excluded += 1
+            continue
+        evaluated += 1
+        H = max(abs(c) for c in P.coords)
+        zero_height += H == 1
+        lhs_exact = Fraction(1)
+        lhs_log = 0.0
+        proxim = []
+        for Y, e, b in zip(config.subschemes, exps, config.betas):
+            q = Fraction(1)
+            for place in config.places:
+                q *= weil_norm(Y, P, place)
+            lhs_exact *= q ** e
+            proxim.append(math.log(q))
+            lhs_log += float(b) * proxim[-1]
+        violated = lhs_exact > Fraction(H) ** rhs_exp
+        rhs_log = float(one_plus_eps) * math.log(H)
+        ratio = lhs_log / rhs_log if H > 1 else None
+        row = ScanRow(str(P), H, tuple(proxim), lhs_log, rhs_log, ratio,
+                      violated)
+        if violated:
+            (violations if H >= config.min_height_norm else low_hits).append(row)
+        if ratio is not None and (best_ratio is None or ratio > best_ratio):
+            best, best_ratio = row, ratio
+        if keep_rows:
+            rows.append(row)
+    return ScanReport(total, skipped, excluded, evaluated, zero_height,
+                      len(low_hits), tuple(violations), best,
+                      None if rows is None else tuple(rows))
+
+
+DIFFERENTIAL_CASES = {
+    # primes 2 and 3 divide coefficient denominators; 7 divides none
+    "fractional": (dict(
+        subschemes=(sub("Q", ["1/2*x0^2 + 3/4*x1^2 - x2^2"], 3),
+                    sub("L", ["2/3*x1 - x2"], 3)),
+        betas=(Fraction(1, 4), Fraction(1, 3)),
+        places=PlaceSet.from_string("inf,2,3,7")), 6),
+    "multi_generator": (dict(
+        subschemes=(sub("P", ["x0 - x2", "x1 - 2*x2"], 3),
+                    sub("C", ["x0*x1 - 5/3*x2^2", "3/10*x0^2 + x1*x2"], 3),
+                    sub("H", ["x0 + x1 - x2"], 3)),
+        betas=(Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)),
+        places=PlaceSet.from_string("inf,2,3,5")), 5),
+    "exclusions_p3": (dict(
+        subschemes=(sub("A", ["x0 + x1 + x2 + x3"], 4),
+                    sub("M", ["x0 - 1/2*x3", "x1 + x2"], 4)),
+        betas=(Fraction(1, 3), Fraction(1, 2)),
+        places=PlaceSet.from_string("inf,2,5"),
+        exclusions=(sub("E", ["x0 - x1"], 4),
+                    sub("F", ["x2", "x3 - 3*x1"], 4))), 2),
+    # violations on both sides of the height floor
+    "overweight": (dict(
+        subschemes=(sub("L", ["x0 - 3/2*x1"], 2),),
+        betas=(Fraction(5),),
+        places=PlaceSet.from_string("inf,2,3,5")), 14),
+}
+
+
+class TestDifferentialOracle:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_kernel_matches_fraction_scanner(self, name, keep_rows):
+        kw, bound = DIFFERENTIAL_CASES[name]
+        cfg = simple_config(**kw)
+        got = scan_inequality(cfg, bound=bound, keep_rows=keep_rows)
+        want = reference_scan(cfg, reference_points(cfg.nvars - 1, bound),
+                              keep_rows=keep_rows)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+
+    def test_overweight_case_splits_at_the_floor(self):
+        kw, bound = DIFFERENTIAL_CASES["overweight"]
+        report = scan_inequality(simple_config(**kw), bound=bound)
+        assert report.violations and report.low_height_hits > 0
 
 
 class TestFourLinesScan:
