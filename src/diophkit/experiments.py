@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import Subscheme, common_support_dim
-from .heights import PlaceSet, ProjectivePoint
+from .heights import PlaceSet, ProjectivePoint, ord_p
 from .surface import (beta_closed_form, strict_transform_line, three_point_blowup,
                       weighted_lines_class)
 
@@ -265,14 +265,6 @@ def _evaluate(terms, x):
     return total
 
 
-def _ord(v, p):
-    n = 0
-    while v % p == 0:
-        v //= p
-        n += 1
-    return n
-
-
 class _Kernel:
     """A configuration compiled once for integer scanning (see the
     module docstring): per generator of each Y_i the integral terms of G,
@@ -286,7 +278,7 @@ class _Kernel:
             gens = []
             for g in Y.generators:
                 terms, c = _integral(g)
-                gens.append((terms, c, g.degree, [-_ord(c, p) for p in primes]))
+                gens.append((terms, c, g.degree, [-ord_p(c, p) for p in primes]))
             self.subschemes.append(gens)
         self.exclusions = [[_integral(g)[0] for g in Z.generators]
                            for Z in config.exclusions]

@@ -124,6 +124,8 @@ class TestScanBasics:
     def test_needs_bound_or_points(self):
         with pytest.raises(ValueError):
             scan_inequality(simple_config())
+        with pytest.raises(ValueError):
+            scan_inequality(simple_config(), bound=0)
 
     def test_single_hyperplane_clean(self):
         cfg = simple_config()
