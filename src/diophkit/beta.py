@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import Subscheme, _linear_rows, dim_full, graded_dim_ideal_power
+from .graded import _linear_rows, dim_full, graded_dim_ideal_power, terms_until_zero
 from .surface import SurfaceModel
 
 __all__ = [
@@ -68,15 +68,7 @@ def _validate_level(d, N):
 
 def ideal_power_terms(Y, degree):
     """h^0 of the powers I_Y^m in the given degree, m = 1.. first zero."""
-    terms = []
-    m = 1
-    while True:
-        h = graded_dim_ideal_power(Y, m, degree)
-        if h == 0:
-            break
-        terms.append(h)
-        m += 1
-    return tuple(terms)
+    return terms_until_zero(lambda m: graded_dim_ideal_power(Y, m, degree))
 
 
 def beta_truncated(Y, d, N):
@@ -101,16 +93,9 @@ def beta_blowup_crosscheck(Y, d, N):
         raise ValueError("generators must cut a single reduced point")
     terms = ideal_power_terms(Y, d * N)
     model = SurfaceModel(1)
-    blowup = []
-    m = 1
-    while True:
-        h = model.zariski_h0(d * N * model.H - m * model.E(1))
-        if h == 0:
-            break
-        blowup.append(h)
-        m += 1
+    blowup = terms_until_zero(lambda m: model.zariski_h0(d * N * model.H - m * model.E(1)))
     denominator = N * dim_full(d * N, Y.n)
-    return CrosscheckReport(terms, tuple(blowup),
+    return CrosscheckReport(terms, blowup,
                             Fraction(sum(terms), denominator))
 
 

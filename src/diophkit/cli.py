@@ -70,12 +70,10 @@ def _space_arg(parser):
 
 
 def _common_args(parser):
-    # mirrored on each subparser so the flags parse in either position;
+    # mirrored on each subparser so the flag parses in either position;
     # SUPPRESS keeps the root default from being clobbered
     parser.add_argument("--output", choices=["text", "csv", "json"],
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
 
 
 def _nvars_from(args):
@@ -206,13 +204,9 @@ def _run_seshadri(args):
     return 0
 
 
-def _profile_for(args, weights):
-    Ys = _parse_subschemes(args.ideals, _nvars_from(args))
-    return filtration.build_profile(Ys, weights, args.N, with_bases=True), Ys
-
-
 def _run_filtration(args):
-    profile, _ = _profile_for(args, args.weights)
+    Ys = _parse_subschemes(args.ideals, _nvars_from(args))
+    profile = filtration.build_profile(Ys, args.weights, args.N)
     F = filtration.F_value(profile)
     if args.output == "json":
         data = profile.to_json()
@@ -230,7 +224,8 @@ def _run_filtration(args):
 
 
 def _run_adapted_basis(args):
-    profile, Ys = _profile_for(args, args.weights)
+    Ys = _parse_subschemes(args.ideals, _nvars_from(args))
+    profile = filtration.build_profile(Ys, args.weights, args.N, with_bases=True)
     if args.weights2 is not None:
         other = filtration.build_profile(Ys, args.weights2, args.N,
                                          with_bases=True)
@@ -404,9 +399,6 @@ def build_parser():
                     "heights, and inequality scans.")
     parser.add_argument("--output", choices=["text", "csv", "json"],
                         default="text", help="output format (default text)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized extensions; current "
-                             "commands are exhaustive and ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("beta", help="truncated expansion coefficient on P^n")

@@ -18,14 +18,14 @@ from fractions import Fraction
 
 from . import linalg
 from .graded import (
-    Subscheme,
-    coordinate_groups,
     dim_full,
     filtration_ideal_gens,
-    graded_dim_filtration_ideal,
     graded_dim_ideal_power,
+    normalize,
     order_vector,
+    span_dim,
     span_piece,
+    terms_until_zero,
 )
 from .polynomials import FormError, HomogeneousForm, monomial_exponents
 from .staircase import validate_weights
@@ -172,57 +172,68 @@ def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
     return FiltrationProfile(nvars, N, ambient, tuple(jumps), level_bases)
 
 
+def _linear_forms(matrix):
+    """Row k of the matrix as the linear form sum_j matrix[k][j] x_j."""
+    width = len(matrix[0])
+    return [HomogeneousForm(width, 1, {tuple(int(i == j) for i in range(width)): c
+                                       for j, c in enumerate(row) if c})
+            for row in matrix]
+
+
+def _level_basis(live, A, monos):
+    """Rref rows, over the degree-N monomials ``monos``, of the span of the
+    monomials ``live`` in the normalized variables y = A x."""
+    index = {e: i for i, e in enumerate(monos)}
+    if A is None:
+        # distinct unit rows in column order already are the rref
+        return tuple(HomogeneousForm.monomial(e).coeff_vector(index) for e in live)
+    images = _linear_forms(A)
+    return linalg.rref([HomogeneousForm.monomial(e).substitute(images).coeff_vector(index)
+                        for e in live])
+
+
 def build_profile(Ys, t, N, with_bases=False):
     """Exact jump profile of the weighted filtration on degree-N forms."""
     Ys, t = _validate_inputs(Ys, t, N)
+    norm = normalize(Ys)
+    if norm is None:
+        return _generic_profile(Ys, t, N, with_bases)
+    groups, A = norm
     nvars = Ys[0].nvars
-    ambient = dim_full(N, nvars - 1)
+    monos = monomial_exponents(N, nvars)
+    levels = [sum(w * o for w, o in zip(t, order_vector(e, groups)))
+              for e in monos]
+    pairs = []
+    bases = [] if with_bases else None
+    for v in sorted(set(levels) | {Fraction(0)}):
+        live = [e for e, lv in zip(monos, levels) if lv >= v]
+        pairs.append((v, len(live)))
+        if with_bases:
+            bases.append(_level_basis(live, A, monos))
+    return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
 
-    groups = coordinate_groups(Ys)
-    if groups is not None:
-        monos = monomial_exponents(N, nvars)
-        levels = [sum(w * o for w, o in zip(t, order_vector(e, groups)))
-                  for e in monos]
-        distinct = sorted(set(levels))
-        pairs = []
-        bases = [] if with_bases else None
-        for v in distinct:
-            live = [i for i, lv in enumerate(levels) if lv >= v]
-            pairs.append((v, len(live)))
-            if with_bases:
-                bases.append(tuple(
-                    tuple(Fraction(1) if j == i else Fraction(0) for j in range(len(monos)))
-                    for i in live))
-        if distinct[0] != 0:
-            pairs.insert(0, (Fraction(0), ambient))
-            if with_bases:
-                bases.insert(0, tuple(
-                    tuple(Fraction(1) if j == i else Fraction(0) for j in range(len(monos)))
-                    for i in range(len(monos))))
-        return _profile_from_pairs(pairs, nvars, N, ambient, bases)
 
+def _generic_profile(Ys, t, N, with_bases=False):
+    """The same profile by exact rank at every jump candidate, for
+    subschemes that ``normalize`` does not accept."""
+    nvars = Ys[0].nvars
+    columns = monomial_exponents(N, nvars)
+    index = {e: i for i, e in enumerate(columns)}
+    ambient = len(columns)
     pairs = []
     bases = [] if with_bases else None
     for x in _candidate_values(Ys, t, N):
-        if with_bases:
-            piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N) \
-                if x > 0 else None
-            if piece is None:
-                columns = monomial_exponents(N, nvars)
-                index = {e: i for i, e in enumerate(columns)}
-                rows = tuple(HomogeneousForm.monomial(e).coeff_vector(index)
-                             for e in columns)
-                pairs.append((Fraction(x), ambient))
-                bases.append(rows)
-                continue
-            d = piece.dim
-            columns = monomial_exponents(N, nvars)
-            index = {e: i for i, e in enumerate(columns)}
-            pairs.append((Fraction(x), d))
+        x = Fraction(x)
+        if x == 0:
+            pairs.append((x, ambient))
+            if with_bases:
+                bases.append(_level_basis(columns, None, columns))
+        elif with_bases:
+            piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
+            pairs.append((x, piece.dim))
             bases.append(tuple(f.coeff_vector(index) for f in piece.basis))
         else:
-            d = graded_dim_filtration_ideal(Ys, t, x, N)
-            pairs.append((Fraction(x), d))
+            pairs.append((x, span_dim(filtration_ideal_gens(Ys, t, x, N))))
         if pairs[-1][1] == 0:
             break
     return _profile_from_pairs(pairs, nvars, N, ambient, bases)
@@ -235,13 +246,20 @@ def mu_value(s, Ys, t):
     Ys, t = _validate_inputs(Ys, t, s.degree)
     if s.nvars != Ys[0].nvars:
         raise FormError("form and subschemes live in different ambient spaces")
+    norm = normalize(Ys)
+    if norm is None:
+        return _generic_mu(s, Ys, t)
+    groups, A = norm
+    if A is not None:
+        s = s.substitute(_linear_forms(linalg.inverse(A)))
+    return min(sum(w * o for w, o in zip(t, order_vector(e, groups)))
+               for e in s.support())
+
+
+def _generic_mu(s, Ys, t):
+    """mu by bisection over the jump candidates, testing membership of s in
+    each filtration piece by exact elimination."""
     N = s.degree
-
-    groups = coordinate_groups(Ys)
-    if groups is not None:
-        return min(sum(w * o for w, o in zip(t, order_vector(e, groups)))
-                   for e in s.support())
-
     candidates = _candidate_values(Ys, t, N)
     columns = {e: i for i, e in enumerate(monomial_exponents(N, s.nvars))}
     vec = s.coeff_vector(columns)
@@ -411,14 +429,7 @@ def concavity_bound(Ys, betas, t, N):
     ambient = dim_full(N, Ys[0].nvars - 1)
     per = []
     for Y, b in zip(Ys, betas):
-        total = 0
-        m = 1
-        while True:
-            d = graded_dim_ideal_power(Y, m, N)
-            if d == 0:
-                break
-            total += d
-            m += 1
+        total = sum(terms_until_zero(lambda m: graded_dim_ideal_power(Y, m, N)))
         per.append(Fraction(total, ambient) / b)
     rhs = min(per)
     return BoundReport(lhs, rhs, tuple(per), _hypotheses_met(Ys))

@@ -2,11 +2,25 @@
 
 Dimensions of degree-D pieces are ranks of explicit generating families:
 for a power I^m the family is {g_1 ... g_m * monomial}, for a filtration
-ideal it runs over the minimal generators of a threshold set.  When every
-generator involved is a single-variable monomial and the variable supports
-are disjoint across subschemes, membership of a monomial reduces to
-componentwise order comparison, which the span computation exploits; the
-generic path goes through exact rank.
+ideal it runs over the minimal generators of a threshold set.
+
+``normalize`` is the one place that picks the fast path.  It accepts
+exactly two kinds of input:
+
+* coordinate monomials: every generator is c * x_j^e, with the variables
+  distinct inside a subscheme and disjoint across subschemes
+  (``coordinate_groups``);
+* linear subschemes in general position: every generator is linear, and
+  the bases of the subschemes' generator spans are jointly independent.
+  An invertible linear change of coordinates then turns subscheme i into
+  the coordinate subspace cut by its own block of new variables.
+
+Graded dimensions do not change under a linear change of coordinates, so
+on both kinds membership of a monomial reduces to comparing its order
+vector, and dimensions are monomial counts.  Everything else, such as
+nonlinear generators mixed with linear ones or dependent linear families
+like four lines in the plane, goes through exact rank on the generating
+family.
 """
 
 from __future__ import annotations
@@ -27,13 +41,13 @@ __all__ = [
     "PositionReport",
     "dim_full",
     "span_dim",
-    "span_rank",
+    "terms_until_zero",
     "ideal_power_gens",
     "graded_dim_ideal_power",
-    "ideal_power_piece",
     "filtration_ideal_gens",
     "graded_dim_filtration_ideal",
     "coordinate_groups",
+    "normalize",
     "order_vector",
     "common_support_dim",
     "check_general_position",
@@ -118,6 +132,16 @@ def dim_full(D, n):
     return math.comb(D + n, n)
 
 
+def terms_until_zero(term):
+    """(term(1), term(2), ...) cut off before the first zero value."""
+    terms = []
+    m = 1
+    while (value := term(m)) != 0:
+        terms.append(value)
+        m += 1
+    return tuple(terms)
+
+
 def _common_shape(forms):
     shapes = {(f.nvars, f.degree) for f in forms}
     if len(shapes) != 1:
@@ -140,11 +164,6 @@ def span_dim(forms):
         return len({next(iter(f.terms)) for f in live})
     columns = {e: i for i, e in enumerate(monomial_exponents(degree, nvars))}
     return linalg.rank([f.coeff_vector(columns) for f in live])
-
-
-def span_rank(forms):
-    """Rank of the span of a finite family of same-degree forms."""
-    return span_dim(list(forms))
 
 
 def span_piece(forms, nvars, degree):
@@ -226,6 +245,37 @@ def coordinate_groups(Ys):
     return groups
 
 
+def normalize(Ys):
+    """Coordinate-monomial form of the subschemes, or None.
+
+    Returns ``(groups, A)``.  ``groups`` has one tuple of (variable,
+    exponent) pairs per subscheme, as from ``coordinate_groups``.  ``A`` is
+    None when the generators already are coordinate monomials.  Otherwise
+    every generator is linear, and A is an invertible matrix whose first
+    rows are bases of the subschemes' generator spans, stacked in order and
+    padded with unit rows; in the new variables y = A x subscheme i is cut
+    by the consecutive block ``groups[i]`` of y's.  Returns None when the
+    generators are neither, or when the stacked bases are dependent.
+    """
+    groups = coordinate_groups(Ys)
+    if groups is not None:
+        return groups, None
+    if any(g.degree != 1 for Y in Ys for g in Y.generators):
+        return None
+    groups = []
+    rows = []
+    for Y in Ys:
+        basis = linalg.rref(_linear_rows(Y.generators))
+        groups.append(tuple((len(rows) + k, 1) for k in range(len(basis))))
+        rows.extend(basis)
+    nvars = Ys[0].nvars
+    if linalg.rank(rows) < len(rows):
+        return None
+    units = [tuple(Fraction(int(i == j)) for j in range(nvars)) for i in range(nvars)]
+    padding, _ = linalg.extend_basis(units, linalg.rref(rows))
+    return groups, tuple(rows) + tuple(padding)
+
+
 def order_vector(exps, groups):
     """Largest b with x^exps in prod_i I_i^{b_i}, for disjoint monomial groups."""
     return tuple(sum(exps[j] // e for j, e in grp) for grp in groups)
@@ -240,15 +290,12 @@ def graded_dim_ideal_power(Y, m, D):
     n = Y.nvars - 1
     if m == 0:
         return dim_full(D, n)
-    groups = coordinate_groups([Y])
-    if groups is not None:
+    norm = normalize([Y])
+    if norm is not None:
+        groups, _ = norm
         return sum(1 for e in monomial_exponents(D, Y.nvars)
                    if order_vector(e, groups)[0] >= m)
     return span_dim(ideal_power_gens(Y, m, D))
-
-
-def ideal_power_piece(Y, m, D):
-    return span_piece(ideal_power_gens(Y, m, D), Y.nvars, D)
 
 
 def filtration_ideal_gens(Ys, t, x, D):
@@ -287,8 +334,9 @@ def graded_dim_filtration_ideal(Ys, t, x, D):
     nvars = Ys[0].nvars
     if x == 0:
         return dim_full(D, nvars - 1)
-    groups = coordinate_groups(Ys)
-    if groups is not None:
+    norm = normalize(Ys)
+    if norm is not None:
+        groups, _ = norm
         t = validate_weights(t)
         if len(t) != len(Ys):
             raise ValueError("one weight per subscheme required")

@@ -18,6 +18,7 @@ __all__ = [
     "reduce_vector",
     "in_span",
     "nullspace",
+    "inverse",
     "sum_rowspaces",
     "intersect_rowspaces",
     "extend_basis",
@@ -152,6 +153,16 @@ def nullspace(rows):
             vec[p] = -row[f]
         out.append(tuple(vec))
     return tuple(out)
+
+
+def inverse(rows):
+    """Inverse of an invertible square matrix, by Gauss-Jordan on [A | I]."""
+    n = len(rows)
+    reduced = rref([tuple(row) + tuple(int(i == j) for j in range(n))
+                    for i, row in enumerate(rows)])
+    if _pivot_columns(reduced) != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
 
 
 def sum_rowspaces(first, second):

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graded import terms_until_zero
+
 __all__ = [
     "SurfaceError",
     "NotNefError",
@@ -340,15 +342,7 @@ def h0_terms(model, A, D, N):
     """Section counts h^0(N*A - m*D) for m = 1, 2, ... up to the first zero."""
     if not isinstance(N, int) or N <= 0:
         raise ValueError("N must be a positive integer")
-    terms = []
-    m = 1
-    while True:
-        h = model.zariski_h0(N * A - m * D)
-        if h == 0:
-            break
-        terms.append(h)
-        m += 1
-    return terms
+    return terms_until_zero(lambda m: model.zariski_h0(N * A - m * D))
 
 
 def beta_surface_truncated(model, A, D, N):

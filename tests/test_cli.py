@@ -178,6 +178,12 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_seed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "1", "height", "--point", "2:3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_violations_are_three(self, capsys, tmp_path):
         config = InequalityConfig(
             subschemes=(Subscheme.from_strings("H", ["x0"], nvars=2),),

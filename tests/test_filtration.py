@@ -13,6 +13,8 @@ from diophkit.filtration import (
     adapted_basis,
     build_profile,
     common_adapted_basis,
+    _generic_mu,
+    _generic_profile,
     concavity_bound,
     is_adapted,
     mu_value,
@@ -52,8 +54,9 @@ class TestBuildProfile:
     def test_general_route_matches_fast_route(self):
         tilted = [sub("pt", ["x0 + x1"], 2)]
         fast = build_profile([POINT_P1], (Fraction(1, 2),), 3)
-        slow = build_profile(tilted, (Fraction(1, 2),), 3)
+        slow = _generic_profile(tilted, (Fraction(1, 2),), 3)
         assert slow.jumps == fast.jumps
+        assert build_profile(tilted, (Fraction(1, 2),), 3).jumps == fast.jumps
 
     def test_dim_at_step_convention(self):
         profile = build_profile([POINT_P1], (1,), 2)
@@ -92,8 +95,10 @@ class TestMuValue:
     def test_general_path_binary_search(self):
         s = parse_form("x0^2 + 2*x0*x1 + x1^2")  # (x0+x1)^2
         Y = sub("pt", ["x0 + x1"], 2)
-        assert mu_value(s, [Y], (1,)) == 2
-        assert mu_value(parse_form("x0^2", nvars=2), [Y], (1,)) == 0
+        for form in (s, parse_form("x0^2", nvars=2)):
+            assert mu_value(form, [Y], (1,)) == _generic_mu(form, [Y], (1,))
+        assert _generic_mu(s, [Y], (1,)) == 2
+        assert _generic_mu(parse_form("x0^2", nvars=2), [Y], (1,)) == 0
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from diophkit.linalg import (
     extend_basis,
     in_span,
     intersect_rowspaces,
+    inverse,
     nullspace,
     rank,
     reduce_vector,
@@ -24,6 +25,19 @@ from diophkit.linalg import (
 
 def frac_rows(rows):
     return [tuple(Fraction(v) for v in row) for row in rows]
+
+
+class TestInverse:
+    def test_product_is_identity(self):
+        A = frac_rows([[1, 2, 0], [0, 1, Fraction(1, 2)], [3, 0, 1]])
+        B = inverse(A)
+        for i in range(3):
+            for j in range(3):
+                assert sum(A[i][k] * B[k][j] for k in range(3)) == int(i == j)
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            inverse(frac_rows([[1, 2], [2, 4]]))
 
 
 class TestRank:
