@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .graded import (
+    _linear_forms,
     dim_full,
     filtration_ideal_gens,
     graded_dim_ideal_power,
@@ -172,24 +173,15 @@ def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
     return FiltrationProfile(nvars, N, ambient, tuple(jumps), level_bases)
 
 
-def _linear_forms(matrix):
-    """Row k of the matrix as the linear form sum_j matrix[k][j] x_j."""
-    width = len(matrix[0])
-    return [HomogeneousForm(width, 1, {tuple(int(i == j) for i in range(width)): c
-                                       for j, c in enumerate(row) if c})
-            for row in matrix]
-
-
-def _level_basis(live, A, monos):
-    """Rref rows, over the degree-N monomials ``monos``, of the span of the
-    monomials ``live`` in the normalized variables y = A x."""
+def _monomial_rows(monos, A=None):
+    """Coefficient rows over the monomials ``monos`` of each monomial y^e in
+    ``monos``, written in the variables x where y = A x (y = x for None)."""
     index = {e: i for i, e in enumerate(monos)}
-    if A is None:
-        # distinct unit rows in column order already are the rref
-        return tuple(HomogeneousForm.monomial(e).coeff_vector(index) for e in live)
-    images = _linear_forms(A)
-    return linalg.rref([HomogeneousForm.monomial(e).substitute(images).coeff_vector(index)
-                        for e in live])
+    forms = [HomogeneousForm.monomial(e) for e in monos]
+    if A is not None:
+        images = _linear_forms(A)
+        forms = [f.substitute(images) for f in forms]
+    return [f.coeff_vector(index) for f in forms]
 
 
 def build_profile(Ys, t, N, with_bases=False):
@@ -203,13 +195,16 @@ def build_profile(Ys, t, N, with_bases=False):
     monos = monomial_exponents(N, nvars)
     levels = [sum(w * o for w, o in zip(t, order_vector(e, groups)))
               for e in monos]
+    rows = _monomial_rows(monos, A) if with_bases else None
     pairs = []
     bases = [] if with_bases else None
     for v in sorted(set(levels) | {Fraction(0)}):
-        live = [e for e, lv in zip(monos, levels) if lv >= v]
+        live = [i for i, lv in enumerate(levels) if lv >= v]
         pairs.append((v, len(live)))
         if with_bases:
-            bases.append(_level_basis(live, A, monos))
+            level = [rows[i] for i in live]
+            # distinct unit rows in column order already are the rref
+            bases.append(tuple(level) if A is None else linalg.rref(level))
     return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
 
 
@@ -227,7 +222,7 @@ def _generic_profile(Ys, t, N, with_bases=False):
         if x == 0:
             pairs.append((x, ambient))
             if with_bases:
-                bases.append(_level_basis(columns, None, columns))
+                bases.append(tuple(_monomial_rows(columns)))
         elif with_bases:
             piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
             pairs.append((x, piece.dim))

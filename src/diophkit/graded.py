@@ -366,16 +366,17 @@ def _linear_rows(forms):
     return rows
 
 
-def _restrict(form, basis_vectors, nparams):
-    reps = []
-    for j in range(form.nvars):
-        terms = {}
-        for k, vec in enumerate(basis_vectors):
-            if vec[j]:
-                e = tuple(1 if i == k else 0 for i in range(nparams))
-                terms[e] = vec[j]
-        reps.append(HomogeneousForm(nparams, 1, terms))
-    return form.substitute(reps)
+def _linear_forms(rows):
+    """Row k as the linear form sum_j rows[k][j] x_j; inverse of _linear_rows."""
+    width = len(rows[0])
+    return [HomogeneousForm(width, 1, {tuple(int(i == j) for i in range(width)): c
+                                       for j, c in enumerate(row) if c})
+            for row in rows]
+
+
+def _restrict(form, basis_vectors):
+    """form on the span of basis_vectors, in their coordinates."""
+    return form.substitute(_linear_forms(list(zip(*basis_vectors))))
 
 
 def common_support_dim(Ys):
@@ -407,7 +408,7 @@ def common_support_dim(Ys):
                       for i in range(nvars))
     s = len(basis)  # dimension of the solution cone, >= 1 here
 
-    restrictions = [_restrict(f, basis, s) for f in nonlinear]
+    restrictions = [_restrict(f, basis) for f in nonlinear]
     live = [r for r in restrictions if not r.is_zero]
     if not live:
         return s - 1
