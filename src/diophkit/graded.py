@@ -268,11 +268,12 @@ def normalize(Ys):
         basis = linalg.rref(_linear_rows(Y.generators))
         groups.append(tuple((len(rows) + k, 1) for k in range(len(basis))))
         rows.extend(basis)
-    nvars = Ys[0].nvars
-    if linalg.rank(rows) < len(rows):
+    reduced = linalg.rref(rows)
+    if len(reduced) < len(rows):
         return None
+    nvars = Ys[0].nvars
     units = [tuple(Fraction(int(i == j)) for j in range(nvars)) for i in range(nvars)]
-    padding, _ = linalg.extend_basis(units, linalg.rref(rows))
+    padding, _ = linalg.extend_basis(units, reduced)
     return groups, tuple(rows) + tuple(padding)
 
 
