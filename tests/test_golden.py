@@ -4,7 +4,9 @@ The scan files under tests/golden/ were recorded from the Fraction-based
 scanner before the integer kernel replaced it; the beta, filtration,
 adapted-basis and concavity files were recorded from the generic
 (rank-based) path before linear subschemes in general position were sent
-to the coordinate-monomial path.  A change that moves a single byte of
+to the coordinate-monomial path; the four-line and mixed-degree files were
+recorded from the per-candidate rank sweep before the one-pass generic
+profile replaced it.  A change that moves a single byte of
 these outputs changes behaviour, not just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
 
@@ -22,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # three lines in general position in the plane, none a coordinate line
 LINES = "x0 + x1;x1 + x2;x0 + x2"
+# the paper's four lines x0, x1, x2, x0 + x1 + x2 after a change of
+# coordinates: a dependent family, so only the generic path can take it
+FOUR_LINES = "2*x0 + 2*x1 + x2;x1 - 2*x2;x1 + x2;2*x0 + 4*x1"
 
 CASES = [
     ("scan_four_lines_b10.json",
@@ -56,6 +61,17 @@ CASES = [
      ["concavity-test", "--space", "P2", "--ideals", LINES,
       "--betas", "1/3,1/3,1/3", "--weights", "1,1,1", "--N", "4",
       "--output", "json"]),
+    ("filtration_four_lines.json",
+     ["filtration", "--space", "P2", "--ideals", FOUR_LINES,
+      "--weights", "1,1/2,1/3,1/5", "--N", "3", "--output", "json"]),
+    ("adapted_basis_four_lines_two.json",
+     ["adapted-basis", "--space", "P2", "--ideals", FOUR_LINES,
+      "--weights", "1,1/2,1/3,1/5", "--weights2", "1/5,1/3,1/2,1", "--N", "2",
+      "--output", "json"]),
+    # a conic and a line in one subscheme: generators of mixed degree
+    ("filtration_mixed_degree.json",
+     ["filtration", "--space", "P2", "--ideals", "x0^2 + x1*x2,x1 + x2;x0 - x2",
+      "--weights", "1,1/2", "--N", "3", "--output", "json"]),
 ]
 
 
