@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import _linear_rows, dim_full, graded_dim_ideal_power, terms_until_zero
+from .filtration import build_profile
+from .graded import _linear_rows, dim_full, terms_until_zero
 from .surface import SurfaceModel
 
 __all__ = [
@@ -67,8 +68,11 @@ def _validate_level(d, N):
 
 
 def ideal_power_terms(Y, degree):
-    """h^0 of the powers I_Y^m in the given degree, m = 1.. first zero."""
-    return terms_until_zero(lambda m: graded_dim_ideal_power(Y, m, degree))
+    """h^0 of the powers I_Y^m in the given degree, m = 1.. first zero.
+
+    With the single weight 1 the filtration piece at x = m is I_Y^m, so one
+    profile carries every term."""
+    return terms_until_zero(build_profile([Y], (1,), degree).dim_at)
 
 
 def beta_truncated(Y, d, N):

@@ -6,6 +6,12 @@ jump values and dimensions of this step function; its normalized integral
 F(t) is the quantity the concavity bound controls.  Dimensions are exact
 and jump values are Fractions throughout.
 
+Inputs that ``graded.normalize`` accepts are counted monomial by monomial.
+Every other input takes one pass: the values t.b of the b that can reach
+degree N are walked downwards, each adding the generating rows of its own
+products to one integer row space, and the rank after a value is the
+dimension there.  Ideal powers are the case of one subscheme with weight 1.
+
 Step convention: a profile [(x_1, d_1), ..., (x_K, d_K)] means the
 dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
 """
@@ -13,19 +19,17 @@ dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .graded import (
     _linear_forms,
+    _power_products,
     dim_full,
-    filtration_ideal_gens,
-    graded_dim_ideal_power,
     normalize,
     order_vector,
-    span_dim,
-    span_piece,
     terms_until_zero,
 )
 from .polynomials import FormError, HomogeneousForm, monomial_exponents
@@ -139,16 +143,16 @@ def _validate_inputs(Ys, t, N):
     return Ys, t
 
 
-def _candidate_values(Ys, t, N):
-    """All jump candidates t.b with b inside the order box for degree N."""
-    caps = []
-    for Y in Ys:
-        min_deg = min(g.degree for g in Y.generators)
-        caps.append(N // min_deg)
-    values = set()
-    for b in itertools.product(*[range(c + 1) for c in caps]):
-        values.add(sum(w * v for w, v in zip(t, b)))
-    return sorted(values)
+def _order_levels(Ys, t, N):
+    """The values t.b, descending, each with its b, over the b with
+    sum_i b_i mindeg(Y_i) <= N; for any other b the product of the
+    powers I_i^{b_i} has no degree-N part."""
+    mins = [min(g.degree for g in Y.generators) for Y in Ys]
+    levels = {}
+    for b in itertools.product(*[range(N // m + 1) for m in mins]):
+        if sum(bi * m for bi, m in zip(b, mins)) <= N:
+            levels.setdefault(sum(w * bi for w, bi in zip(t, b)), []).append(b)
+    return sorted(levels.items(), reverse=True)
 
 
 def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
@@ -208,29 +212,64 @@ def build_profile(Ys, t, N, with_bases=False):
     return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
 
 
+def _piece_rows(Ys, b, N, index, cache):
+    """Integer rows spanning the degree-N piece of prod_i I_i^{b_i}: each
+    product of b_i generators of every Y_i, times every monomial that
+    brings it to degree N.  Products of degree above N are skipped."""
+    nvars = Ys[0].nvars
+    one = HomogeneousForm.one(nvars)
+    factor_lists = [_power_products(Y, bi, cache) for Y, bi in zip(Ys, b)]
+    for combo in itertools.product(*factor_lists):
+        prod = math.prod(combo, start=one)
+        gap = N - prod.degree
+        if gap < 0:
+            continue
+        scale = math.lcm(*[c.denominator for c in prod.terms.values()])
+        terms = [(e, int(c * scale)) for e, c in prod.terms.items()]
+        for shift in monomial_exponents(gap, nvars):
+            row = [0] * len(index)
+            for e, c in terms:
+                row[index[tuple(a + k for a, k in zip(e, shift))]] = c
+            yield row
+
+
+def _level_spaces(Ys, t, N, index):
+    """Walk the values x > 0 of ``_order_levels`` downwards, yielding
+    (x, space) with ``space`` spanning the filtration piece at x.  The piece
+    at x is the sum of the pieces of the b with t.b >= x, so each value only
+    adds its own b's rows.  Stops once the piece is the whole space."""
+    space = linalg.RowSpace(len(index))
+    cache = {}
+    for x, bs in _order_levels(Ys, t, N):
+        if x == 0:
+            return
+        for row in (row for b in bs for row in _piece_rows(Ys, b, N, index, cache)):
+            if space.rank == space.width:
+                break
+            space.add(row)
+        yield x, space
+        if space.rank == space.width:
+            return
+
+
 def _generic_profile(Ys, t, N, with_bases=False):
-    """The same profile by exact rank at every jump candidate, for
-    subschemes that ``normalize`` does not accept."""
+    """The same profile by one incremental elimination, for subschemes that
+    ``normalize`` does not accept.  A value whose rows raise the rank is the
+    end of a run of equal dimensions, so it is a jump."""
     nvars = Ys[0].nvars
     columns = monomial_exponents(N, nvars)
     index = {e: i for i, e in enumerate(columns)}
     ambient = len(columns)
-    pairs = []
-    bases = [] if with_bases else None
-    for x in _candidate_values(Ys, t, N):
-        x = Fraction(x)
-        if x == 0:
-            pairs.append((x, ambient))
-            if with_bases:
-                bases.append(tuple(_monomial_rows(columns)))
-        elif with_bases:
-            piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
-            pairs.append((x, piece.dim))
-            bases.append(tuple(f.coeff_vector(index) for f in piece.basis))
-        else:
-            pairs.append((x, span_dim(filtration_ideal_gens(Ys, t, x, N))))
-        if pairs[-1][1] == 0:
-            break
+    ends = []
+    for x, space in _level_spaces(Ys, t, N, index):
+        if not ends or space.rank > ends[-1][1]:
+            basis = linalg.rref(space.rows()) if with_bases else None
+            ends.append((x, space.rank, basis))
+    ends.append((Fraction(0), ambient,
+                 tuple(_monomial_rows(columns)) if with_bases else None))
+    ends.reverse()
+    pairs = [(x, d) for x, d, _ in ends]
+    bases = [basis for _, _, basis in ends] if with_bases else None
     return _profile_from_pairs(pairs, nvars, N, ambient, bases)
 
 
@@ -252,31 +291,14 @@ def mu_value(s, Ys, t):
 
 
 def _generic_mu(s, Ys, t):
-    """mu by bisection over the jump candidates, testing membership of s in
-    each filtration piece by exact elimination."""
-    N = s.degree
-    candidates = _candidate_values(Ys, t, N)
-    columns = {e: i for i, e in enumerate(monomial_exponents(N, s.nvars))}
+    """mu from the same downward walk: the first value whose filtration
+    piece holds s."""
+    columns = {e: i for i, e in enumerate(monomial_exponents(s.degree, s.nvars))}
     vec = s.coeff_vector(columns)
-
-    def member(x):
-        if x == 0:
-            return True
-        basis = linalg.rref([f.coeff_vector(columns)
-                             for f in filtration_ideal_gens(Ys, t, x, N)
-                             if not f.is_zero])
-        return linalg.in_span(vec, basis)
-
-    lo, hi = 0, len(candidates) - 1
-    if member(candidates[hi]):
-        return candidates[hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(candidates[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return candidates[lo]
+    for x, space in _level_spaces(Ys, t, s.degree, columns):
+        if vec in space:
+            return x
+    return Fraction(0)
 
 
 def F_value(profile):
@@ -424,7 +446,7 @@ def concavity_bound(Ys, betas, t, N):
     ambient = dim_full(N, Ys[0].nvars - 1)
     per = []
     for Y, b in zip(Ys, betas):
-        total = sum(terms_until_zero(lambda m: graded_dim_ideal_power(Y, m, N)))
+        total = sum(terms_until_zero(build_profile([Y], (1,), N).dim_at))
         per.append(Fraction(total, ambient) / b)
     rhs = min(per)
     return BoundReport(lhs, rhs, tuple(per), _hypotheses_met(Ys))

@@ -2,7 +2,9 @@
 
 Dimensions of degree-D pieces are ranks of explicit generating families:
 for a power I^m the family is {g_1 ... g_m * monomial}, for a filtration
-ideal it runs over the minimal generators of a threshold set.
+ideal it runs over the minimal generators of a threshold set.  These
+per-piece routes answer one question at a time; whole profiles, and the
+ideal-power terms of beta, come from the one-pass walk in ``filtration``.
 
 ``normalize`` is the one place that picks the fast path.  It accepts
 exactly two kinds of input:
@@ -19,8 +21,8 @@ Graded dimensions do not change under a linear change of coordinates, so
 on both kinds membership of a monomial reduces to comparing its order
 vector, and dimensions are monomial counts.  Everything else, such as
 nonlinear generators mixed with linear ones or dependent linear families
-like four lines in the plane, goes through exact rank on the generating
-family.
+like four lines in the plane, goes through exact elimination of
+generating rows.
 """
 
 from __future__ import annotations

@@ -2,17 +2,20 @@
 
 Row vectors are tuples of Fractions (ints are fine too).  Ranks go through
 integer fraction-free elimination in the Bareiss style, so intermediate
-entries stay integral; subspace constructions (reduced echelon bases,
-kernels, intersections, flag refinement and common adapted bases for a pair
-of filtrations) use rational Gauss-Jordan on small matrices.
+entries stay integral, and ``RowSpace`` keeps such an integer echelon form
+growing row by row, for callers that need the rank after every batch.
+Subspace constructions (reduced echelon bases, kernels, intersections, flag
+refinement and common adapted bases for a pair of filtrations) use rational
+Gauss-Jordan on small matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
+    "RowSpace",
     "rank",
     "rref",
     "reduce_vector",
@@ -72,6 +75,60 @@ def rank(rows):
         if rk == len(mat):
             break
     return rk
+
+
+class RowSpace:
+    """A row space grown one row at a time, by fraction-free elimination.
+
+    The stored rows are primitive integer rows in echelon form, keyed by
+    their pivot (first nonzero) column.  A new row is reduced against the
+    pivot rows its leading entries meet, dividing out the content after
+    each step, so entries stay small and integral.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self._pivots = {}
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def _reduce(self, row):
+        """(pivot column, residual row) of a row, or (None, None) when it
+        lies in the space."""
+        if len(row) != self.width:
+            raise ValueError("row length does not match the space")
+        ints = list(row) if all(type(v) is int for v in row) else _int_row(row)
+        col = 0
+        while True:
+            col = next((j for j in range(col, self.width) if ints[j]), None)
+            if col is None:
+                return None, None
+            lead = self._pivots.get(col)
+            if lead is None:
+                return col, ints
+            p, f = lead[col], ints[col]
+            ints = [a * p - f * b for a, b in zip(ints, lead)]
+            content = gcd(*ints)
+            if content > 1:
+                ints = [a // content for a in ints]
+
+    def add(self, row):
+        """Add a row; True when it was independent of the space."""
+        col, ints = self._reduce(row)
+        if col is None:
+            return False
+        content = gcd(*ints) if ints[col] > 0 else -gcd(*ints)
+        self._pivots[col] = [a // content for a in ints]
+        return True
+
+    def __contains__(self, row):
+        return self._reduce(row)[0] is None
+
+    def rows(self):
+        """The stored echelon rows, in pivot order."""
+        return [self._pivots[col] for col in sorted(self._pivots)]
 
 
 def rref(rows):

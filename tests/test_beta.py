@@ -14,7 +14,13 @@ from diophkit.beta import (
     convergence_csv,
     ideal_power_terms,
 )
-from diophkit.graded import Subscheme, dim_full
+from diophkit.graded import (
+    Subscheme,
+    dim_full,
+    ideal_power_gens,
+    span_dim,
+    terms_until_zero,
+)
 
 
 def sub(label, gens, nvars):
@@ -106,6 +112,20 @@ class TestIdealPowerTerms:
         terms = ideal_power_terms(Y, 4)
         assert list(terms) == sorted(terms, reverse=True)
         assert terms[0] == dim_full(4, 2) - 1
+
+    @pytest.mark.parametrize("gens,nvars,D", [
+        (["x0", "x1"], 3, 9),                      # coordinate point
+        (["x0 + x3", "x1 - 2*x3", "x2 + x3"], 4, 5),  # tilted point of P^3
+        (["x0^2 + x1^2 - x2^2"], 3, 8),            # conic
+        (["x0^2 + x1*x2", "x1 + x2"], 3, 5),       # mixed degrees
+        (["x0*x1", "x1 - x2"], 3, 6),              # nonreduced, not normalizable
+    ])
+    def test_profile_terms_match_power_ranks(self, gens, nvars, D):
+        """One profile with weight 1 gives every term; each must equal the
+        rank of the power's own generating family."""
+        Y = sub("Y", gens, nvars)
+        assert ideal_power_terms(Y, D) == terms_until_zero(
+            lambda m: span_dim(ideal_power_gens(Y, m, D)))
 
 
 class TestBlowupCrosscheck:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diophkit.linalg import (
+    RowSpace,
     adapted_to_chain,
     common_adapted_basis,
     complete_flag,
@@ -65,6 +66,40 @@ class TestRank:
         r = rank(rows)
         mixed = [tuple(a + 2 * b for a, b in zip(rows[0], rows[-1]))] + rows[1:]
         assert rank(mixed + rows) == r
+
+
+class TestRowSpace:
+    def test_add_reports_independence(self):
+        space = RowSpace(3)
+        assert space.add((2, 4, 0))
+        assert not space.add((1, 2, 0))
+        assert space.add((Fraction(1, 2), 1, Fraction(1, 3)))
+        assert space.rank == 2
+        assert (0, 0, 1) in space
+        assert (1, 0, 0) not in space
+
+    def test_stored_rows_are_primitive_echelon_integers(self):
+        space = RowSpace(3)
+        for row in [(0, 6, 9), (4, 2, 0), (4, 8, 9)]:
+            space.add(row)
+        rows = space.rows()
+        assert rows == [[2, 1, 0], [0, 2, 3]]
+        assert rref(rows) == rref([(0, 6, 9), (4, 2, 0)])
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError):
+            RowSpace(2).add((1, 0, 0))
+
+    @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+                    min_size=1, max_size=7),
+           st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_agrees_with_rank_and_rref(self, rows, probe):
+        space = RowSpace(4)
+        for k, row in enumerate(rows):
+            assert space.add(row) == (rank(rows[:k + 1]) > rank(rows[:k]))
+        assert space.rank == rank(rows)
+        assert rref(space.rows()) == rref(rows)
+        assert (probe in space) == in_span(probe, rref(rows))
 
 
 class TestRref:
