@@ -6,7 +6,9 @@ adapted-basis and concavity files were recorded from the generic
 (rank-based) path before linear subschemes in general position were sent
 to the coordinate-monomial path; the four-line and mixed-degree files were
 recorded from the per-candidate rank sweep before the one-pass generic
-profile replaced it.  A change that moves a single byte of
+profile replaced it; the triangle and tied-weight common bases were recorded
+from the table of intersection ranks before the Bruhat-cell construction
+replaced it.  A change that moves a single byte of
 these outputs changes behaviour, not just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
 
@@ -67,6 +69,16 @@ CASES = [
     ("adapted_basis_four_lines_two.json",
      ["adapted-basis", "--space", "P2", "--ideals", FOUR_LINES,
       "--weights", "1,1/2,1/3,1/5", "--weights2", "1/5,1/3,1/2,1", "--N", "2",
+      "--output", "json"]),
+    # the coordinate triangle: both bases are monomial rows already
+    ("adapted_basis_triangle_two.json",
+     ["adapted-basis", "--space", "P2", "--ideals", "x0;x1;x2",
+      "--weights", "1,1/2,1/3", "--weights2", "1/3,1/2,1", "--N", "4",
+      "--output", "json"]),
+    # tied weights: the first filtration has fewer jumps than the width
+    ("adapted_basis_lines_tied.json",
+     ["adapted-basis", "--space", "P2", "--ideals", LINES,
+      "--weights", "1,1,1", "--weights2", "1,1/2,1/3", "--N", "4",
       "--output", "json"]),
     # a conic and a line in one subscheme: generators of mixed degree
     ("filtration_mixed_degree.json",
