@@ -60,6 +60,15 @@ class InconsistentProfilesError(ProfileError):
     pass
 
 
+def _fraction_row(row):
+    """The row as a tuple of Fractions, keeping the caller's Fraction entries
+    (and the row itself, when it already is such a tuple): a profile with
+    bases holds levels x width x dim entries, mostly shared between levels."""
+    if type(row) is tuple and all(type(v) is Fraction for v in row):
+        return row
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+
+
 @dataclass(frozen=True)
 class FiltrationProfile:
     nvars: int
@@ -84,7 +93,7 @@ class FiltrationProfile:
             raise ProfileError("dimension at x = 0 must equal the ambient dimension")
         object.__setattr__(self, "jumps", jumps)
         if self.bases is not None:
-            bases = tuple(tuple(tuple(Fraction(v) for v in row) for row in level)
+            bases = tuple(tuple(_fraction_row(row) for row in level)
                           for level in self.bases)
             if len(bases) != len(jumps):
                 raise ProfileError("one basis per jump required")
@@ -200,15 +209,24 @@ def build_profile(Ys, t, N, with_bases=False):
     levels = [sum(w * o for w, o in zip(t, order_vector(e, groups)))
               for e in monos]
     rows = _monomial_rows(monos, A) if with_bases else None
+    # the images of the monomials enter one reduced echelon form, deepest
+    # level first; distinct unit rows in column order already are the rref
+    space = linalg.RowSpace(len(monos)) if with_bases and A is not None else None
     pairs = []
     bases = [] if with_bases else None
-    for v in sorted(set(levels) | {Fraction(0)}):
+    for v in sorted(set(levels) | {Fraction(0)}, reverse=True):
         live = [i for i, lv in enumerate(levels) if lv >= v]
         pairs.append((v, len(live)))
-        if with_bases:
-            level = [rows[i] for i in live]
-            # distinct unit rows in column order already are the rref
-            bases.append(tuple(level) if A is None else linalg.rref(level))
+        if space is not None:
+            for i in live:
+                if levels[i] == v:
+                    space.add(rows[i])
+            bases.append(space.rref())
+        elif with_bases:
+            bases.append(tuple(rows[i] for i in live))
+    pairs.reverse()
+    if with_bases:
+        bases.reverse()
     return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
 
 
@@ -263,7 +281,7 @@ def _generic_profile(Ys, t, N, with_bases=False):
     ends = []
     for x, space in _level_spaces(Ys, t, N, index):
         if not ends or space.rank > ends[-1][1]:
-            basis = linalg.rref(space.rows()) if with_bases else None
+            basis = space.rref() if with_bases else None
             ends.append((x, space.rank, basis))
     ends.append((Fraction(0), ambient,
                  tuple(_monomial_rows(columns)) if with_bases else None))
@@ -332,18 +350,14 @@ def _forms_from_rows(rows, nvars, degree):
 
 
 def adapted_basis(profile):
-    """Greedy basis adapted to one profile, deepest jump first."""
+    """Greedy basis adapted to one profile: walking the levels deepest first,
+    each row that is new to the deeper levels, with its level's jump as mu."""
     if profile.bases is None:
         raise ProfileError("profile was built without bases")
-    chosen = []
-    mus = []
-    current = ()
-    for (x, _), level in zip(reversed(profile.jumps), reversed(profile.bases)):
-        added, current = linalg.extend_basis(level, current)
-        chosen.extend(added)
-        mus.extend([x] * len(added))
-    basis = AdaptedBasis(_forms_from_rows(chosen, profile.nvars, profile.degree),
-                         tuple(mus))
+    kept = linalg.chain_basis(profile.bases, profile.ambient_dim)
+    basis = AdaptedBasis(_forms_from_rows([row for _, row in kept], profile.nvars,
+                                          profile.degree),
+                         tuple(profile.jumps[k][0] for k, _ in kept))
     if not is_adapted(basis, profile):
         raise ProfileError("internal error: greedy basis failed verification")
     return basis
@@ -377,20 +391,15 @@ def common_adapted_basis(first, second):
     if (first.nvars, first.degree, first.ambient_dim) != \
             (second.nvars, second.degree, second.ambient_dim):
         raise InconsistentProfilesError("profiles live on different graded pieces")
-    width = first.ambient_dim
-    chain_f = list(first.bases)
-    chain_g = list(second.bases)
-    vectors = linalg.common_adapted_basis(chain_f, chain_g, width)
+    cells = linalg.adapted_cells(first.bases, second.bases, first.ambient_dim)
 
-    def mu_of(vec, profile):
-        for (x, _), level in zip(reversed(profile.jumps), reversed(profile.bases)):
-            if linalg.in_span(vec, linalg.rref(level)):
-                return x
-        raise InconsistentProfilesError("vector outside the ambient space")
+    def mu_of(profile, dim):
+        # the last level still holding the flag member of dimension dim
+        return max(x for x, d in profile.jumps if d >= dim)
 
-    forms = _forms_from_rows(vectors, first.nvars, first.degree)
-    view_f = AdaptedBasis(forms, tuple(mu_of(v, first) for v in vectors))
-    view_g = AdaptedBasis(forms, tuple(mu_of(v, second) for v in vectors))
+    forms = _forms_from_rows([vec for _, _, vec in cells], first.nvars, first.degree)
+    view_f = AdaptedBasis(forms, tuple(mu_of(first, a) for a, _, _ in cells))
+    view_g = AdaptedBasis(forms, tuple(mu_of(second, b) for _, b, _ in cells))
     if not (is_adapted(view_f, first) and is_adapted(view_g, second)):
         raise InconsistentProfilesError("no common adapted basis verified; "
                                         "profiles are inconsistent")

@@ -3,10 +3,16 @@
 Row vectors are tuples of Fractions (ints are fine too).  Ranks go through
 integer fraction-free elimination in the Bareiss style, so intermediate
 entries stay integral, and ``RowSpace`` keeps such an integer echelon form
-growing row by row, for callers that need the rank after every batch.
-Subspace constructions (reduced echelon bases, kernels, intersections, flag
-refinement and common adapted bases for a pair of filtrations) use rational
-Gauss-Jordan on small matrices.
+growing row by row, for callers that need the rank after every batch; its
+``rref`` keeps the reduced echelon basis up to date incrementally, for
+callers that need a basis after every batch.
+
+Bases adapted to filtrations come from that one growing space: a chain's
+levels walked deepest first keep exactly the rows that refine it to a
+complete flag (``chain_basis``), and a basis adapted to two chains takes one
+vector per Bruhat cell of their relative position (``adapted_cells``), so
+no intersection of subspaces is ever formed.  Kernels, intersections and
+sums of subspaces use rational Gauss-Jordan on small matrices.
 """
 
 from __future__ import annotations
@@ -25,16 +31,18 @@ __all__ = [
     "sum_rowspaces",
     "intersect_rowspaces",
     "extend_basis",
+    "chain_basis",
     "complete_flag",
+    "adapted_cells",
     "common_adapted_basis",
     "adapted_to_chain",
 ]
 
 
 def _int_row(row):
-    fracs = [Fraction(v) for v in row]
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     scale = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    return [int(f * scale) for f in fracs]
+    return [f.numerator * (scale // f.denominator) for f in fracs]
 
 
 def rank(rows):
@@ -89,6 +97,7 @@ class RowSpace:
     def __init__(self, width):
         self.width = width
         self._pivots = {}
+        self._reduced = {}
 
     @property
     def rank(self):
@@ -129,6 +138,32 @@ class RowSpace:
     def rows(self):
         """The stored echelon rows, in pivot order."""
         return [self._pivots[col] for col in sorted(self._pivots)]
+
+    def rref(self):
+        """The reduced row echelon basis of the space, equal to
+        ``rref(self.rows())``.  The reduced rows are kept between calls, and
+        a call folds in only the rows added since the last one, so a
+        snapshot after every batch of rows costs one reduction per new row;
+        reduced rows that a batch leaves alone are shared between
+        snapshots."""
+        for col, row in self._pivots.items():
+            if col in self._reduced:
+                continue
+            # zero before col, so the reduced rows pivoting after col cannot
+            # touch its leading 1, and those pivoting before it do not apply
+            vec = [Fraction(a, row[col]) for a in row]
+            for c, red in self._reduced.items():
+                f = vec[c]
+                if f:
+                    vec = [a - f * b if b else a for a, b in zip(vec, red)]
+            vec = tuple(vec)
+            for c, red in list(self._reduced.items()):
+                f = red[col]
+                if f:
+                    self._reduced[c] = tuple(a - f * b if b else a
+                                             for a, b in zip(red, vec))
+            self._reduced[col] = vec
+        return tuple(self._reduced[col] for col in sorted(self._reduced))
 
 
 def rref(rows):
@@ -245,101 +280,116 @@ def intersect_rowspaces(first, second, width=None):
 
 
 def extend_basis(pool, basis):
-    """Pick vectors from pool extending an rref basis; returns (chosen, new rref)."""
-    chosen = []
-    current = tuple(basis)
-    for v in pool:
-        if not in_span(v, current):
-            chosen.append(tuple(Fraction(x) for x in v))
-            current = rref(list(current) + [chosen[-1]])
-    return chosen, current
+    """Pick the vectors of pool, in order, that extend the span of a basis;
+    returns (chosen, rref of the extended span)."""
+    basis, pool = list(basis), list(pool)
+    if not basis + pool:
+        return [], ()
+    space = RowSpace(len((basis + pool)[0]))
+    for row in basis:
+        space.add(row)
+    chosen = [tuple(Fraction(x) for x in v) for v in pool if space.add(v)]
+    return chosen, space.rref()
+
+
+def chain_basis(chain, width):
+    """A basis adapted to a strictly decreasing chain of subspaces.
+
+    chain: bases of the subspaces, starting with the full ambient space.
+    The levels are walked deepest first into one ``RowSpace``, and each row
+    that raises the rank is kept: this is the pick ``extend_basis`` makes
+    level by level.  Returns (level index, row) pairs in the order kept;
+    the first d rows span the dimension-d member of the complete flag that
+    refines the chain.
+    """
+    if not chain:
+        raise ValueError("chain must contain at least the ambient space")
+    dims = [len(level) for level in chain]
+    if dims[0] != width:
+        raise ValueError("first chain element must span the ambient space")
+    if any(later >= earlier for later, earlier in zip(dims[1:], dims)):
+        raise ValueError("chain dimensions must strictly decrease")
+    space = RowSpace(width)
+    kept = []
+    for k in range(len(chain) - 1, -1, -1):
+        kept.extend((k, row) for row in chain[k] if space.add(row))
+        if space.rank != dims[k]:
+            raise ValueError("chain levels must be nested, each with independent rows")
+    return kept
 
 
 def complete_flag(chain, width):
     """Refine a strictly decreasing chain of subspaces to a complete flag.
 
-    chain: list of rref bases, starting with the full ambient space and
-    strictly decreasing in dimension.  Returns a list of rref bases of
-    length width + 1, from dimension ``width`` down to 0, inserting
-    intermediate subspaces wherever a dimension gap exceeds one.
+    chain: list of bases, starting with the full ambient space and strictly
+    decreasing in dimension.  Returns a list of rref bases of length
+    width + 1, from dimension ``width`` down to 0: the spans of the first
+    d rows of ``chain_basis``.
     """
-    if not chain:
-        raise ValueError("chain must contain at least the ambient space")
-    tops = [tuple(tuple(Fraction(x) for x in row) for row in level) for level in chain]
-    if len(tops[0]) != width:
-        raise ValueError("first chain element must span the ambient space")
-    dims = [len(level) for level in tops]
-    if any(later >= earlier for later, earlier in zip(dims[1:], dims)):
-        raise ValueError("chain dimensions must strictly decrease")
-    if dims[-1] != 0:
-        tops.append(())
-        dims.append(0)
-
-    flag = {width: tops[0]}
-    for upper, lower in zip(tops, tops[1:]):
-        # climb from lower to upper one dimension at a time
-        added, _ = extend_basis(upper, lower)
-        level = list(lower)
-        ladder = [rref(level)]
-        for v in added:
-            level.append(v)
-            ladder.append(rref(level))
-        for basis in ladder:
-            flag[len(basis)] = basis
-    return [flag[d] for d in range(width, -1, -1)]
+    space = RowSpace(width)
+    flag = [()]
+    for _, row in chain_basis(chain, width):
+        space.add(row)
+        flag.append(space.rref())
+    return flag[::-1]
 
 
-def _intersection_dim(ann_a, ann_b, width):
-    stacked = list(ann_a) + list(ann_b)
-    if not stacked:
-        return width
-    return width - rank(stacked)
+def adapted_cells(chain_f, chain_g, width):
+    """One basis adapted to two decreasing chains, one vector per Bruhat cell.
+
+    Walk both chains into bases f_n, ..., f_1 and g_n, ..., g_1
+    (``chain_basis``), so that the complete flags are F_a = span{f_m : m > a}
+    and G_b = span{g_m : m > b}.  Write each g_l in f-coordinates, and for
+    l = n, ..., 1 reduce it against the deeper reduced vectors, pivoting on
+    its shallowest f-coordinate: the reduced g'_l have distinct pivots
+    piv(l), and piv is the permutation giving the flags' relative position.
+    Then F_a meet G_b = span{g'_m : m > b, piv(m) > a}, so the jump cell
+    (i, l) with piv(l) = i is spanned by S = {g'_m : m >= l, piv(m) >= i}
+    and its wall by S without g'_l.  The cell's vector is the first row of
+    rref(S) outside the wall, that is, the first row of the rref of the
+    graph of "coefficient of g'_l" on span(S) whose last entry is nonzero.
+
+    Returns (dim_f, dim_g, vector) per cell in order of i: the vector lies
+    in the members of dimension dim_f = n - i + 1 and dim_g = n - l + 1 of
+    the two flags, and not in the next smaller ones.
+    """
+    inv = inverse([row for _, row in reversed(chain_basis(chain_f, width))])
+    owner = {}
+    reduced = []
+    for _, g in chain_basis(chain_g, width):
+        vec = [sum(a * row[k] for a, row in zip(g, inv) if a) for k in range(width)]
+        vec += g
+        while True:
+            piv = next(k for k, a in enumerate(vec) if a)
+            if piv not in owner:
+                break
+            red = reduced[owner[piv]][1]
+            f = vec[piv] / red[piv]
+            vec = [a - f * b if b else a for a, b in zip(vec, red)]
+        owner[piv] = len(reduced)
+        reduced.append((piv, vec))
+    # reduced[n - m] holds piv(m) - 1 and g'_m, its f-coordinates followed
+    # by its entries
+    cells = []
+    for i in range(width):
+        deep = owner[i]
+        space = RowSpace(width + 1)
+        for m in range(deep + 1):
+            piv, vec = reduced[m]
+            if piv >= i:
+                space.add(vec[width:] + [int(m == deep)])
+        pick = next(row[:width] for row in space.rref() if row[width])
+        cells.append((width - i, deep + 1, pick))
+    return tuple(cells)
 
 
 def common_adapted_basis(chain_f, chain_g, width):
-    """One basis adapted to two decreasing subspace chains.
-
-    Both chains are refined to complete flags; the rank pattern
-    r(i, j) = dim(F_i meet G_j) then has exactly ``width`` unit jumps
-    forming a permutation, and a basis vector is drawn from each jump cell
-    (F_{i-1} meet G_{j-1}) minus (F_i meet G_{j-1} + F_{i-1} meet G_j).
-    """
-    F = complete_flag(chain_f, width)
-    G = complete_flag(chain_g, width)
-    zero = (Fraction(0),) * width
-
-    def annihilator(basis):
-        return nullspace(list(basis) if basis else [zero])
-
-    ann_f = [annihilator(b) for b in F]
-    ann_g = [annihilator(b) for b in G]
-    r = [[_intersection_dim(ann_f[i], ann_g[j], width)
-          for j in range(width + 1)] for i in range(width + 1)]
-
-    def meet(i, j):
-        stacked = list(ann_f[i]) + list(ann_g[j])
-        if not stacked:
-            return rref([tuple(Fraction(1) if a == b else Fraction(0) for b in range(width))
-                         for a in range(width)])
-        return rref(nullspace(stacked))
-
-    chosen = []
-    for i in range(1, width + 1):
-        for j in range(1, width + 1):
-            delta = r[i - 1][j - 1] - r[i][j - 1] - r[i - 1][j] + r[i][j]
-            if delta == 0:
-                continue
-            if delta != 1:
-                raise ValueError("degenerate rank pattern; chains are inconsistent")
-            big = meet(i - 1, j - 1)
-            wall = sum_rowspaces(meet(i, j - 1), meet(i - 1, j))
-            pick = next((v for v in big if not in_span(v, wall)), None)
-            if pick is None:
-                raise ValueError("internal error: no vector available in jump cell")
-            chosen.append(pick)
-    if len(chosen) != width or rank(chosen) != width:
+    """One basis adapted to two decreasing subspace chains (the vectors of
+    ``adapted_cells``)."""
+    basis = tuple(vec for _, _, vec in adapted_cells(chain_f, chain_g, width))
+    if rank(basis) != width:
         raise ValueError("internal error: adapted construction failed")
-    return tuple(chosen)
+    return basis
 
 
 def adapted_to_chain(vectors, chain):

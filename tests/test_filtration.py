@@ -77,6 +77,16 @@ class TestBuildProfile:
         with pytest.raises(ValueError):
             build_profile(BOTH_P1, (1,), 2)
 
+    def test_basis_entries_are_kept_not_rewrapped(self):
+        half = Fraction(1, 2)
+        row = (Fraction(1), half)
+        level = [row, [Fraction(0), 1]]
+        profile = FiltrationProfile(2, 1, 2, ((Fraction(1), 2),), (level,))
+        kept, converted = profile.bases[0]
+        assert kept is row and kept[1] is half
+        assert converted[0] is level[1][0]
+        assert type(converted[1]) is Fraction and converted[1] == 1
+
     def test_profile_validation(self):
         with pytest.raises(ProfileError):
             FiltrationProfile(2, 2, 3, ((Fraction(0), 3), (Fraction(1), 3)))

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import adapted_oracle
 from diophkit.linalg import (
     RowSpace,
+    adapted_cells,
     adapted_to_chain,
+    chain_basis,
     common_adapted_basis,
     complete_flag,
     extend_basis,
@@ -101,6 +104,23 @@ class TestRowSpace:
         assert rref(space.rows()) == rref(rows)
         assert (probe in space) == in_span(probe, rref(rows))
 
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                    min_size=1, max_size=7))
+    def test_incremental_rref_after_every_row(self, rows):
+        space = RowSpace(4)
+        for k, row in enumerate(rows):
+            space.add(row)
+            assert space.rref() == rref(rows[:k + 1])
+
+    def test_snapshots_share_untouched_rows(self):
+        space = RowSpace(3)
+        space.add((1, 2, 0))
+        first = space.rref()
+        space.add((0, 0, 5))
+        second = space.rref()
+        assert second == ((1, 2, 0), (0, 0, 1))
+        assert second[0] is first[0]
+
 
 class TestRref:
     def test_echelon_shape(self):
@@ -171,6 +191,18 @@ class TestSpaceOperations:
         chosen, full = extend_basis(pool, rref([(1, 1, 0)]))
         assert len(chosen) == 2 and len(full) == 3
 
+    def test_extend_basis_matches_rref_per_vector(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            width = rng.randint(1, 5)
+            basis = rref([[rng.randint(-2, 2) for _ in range(width)]
+                          for _ in range(rng.randint(0, width))])
+            pool = [[rng.randint(-2, 2) for _ in range(width)]
+                    for _ in range(rng.randint(1, 6))]
+            chosen, full = extend_basis(pool, basis)
+            assert chosen == adapted_oracle.extend_basis(pool, basis)[0]
+            assert full == rref(list(basis) + pool)
+
 
 class TestFlags:
     def test_complete_flag_fills_gaps(self):
@@ -188,6 +220,20 @@ class TestFlags:
         ambient = frac_rows([(1, 0), (0, 1)])
         with pytest.raises(ValueError):
             complete_flag([ambient, ambient], 2)
+
+    def test_rejects_levels_that_are_not_nested(self):
+        chain = [frac_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                 rref([(1, 0, 0), (0, 1, 0)]), rref([(0, 0, 1)])]
+        with pytest.raises(ValueError):
+            chain_basis(chain, 3)
+
+    def test_matches_rref_per_vector_refinement(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            width = rng.randint(2, 7)
+            chain = random_chain(rng, width)
+            assert complete_flag(chain, width) == \
+                adapted_oracle.complete_flag(chain, width)
 
 
 def random_chain(rng, width):
@@ -228,6 +274,30 @@ class TestCommonAdaptedBasis:
             assert len(basis) == width and rank(basis) == width
             assert adapted_to_chain(basis, F)
             assert adapted_to_chain(basis, G)
+
+    def test_matches_rank_table_oracle(self):
+        rng = random.Random(19)
+        for trial in range(100):
+            width = rng.randint(2, 8)
+            F = random_chain(rng, width)
+            G = random_chain(rng, width)
+            assert common_adapted_basis(F, G, width) == \
+                adapted_oracle.common_adapted_basis(F, G, width)
+
+    def test_cells_record_flag_depths(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            width = rng.randint(2, 6)
+            F = random_chain(rng, width)
+            G = random_chain(rng, width)
+            flag_f = complete_flag(F, width)
+            flag_g = complete_flag(G, width)
+            cells = adapted_cells(F, G, width)
+            assert sorted(b for _, b, _ in cells) == list(range(1, width + 1))
+            for a, b, vec in cells:
+                for flag, dim in ((flag_f, a), (flag_g, b)):
+                    assert in_span(vec, flag[width - dim])
+                    assert not in_span(vec, flag[width - dim + 1])
 
     def test_adapted_predicate_rejects_bad_basis(self):
         chain = [frac_rows([(1, 0), (0, 1)]), rref([(1, 0)])]
