@@ -283,9 +283,9 @@ def extend_basis(pool, basis):
     """Pick the vectors of pool, in order, that extend the span of a basis;
     returns (chosen, rref of the extended span)."""
     basis, pool = list(basis), list(pool)
-    if not basis + pool:
+    if not basis and not pool:
         return [], ()
-    space = RowSpace(len((basis + pool)[0]))
+    space = RowSpace(len((basis or pool)[0]))
     for row in basis:
         space.add(row)
     chosen = [tuple(Fraction(x) for x in v) for v in pool if space.add(v)]
