@@ -8,7 +8,10 @@ to the coordinate-monomial path; the four-line and mixed-degree files were
 recorded from the per-candidate rank sweep before the one-pass generic
 profile replaced it; the triangle and tied-weight common bases were recorded
 from the table of intersection ranks before the Bruhat-cell construction
-replaced it.  A change that moves a single byte of
+replaced it; the height, weil, check-position, seshadri, beta-surface and
+example5 files, one per --output format, were recorded before the command
+line front end moved its imports into the subcommands.  A change that
+moves a single byte of
 these outputs changes behaviour, not just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
 
@@ -85,6 +88,29 @@ CASES = [
      ["filtration", "--space", "P2", "--ideals", "x0^2 + x1*x2,x1 + x2;x0 - x2",
       "--weights", "1,1/2", "--N", "3", "--output", "json"]),
 ]
+
+# subcommands frozen in every --output format they accept; example5 writes
+# csv for text as well
+FORMATS = {"text": "txt", "csv": "csv", "json": "json"}
+EVERY_FORMAT = [
+    # a point given in non-canonical rational coordinates
+    ("height_point", ["height", "--point", "1/2:3:-4/3"]),
+    # every place of the set contributes: the generator values are 12 and 6
+    ("weil_places", ["weil", "--space", "P2", "--ideal", "x0 + x1,x2 - 1/2*x0",
+                     "--point", "2:10:7", "--places", "inf,2,3"]),
+    ("check_position_ok", ["check-position", "--space", "P2",
+                           "--ideals", "x0;x1;x2"]),
+    # x0, x1 and x0 + x1 meet in a point of the plane
+    ("check_position_violated", ["check-position", "--space", "P2",
+                                 "--ideals", "x0;x1;x2;x0 + x1"]),
+    ("seshadri_two_points", ["seshadri", "--A", "3H - E1 - E2",
+                             "--D", "H - E1 - E2"]),
+    ("beta_surface_three_points", ["beta-surface", "--A", "4H - E1 - E2 - E3",
+                                   "--D", "H - E1", "--N", "4"]),
+    ("example5_l5", ["example5", "--l-max", "5"]),
+]
+CASES += [("%s.%s" % (stem, ext), argv + ["--output", fmt])
+          for stem, argv in EVERY_FORMAT for fmt, ext in FORMATS.items()]
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
