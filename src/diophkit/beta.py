@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import linalg
 from .filtration import build_profile
 from .graded import _linear_rows, dim_full, terms_until_zero
-from .surface import SurfaceModel
 
 __all__ = [
     "BetaReport",
@@ -88,6 +87,8 @@ def beta_blowup_crosscheck(Y, d, N):
     """Same terms computed twice for a reduced point in the plane: once in
     the graded ring, once as section counts of d N H - m E on the one-point
     blow-up.  They must agree term by term."""
+    from .surface import SurfaceModel
+
     _validate_level(d, N)
     if Y.nvars != 3:
         raise ValueError("crosscheck is for points in the plane (three variables)")

@@ -16,8 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import beta as beta_mod
-from . import experiments, filtration, heights, surface
+# each subcommand imports the modules it runs, so a process loads only those
 from .graded import Subscheme, check_general_position
 
 _SPACES = {"P1": 2, "P2": 3, "P3": 4}
@@ -92,18 +91,20 @@ def _emit_json(data):
 
 
 def _run_beta(args):
+    from . import beta
+
     Ys = _parse_subschemes(args.ideal, _nvars_from(args))
     if len(Ys) != 1:
         raise ValueError("beta takes a single subscheme")
     Y = Ys[0]
     if args.n_max is not None:
-        rows = beta_mod.beta_convergence(Y, args.degree, args.n_max)
+        rows = beta.beta_convergence(Y, args.degree, args.n_max)
         if args.output == "json":
             _emit_json([{"N": r.N, "numerator": r.numerator,
                          "denominator": r.denominator, "value": str(r.value),
                          "min_so_far": str(r.min_so_far)} for r in rows])
         elif args.output == "csv":
-            sys.stdout.write(beta_mod.convergence_csv(rows))
+            sys.stdout.write(beta.convergence_csv(rows))
         else:
             for r in rows:
                 print("N=%-3d value = %-22s min_so_far = %s"
@@ -112,7 +113,7 @@ def _run_beta(args):
     if args.N is None:
         raise ValueError("need --N (or --n-max for a convergence table)")
     if args.crosscheck:
-        rep = beta_mod.beta_blowup_crosscheck(Y, args.degree, args.N)
+        rep = beta.beta_blowup_crosscheck(Y, args.degree, args.N)
         if args.output == "json":
             _emit_json({"terms": list(rep.terms),
                         "blowup_terms": list(rep.blowup_terms),
@@ -129,7 +130,7 @@ def _run_beta(args):
         if not rep.match:
             raise ValueError("graded and blow-up section counts disagree")
         return 0
-    rep = beta_mod.beta_truncated(Y, args.degree, args.N)
+    rep = beta.beta_truncated(Y, args.degree, args.N)
     if args.output == "json":
         _emit_json({"N": rep.N, "numerator": rep.numerator,
                     "denominator": rep.denominator, "value": str(rep.value),
@@ -146,12 +147,16 @@ def _run_beta(args):
 
 
 def _model_for(args, *classes):
+    from .surface import SurfaceModel
+
     k = args.k if args.k is not None else max((C.k for C in classes), default=0)
-    model = surface.SurfaceModel(k)
+    model = SurfaceModel(k)
     return model, [C.pad(k) for C in classes]
 
 
 def _run_beta_surface(args):
+    from . import surface
+
     A = surface.parse_class(args.A)
     D = surface.parse_class(args.D)
     model, (A, D) = _model_for(args, A, D)
@@ -169,6 +174,8 @@ def _run_beta_surface(args):
 
 
 def _run_seshadri(args):
+    from . import surface
+
     A = surface.parse_class(args.A)
     D = surface.parse_class(args.D)
     model, (A, D) = _model_for(args, A, D)
@@ -205,6 +212,8 @@ def _run_seshadri(args):
 
 
 def _run_filtration(args):
+    from . import filtration
+
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     profile = filtration.build_profile(Ys, args.weights, args.N)
     F = filtration.F_value(profile)
@@ -224,6 +233,8 @@ def _run_filtration(args):
 
 
 def _run_adapted_basis(args):
+    from . import filtration
+
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     profile = filtration.build_profile(Ys, args.weights, args.N, with_bases=True)
     if args.weights2 is not None:
@@ -257,6 +268,8 @@ def _run_adapted_basis(args):
 
 
 def _run_weil(args):
+    from . import heights
+
     P = heights.ProjectivePoint.from_string(args.point)
     nvars = _nvars_from(args) or len(P.coords)
     Ys = _parse_subschemes(args.ideal, nvars)
@@ -290,6 +303,8 @@ def _run_weil(args):
 
 
 def _run_height(args):
+    from . import heights
+
     P = heights.ProjectivePoint.from_string(args.point)
     norm = heights.height_norm(P)
     h = heights.height(P)
@@ -306,6 +321,8 @@ def _run_height(args):
 
 
 def _run_scan(args):
+    from . import experiments
+
     if args.config:
         with open(args.config) as fh:
             config = experiments.InequalityConfig.from_json(json.load(fh))
@@ -338,6 +355,8 @@ def _run_scan(args):
 
 
 def _run_example5(args):
+    from . import experiments
+
     rows = experiments.four_lines_table(args.l_max)
     if args.output == "json":
         _emit_json([{"l": r.l, "A_self": str(r.A_self),
@@ -370,6 +389,8 @@ def _run_check_position(args):
 
 
 def _run_concavity_test(args):
+    from . import filtration
+
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     rep = filtration.concavity_bound(Ys, args.betas, args.weights, args.N)
     if args.output == "json":

@@ -38,8 +38,6 @@ from fractions import Fraction
 
 from .graded import Subscheme, common_support_dim
 from .heights import PlaceSet, ProjectivePoint, ord_p
-from .surface import (beta_closed_form, strict_transform_line, three_point_blowup,
-                      weighted_lines_class)
 
 __all__ = [
     "ConfigError",
@@ -480,7 +478,12 @@ class FourLinesRow:
 
 def four_lines_table(l_max):
     """Weighted-line classes on the three-point blow-up: closed-form
-    expansion value against the Seshadri side, one row per weight l."""
+    expansion value against the Seshadri side, one row per weight l.  The
+    lines are divisors (r = 1) on a surface (n = 2), so the Seshadri side
+    is epsilon / 3."""
+    from .surface import (compare_beta_seshadri, strict_transform_line,
+                          three_point_blowup, weighted_lines_class)
+
     if not isinstance(l_max, int) or l_max < 1:
         raise ValueError("l_max must be a positive integer")
     model = three_point_blowup()
@@ -488,10 +491,12 @@ def four_lines_table(l_max):
     rows = []
     for l in range(1, l_max + 1):
         A = weighted_lines_class(l)
-        cf = beta_closed_form(model, A, D)
-        eps = model.seshadri(A, D)
-        rows.append(FourLinesRow(l, cf.A_self, cf.A_dot_D, cf.xi, cf.beta,
-                                 eps, Fraction(l, 3), Fraction(3 * l, 4)))
+        A_self, A_dot_D = model.intersect(A, A), model.intersect(A, D)
+        cmp = compare_beta_seshadri(model, A, D, 1, 2)
+        # xi = A^2 / (2 A.D), the closed form's maximizer
+        rows.append(FourLinesRow(l, A_self, A_dot_D, A_self / (2 * A_dot_D),
+                                 cmp.beta, cmp.epsilon, cmp.seshadri_side,
+                                 Fraction(3 * l, 4)))
     return rows
 
 

@@ -50,17 +50,22 @@ class SupportError(ValueError):
     pass
 
 
+def _primes_dividing(n):
+    """The distinct primes dividing the integer n >= 1, in increasing
+    order, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and next(_primes_dividing(p)) == p
 
 
 @dataclass(frozen=True, order=True)
@@ -256,16 +261,7 @@ def relevant_places(Y, P):
     places = {PLACE_INF}
     for v in vals:
         for n in (v.numerator, v.denominator):
-            n = abs(n)
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    places.add(Place(p))
-                    while n % p == 0:
-                        n //= p
-                p += 1 if p == 2 else 2
-            if n > 1:
-                places.add(Place(n))
+            places.update(Place(p) for p in _primes_dividing(abs(n)))
     return tuple(sorted(places))
 
 
@@ -295,20 +291,9 @@ def product_formula_factors(q):
         raise ValueError("product formula concerns nonzero rationals")
     factors = {PLACE_INF: abs(q)}
     for n in (q.numerator, q.denominator):
-        n = abs(n)
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                place = Place(p)
-                if place not in factors:
-                    factors[place] = norm(q, place)
-                while n % p == 0:
-                    n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            place = Place(n)
-            if place not in factors:
-                factors[place] = norm(q, place)
+        for p in _primes_dividing(abs(n)):
+            place = Place(p)
+            factors[place] = norm(q, place)
     return factors
 
 

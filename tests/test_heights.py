@@ -37,6 +37,7 @@ from diophkit.heights import (
     weil_floor_norm,
     weil_norm,
 )
+from diophkit.heights import _is_prime, _primes_dividing
 from diophkit.polynomials import HomogeneousForm, monomial_exponents
 
 
@@ -84,6 +85,42 @@ class TestPlaces:
     def test_sorted_infinite_first(self):
         S = PlaceSet([Place(5), PLACE_INF, Place(2)])
         assert [str(p) for p in S] == ["inf", "2", "5"]
+
+
+def sieve_primes(limit):
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for i in range(2, limit + 1):
+        if flags[i]:
+            for j in range(i * i, limit + 1, i):
+                flags[j] = False
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+class TestPrimeFactors:
+    # the one trial-division helper behind Place, relevant_places and
+    # product_formula_factors, against a sieve
+    LIMIT = 2000
+
+    def test_primes_dividing_matches_sieve(self):
+        primes = sieve_primes(self.LIMIT)
+        for n in range(1, self.LIMIT + 1):
+            assert list(_primes_dividing(n)) == [p for p in primes if n % p == 0]
+
+    def test_is_prime_matches_sieve(self):
+        primes = set(sieve_primes(self.LIMIT))
+        for n in range(-3, self.LIMIT + 1):
+            assert _is_prime(n) == (n in primes)
+
+    def test_product_formula_places_match_sieve(self):
+        primes = sieve_primes(self.LIMIT)
+        rng = random.Random(11)
+        for _ in range(200):
+            q = Fraction(rng.randint(1, self.LIMIT), rng.randint(1, self.LIMIT))
+            want = [PLACE_INF] + [Place(p) for p in primes
+                                  if q.numerator % p == 0]
+            want += [Place(p) for p in primes if q.denominator % p == 0]
+            assert list(product_formula_factors(-q)) == want
 
 
 class TestPoints:

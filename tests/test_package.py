@@ -1,0 +1,157 @@
+"""The package's public names, and which modules each command line loads.
+
+`import diophkit` loads no submodule; names are imported on first access.
+The command line runs each subcommand in its own process, so the modules a
+subcommand does not run must stay out of that process: these checks list
+`sys.modules` in fresh interpreters and use no clock.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diophkit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every public name, grouped by the module that defines it
+EXPORTS = {
+    "beta": [
+        "BetaReport", "ConvergenceRow", "CrosscheckReport",
+        "beta_blowup_crosscheck", "beta_convergence", "beta_truncated",
+        "convergence_csv", "ideal_power_terms",
+    ],
+    "experiments": [
+        "ConfigError", "FourLinesRow", "InequalityConfig", "ScanReport", "ScanRow",
+        "four_lines", "four_lines_config", "four_lines_exclusions",
+        "four_lines_table", "four_lines_table_csv", "sample_points",
+        "scan_inequality", "sigma_select",
+    ],
+    "filtration": [
+        "AdaptedBasis", "BoundReport", "FiltrationProfile",
+        "InconsistentProfilesError", "ProfileError", "F_value", "adapted_basis",
+        "build_profile", "common_adapted_basis", "concavity_bound", "is_adapted",
+        "mu_value", "scale_check",
+    ],
+    "graded": [
+        "CatalogError", "PositionReport", "Subscheme", "check_general_position",
+        "common_support_dim", "graded_dim_filtration_ideal",
+        "graded_dim_ideal_power",
+    ],
+    "heights": [
+        "PLACE_INF", "Place", "PlaceError", "PlaceSet", "ProjectivePoint",
+        "SupportError", "global_weil_norm", "height", "height_norm",
+        "parse_place", "product_formula_holds", "proximity", "weil",
+        "weil_floor_norm", "weil_norm",
+    ],
+    "polynomials": ["FormError", "HomogeneousForm", "ParseError", "parse_form"],
+    "surface": [
+        "ClosedFormReport", "ComparisonReport", "NotNefError", "PicardClass",
+        "SeshadriReport", "SurfaceError", "SurfaceModel", "UnsupportedClassError",
+        "beta_closed_form", "beta_surface_truncated", "compare_beta_seshadri",
+        "format_class", "parse_class", "three_point_blowup",
+        "weighted_lines_class",
+    ],
+}
+SUBMODULES = ["beta", "experiments", "filtration", "graded", "heights", "linalg",
+              "polynomials", "staircase", "surface"]
+
+
+class TestPublicNames:
+    def test_all_is_unchanged(self):
+        names = SUBMODULES + [n for group in EXPORTS.values() for n in group]
+        assert len(names) == 84
+        assert diophkit.__all__ == sorted(names)
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_names_are_the_defining_objects(self, module):
+        owner = importlib.import_module("diophkit." + module)
+        for name in EXPORTS[module]:
+            assert getattr(diophkit, name) is getattr(owner, name)
+
+    def test_submodules(self):
+        for module in SUBMODULES:
+            assert getattr(diophkit, module) is sys.modules["diophkit." + module]
+
+    def test_star_import_binds_everything(self):
+        namespace = {}
+        exec("from diophkit import *", namespace)
+        for name in diophkit.__all__:
+            assert namespace[name] is getattr(diophkit, name)
+
+    def test_dir_lists_everything(self):
+        assert set(diophkit.__all__) <= set(dir(diophkit))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError):
+            diophkit.nope
+        assert not hasattr(diophkit, "nope")
+        from diophkit import linalg
+        assert linalg is diophkit.linalg
+
+
+PROBE = """
+import json, sys
+from diophkit.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diophkit."))]),
+      file=sys.stderr)
+"""
+
+
+def loaded_by(code, *argv):
+    """(exit code, short names of the diophkit modules loaded) of a fresh
+    interpreter running `code` with the given arguments."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    exit_code, names = json.loads(proc.stderr.splitlines()[-1])
+    return exit_code, {name.split(".", 1)[1] for name in names}
+
+
+def run_cli(*argv):
+    return loaded_by(PROBE, *argv)
+
+
+LINES = ["--space", "P2", "--ideals", "x0 + x1;x1 + x2;x0 + x2"]
+
+
+class TestImportSets:
+    def test_package_import_loads_no_submodule(self):
+        code = ('import json, sys, diophkit\n'
+                'print(json.dumps([0, [m for m in sys.modules'
+                ' if m.startswith("diophkit.")]]), file=sys.stderr)')
+        assert loaded_by(code) == (0, set())
+
+    def test_filtration(self):
+        code, modules = run_cli("filtration", *LINES, "--weights", "1,1/2,1/3",
+                                "--N", "2")
+        assert code == 0
+        assert "filtration" in modules
+        assert not modules & {"surface", "experiments", "heights", "beta"}
+
+    def test_beta(self):
+        code, modules = run_cli("beta", "--space", "P2", "--ideal",
+                                "x0 + x1,x1 - x2", "--N", "2")
+        assert code == 0
+        assert "beta" in modules
+        assert not modules & {"surface", "experiments", "heights"}
+
+    def test_beta_crosscheck_adds_only_surface(self):
+        code, modules = run_cli("beta", "--space", "P2", "--ideal",
+                                "x0 + x1,x1 - x2", "--N", "2", "--crosscheck")
+        assert code == 0
+        assert {"beta", "surface"} <= modules
+        assert not modules & {"experiments", "heights"}
+
+    def test_scan(self):
+        code, modules = run_cli("scan", "--four-lines", "--bound", "2")
+        assert code == 0
+        assert "experiments" in modules
+        assert not modules & {"beta", "filtration", "surface"}
