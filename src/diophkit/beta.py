@@ -5,7 +5,10 @@ For Y inside P^{n} and the degree-d polarization, the level-N value is
     sum_{m >= 1} h^0(O(dN) . I_Y^m) / (N h^0(O(dN)))
 
 with the sum cut off at the first vanishing term; the terms are
-nonincreasing in m, so nothing is lost.  Everything is exact.
+nonincreasing in m, so nothing is lost.  Everything is exact.  When the
+generators of Y form a regular sequence (a hypersurface, or a complete
+intersection such as a plane and a quadric), the terms come in closed
+form from the Koszul complex, with no elimination; see ``filtration``.
 """
 
 from __future__ import annotations

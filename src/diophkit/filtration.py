@@ -7,10 +7,12 @@ F(t) is the quantity the concavity bound controls.  Dimensions are exact
 and jump values are Fractions throughout.
 
 Inputs that ``graded.normalize`` accepts are counted monomial by monomial.
-Every other input takes one pass: the values t.b of the b that can reach
-degree N are walked downwards, each adding the generating rows of its own
-products to one integer row space, and the rank after a value is the
-dimension there.  Ideal powers are the case of one subscheme with weight 1.
+A profile without bases of one complete intersection (the generators a
+regular sequence with nonempty support, ``complete_intersection_degrees``)
+is a sum of binomials.  Every other input takes one pass: the values t.b
+of the b that can reach degree N are walked downwards, each adding the
+generating rows of its own products to one integer row space, and the
+rank after a value is the dimension there.  Ideal powers are the case of one subscheme with weight 1.
 
 Step convention: a profile [(x_1, d_1), ..., (x_K, d_K)] means the
 dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
@@ -27,6 +29,7 @@ from . import linalg
 from .graded import (
     _linear_forms,
     _power_products,
+    complete_intersection_degrees,
     dim_full,
     normalize,
     order_vector,
@@ -202,6 +205,10 @@ def build_profile(Ys, t, N, with_bases=False):
     Ys, t = _validate_inputs(Ys, t, N)
     norm = normalize(Ys)
     if norm is None:
+        if len(Ys) == 1 and not with_bases:
+            degrees = complete_intersection_degrees(Ys[0])
+            if degrees is not None:
+                return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
         return _generic_profile(Ys, t, N, with_bases)
     groups, A = norm
     nvars = Ys[0].nvars
@@ -228,6 +235,34 @@ def build_profile(Ys, t, N, with_bases=False):
     if with_bases:
         bases.reverse()
     return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
+
+
+def _complete_intersection_profile(degrees, n, w, N):
+    """The profile of one complete intersection on P^n with generator
+    degrees d = ``degrees`` and weight w: the piece at x in ((m-1)w, mw] is
+    the degree-N part of I^m.
+
+    For a regular sequence the associated graded ring of I is a polynomial
+    ring over S/I, so I^k/I^(k+1) is a sum over |a| = k of copies of S/I
+    shifted by a.d, and S/I has the Koszul resolution (Bruns-Herzog,
+    Cohen-Macaulay Rings, 1.1 and 1.6):
+
+        dim (I^m)_N = C(N+n, n) - sum_{k<m} sum_{|a|=k} HF_{S/I}(N - a.d),
+        HF_{S/I}(j) = sum_{T subset of gens} (-1)^|T| C(j - d_T + n, n),
+
+    a binomial with negative j - d_T being 0."""
+    koszul = [((-1) ** r, sum(T)) for r in range(len(degrees) + 1)
+              for T in itertools.combinations(degrees, r)]
+    ambient = dim = dim_full(N, n)
+    pairs = [(Fraction(0), ambient)]
+    k = 0
+    while dim > 0:
+        for a in itertools.combinations_with_replacement(degrees, k):
+            dim -= sum(sign * dim_full(N - sum(a) - shift, n)
+                       for sign, shift in koszul)
+        k += 1
+        pairs.append((k * w, dim))
+    return _profile_from_pairs(pairs, n + 1, N, ambient)
 
 
 def _piece_rows(Ys, b, N, index, cache):

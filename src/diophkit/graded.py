@@ -6,8 +6,8 @@ ideal it runs over the minimal generators of a threshold set.  These
 per-piece routes answer one question at a time; whole profiles, and the
 ideal-power terms of beta, come from the one-pass walk in ``filtration``.
 
-``normalize`` is the one place that picks the fast path.  It accepts
-exactly two kinds of input:
+``normalize`` is the one place that picks the monomial fast path.  It
+accepts exactly two kinds of input:
 
 * coordinate monomials: every generator is c * x_j^e, with the variables
   distinct inside a subscheme and disjoint across subschemes
@@ -19,10 +19,17 @@ exactly two kinds of input:
 
 Graded dimensions do not change under a linear change of coordinates, so
 on both kinds membership of a monomial reduces to comparing its order
-vector, and dimensions are monomial counts.  Everything else, such as
-nonlinear generators mixed with linear ones or dependent linear families
-like four lines in the plane, goes through exact elimination of
-generating rows.
+vector, and dimensions are monomial counts.
+
+A profile of one subscheme that ``normalize`` rejects, built without
+bases, has a second fast path: ``complete_intersection_degrees`` accepts
+a subscheme whose generators form a regular sequence with nonempty
+support, such as a hypersurface or a quadric cut by a plane.  Its ideal powers have Hilbert
+functions in closed form (see ``filtration``), and they are saturated, so
+they also count the sections of the powers of the ideal sheaf.
+Everything else, such as several subschemes with nonlinear generators or
+dependent linear families like four lines in the plane, goes through
+exact elimination of generating rows.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "graded_dim_filtration_ideal",
     "coordinate_groups",
     "normalize",
+    "complete_intersection_degrees",
     "order_vector",
     "common_support_dim",
     "check_general_position",
@@ -277,6 +285,24 @@ def normalize(Ys):
     units = [tuple(Fraction(int(i == j)) for j in range(nvars)) for i in range(nvars)]
     padding, _ = linalg.extend_basis(units, reduced)
     return groups, tuple(rows) + tuple(padding)
+
+
+def complete_intersection_degrees(Y):
+    """The generator degrees of Y when they form a regular sequence with
+    nonempty support, else None.
+
+    The polynomial ring is Cohen-Macaulay, so homogeneous g_1..g_c are a
+    regular sequence exactly when the ideal has height c, that is, when
+    the support has codimension c.  Returns None when the support is empty
+    or its dimension is outside ``common_support_dim``'s catalog.
+    """
+    try:
+        d = common_support_dim([Y])
+    except CatalogError:
+        return None
+    if d is None or Y.n - d != len(Y.generators):
+        return None
+    return tuple(g.degree for g in Y.generators)
 
 
 def order_vector(exps, groups):

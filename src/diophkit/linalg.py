@@ -117,11 +117,13 @@ class RowSpace:
             lead = self._pivots.get(col)
             if lead is None:
                 return col, ints
+            # both rows are zero left of col, so only the tails change
             p, f = lead[col], ints[col]
-            ints = [a * p - f * b for a, b in zip(ints, lead)]
-            content = gcd(*ints)
+            tail = [a * p - f * b for a, b in zip(ints[col:], lead[col:])]
+            content = gcd(*tail)
             if content > 1:
-                ints = [a // content for a in ints]
+                tail = [a // content for a in tail]
+            ints[col:] = tail
 
     def add(self, row):
         """Add a row; True when it was independent of the space."""

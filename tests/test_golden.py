@@ -10,7 +10,10 @@ profile replaced it; the triangle and tied-weight common bases were recorded
 from the table of intersection ranks before the Bruhat-cell construction
 replaced it; the height, weil, check-position, seshadri, beta-surface and
 example5 files, one per --output format, were recorded before the command
-line front end moved its imports into the subcommands.  A change that
+line front end moved its imports into the subcommands; the conic,
+plane-and-quadric and conic-concavity files were recorded from the
+elimination path before complete intersections were counted in closed
+form.  A change that
 moves a single byte of
 these outputs changes behaviour, not just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
@@ -87,6 +90,20 @@ CASES = [
     ("filtration_mixed_degree.json",
      ["filtration", "--space", "P2", "--ideals", "x0^2 + x1*x2,x1 + x2;x0 - x2",
       "--weights", "1,1/2", "--N", "3", "--output", "json"]),
+    # complete intersections: a conic (one generator) and a conic curve in
+    # P^3 cut by a plane and a quadric cone
+    ("beta_conic_p2.json",
+     ["beta", "--space", "P2", "--ideal", "6*x0*x1 + x1^2 - 8*x1*x2 + 4*x2^2",
+      "--degree", "2", "--N", "8", "--output", "json"]),
+    ("beta_line_quadric_p3.csv",
+     ["beta", "--space", "P3", "--ideal", "x0 + x1,x2^2 - x0*x3",
+      "--n-max", "4", "--output", "csv"]),
+    # each subscheme's own right-hand side is an ideal-power profile, so the
+    # conic's is counted in closed form
+    ("concavity_conic_lines.json",
+     ["concavity-test", "--space", "P2", "--ideals", "x0^2 + x1*x2;x0 + x1;x1 + x2",
+      "--betas", "1/4,1/4,1/2", "--weights", "1,1,1", "--N", "4",
+      "--output", "json"]),
 ]
 
 # subcommands frozen in every --output format they accept; example5 writes
