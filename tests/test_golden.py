@@ -13,9 +13,12 @@ example5 files, one per --output format, were recorded before the command
 line front end moved its imports into the subcommands; the conic,
 plane-and-quadric and conic-concavity files were recorded from the
 elimination path before complete intersections were counted in closed
-form.  A change that
-moves a single byte of
-these outputs changes behaviour, not just speed.  Regenerate one only for
+form; the remaining beta (--N, --crosscheck, --n-max), filtration,
+adapted-basis (one and two weightings), concavity-test and four-line scan
+files, one per --output format, were recorded while each subcommand still
+wrote its three formats by hand, before one emitter rendered them.  A
+change that moves a single byte of these outputs changes behaviour, not
+just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
 
     python -m diophkit scan --four-lines --bound 10 --output json \
@@ -125,6 +128,28 @@ EVERY_FORMAT = [
     ("beta_surface_three_points", ["beta-surface", "--A", "4H - E1 - E2 - E3",
                                    "--D", "H - E1", "--N", "4"]),
     ("example5_l5", ["example5", "--l-max", "5"]),
+    # one invocation per remaining mode
+    ("beta_point_p2", ["beta", "--space", "P2", "--ideal", "x0 + x1,x1 - x2",
+                       "--N", "3"]),
+    ("beta_crosscheck_point_p2", ["beta", "--space", "P2", "--ideal",
+                                  "x0 + x1,x1 - x2", "--N", "3", "--crosscheck"]),
+    ("beta_convergence_conic_p2", ["beta", "--space", "P2", "--ideal",
+                                   "x0^2 + x1*x2", "--degree", "2",
+                                   "--n-max", "3"]),
+    ("filtration_lines", ["filtration", "--space", "P2", "--ideals", LINES,
+                          "--weights", "1,1/2,1/3", "--N", "3"]),
+    ("adapted_basis_lines_one", ["adapted-basis", "--space", "P2",
+                                 "--ideals", LINES, "--weights", "1,1/2,1/3",
+                                 "--N", "2"]),
+    ("adapted_basis_lines_pair", ["adapted-basis", "--space", "P2",
+                                  "--ideals", LINES, "--weights", "1,1/2,1/3",
+                                  "--weights2", "1/3,1/2,1", "--N", "2"]),
+    # two lines through a point: the hypotheses hold
+    ("concavity_two_lines", ["concavity-test", "--space", "P2",
+                             "--ideals", "x0 + x1;x1 - x2", "--betas", "1/2,1/4",
+                             "--weights", "1,2", "--N", "4"]),
+    # no violations, so the csv is the header alone
+    ("scan_four_lines_b3", ["scan", "--four-lines", "--bound", "3"]),
 ]
 CASES += [("%s.%s" % (stem, ext), argv + ["--output", fmt])
           for stem, argv in EVERY_FORMAT for fmt, ext in FORMATS.items()]
