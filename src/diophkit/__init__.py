@@ -22,7 +22,6 @@ _EXPORTS = {
         "beta_blowup_crosscheck",
         "beta_convergence",
         "beta_truncated",
-        "convergence_csv",
         "ideal_power_terms",
     ),
     "experiments": (
@@ -35,7 +34,6 @@ _EXPORTS = {
         "four_lines_config",
         "four_lines_exclusions",
         "four_lines_table",
-        "four_lines_table_csv",
         "sample_points",
         "scan_inequality",
         "sigma_select",

@@ -13,8 +13,6 @@ form from the Koszul complex, with no elimination; see ``filtration``.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +27,6 @@ __all__ = [
     "beta_truncated",
     "beta_blowup_crosscheck",
     "beta_convergence",
-    "convergence_csv",
 ]
 
 
@@ -118,13 +115,3 @@ def beta_convergence(Y, d, N_max):
         rows.append(ConvergenceRow(N, rep.numerator, rep.denominator,
                                    rep.value, running))
     return rows
-
-
-def convergence_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "numerator", "denominator", "value", "min_so_far"])
-    for r in rows:
-        writer.writerow([r.N, r.numerator, r.denominator,
-                         str(r.value), str(r.min_so_far)])
-    return buf.getvalue()

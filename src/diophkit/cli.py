@@ -10,8 +10,6 @@ found violations above the height floor.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from fractions import Fraction
@@ -79,15 +77,37 @@ def _nvars_from(args):
     return _SPACES[args.space] if args.space else None
 
 
-def _emit_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _cell(v):
+    if isinstance(v, float):
+        return "%.12g" % v
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (list, tuple)):
+        return ";".join("%.12g" % x if isinstance(x, float) else str(x) for x in v)
+    return v
 
 
-def _emit_json(data):
-    print(json.dumps(data, indent=2))
+def _emit(fmt, data, table=None, text=None, header=None):
+    """Write one result to stdout.  json dumps `data` (Fractions as strings);
+    csv writes `table`, else `data`: a dict or a list of dicts whose keys are
+    the header (`header` names the columns when there are no rows); text
+    prints the `text` lines, or the csv when there are none."""
+    if fmt == "json":
+        import json
+        print(json.dumps(data, indent=2, default=str))
+    elif fmt == "csv" or text is None:
+        import csv
+        rows = data if table is None else table
+        if isinstance(rows, dict):
+            rows = [rows]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(list(rows[0]) if rows else header)
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+    else:
+        for line in text:
+            print(line)
 
 
 def _run_beta(args):
@@ -98,51 +118,31 @@ def _run_beta(args):
         raise ValueError("beta takes a single subscheme")
     Y = Ys[0]
     if args.n_max is not None:
-        rows = beta.beta_convergence(Y, args.degree, args.n_max)
-        if args.output == "json":
-            _emit_json([{"N": r.N, "numerator": r.numerator,
-                         "denominator": r.denominator, "value": str(r.value),
-                         "min_so_far": str(r.min_so_far)} for r in rows])
-        elif args.output == "csv":
-            sys.stdout.write(beta.convergence_csv(rows))
-        else:
-            for r in rows:
-                print("N=%-3d value = %-22s min_so_far = %s"
-                      % (r.N, fmt_rat(r.value), fmt_rat(r.min_so_far)))
+        rows = [vars(r) for r in beta.beta_convergence(Y, args.degree, args.n_max)]
+        _emit(args.output, rows,
+              text=["N=%-3d value = %-22s min_so_far = %s"
+                    % (r["N"], fmt_rat(r["value"]), fmt_rat(r["min_so_far"]))
+                    for r in rows])
         return 0
     if args.N is None:
         raise ValueError("need --N (or --n-max for a convergence table)")
     if args.crosscheck:
         rep = beta.beta_blowup_crosscheck(Y, args.degree, args.N)
-        if args.output == "json":
-            _emit_json({"terms": list(rep.terms),
-                        "blowup_terms": list(rep.blowup_terms),
-                        "value": str(rep.value), "match": rep.match})
-        elif args.output == "csv":
-            _emit_csv(["m", "graded", "blowup"],
-                      [(m + 1, a, b) for m, (a, b)
-                       in enumerate(zip(rep.terms, rep.blowup_terms))])
-        else:
-            print("terms        =", ",".join(map(str, rep.terms)))
-            print("blowup terms =", ",".join(map(str, rep.blowup_terms)))
-            print("match        =", rep.match)
-            print("beta         =", fmt_rat(rep.value))
+        _emit(args.output, dict(vars(rep), match=rep.match),
+              table=[{"m": m, "graded": a, "blowup": b} for m, (a, b)
+                     in enumerate(zip(rep.terms, rep.blowup_terms), 1)],
+              text=["terms        = " + ",".join(map(str, rep.terms)),
+                    "blowup terms = " + ",".join(map(str, rep.blowup_terms)),
+                    "match        = %s" % rep.match,
+                    "beta         = " + fmt_rat(rep.value)])
         if not rep.match:
             raise ValueError("graded and blow-up section counts disagree")
         return 0
     rep = beta.beta_truncated(Y, args.degree, args.N)
-    if args.output == "json":
-        _emit_json({"N": rep.N, "numerator": rep.numerator,
-                    "denominator": rep.denominator, "value": str(rep.value),
-                    "terms": list(rep.terms)})
-    elif args.output == "csv":
-        _emit_csv(["N", "numerator", "denominator", "value", "terms"],
-                  [(rep.N, rep.numerator, rep.denominator, str(rep.value),
-                    ";".join(map(str, rep.terms)))])
-    else:
-        print("beta =", fmt_rat(rep.value))
-        print("numerator/denominator = %d/%d, terms = %s"
-              % (rep.numerator, rep.denominator, ",".join(map(str, rep.terms))))
+    _emit(args.output, vars(rep),
+          text=["beta = " + fmt_rat(rep.value),
+                "numerator/denominator = %d/%d, terms = %s"
+                % (rep.numerator, rep.denominator, ",".join(map(str, rep.terms)))])
     return 0
 
 
@@ -162,14 +162,9 @@ def _run_beta_surface(args):
     model, (A, D) = _model_for(args, A, D)
     value = surface.beta_surface_truncated(model, A, D, args.N)
     terms = surface.h0_terms(model, A, D, args.N)
-    if args.output == "json":
-        _emit_json({"N": args.N, "value": str(value), "terms": terms})
-    elif args.output == "csv":
-        _emit_csv(["N", "value", "terms"],
-                  [(args.N, str(value), ";".join(map(str, terms)))])
-    else:
-        print("beta_trunc =", fmt_rat(value))
-        print("terms =", ",".join(map(str, terms)))
+    _emit(args.output, {"N": args.N, "value": value, "terms": terms},
+          text=["beta_trunc = " + fmt_rat(value),
+                "terms = " + ",".join(map(str, terms))])
     return 0
 
 
@@ -180,34 +175,20 @@ def _run_seshadri(args):
     D = surface.parse_class(args.D)
     model, (A, D) = _model_for(args, A, D)
     rep = model.seshadri_report(A, D)
-    gamma = rep.gamma
-    if args.output == "json":
-        _emit_json({
-            "gamma": "inf" if isinstance(gamma, float) else str(gamma),
-            "tight": [surface.format_class(C) for C in rep.tight],
-            "nef_at_gamma": rep.nef_at_gamma,
-            "fail_gamma": None if rep.fail_gamma is None else str(rep.fail_gamma),
-            "fail_witness": None if rep.fail_witness is None
-            else surface.format_class(rep.fail_witness),
-        })
-    elif args.output == "csv":
-        _emit_csv(["gamma", "tight", "nef_at_gamma", "fail_gamma", "fail_witness"],
-                  [("inf" if isinstance(gamma, float) else str(gamma),
-                    ";".join(surface.format_class(C) for C in rep.tight),
-                    int(rep.nef_at_gamma),
-                    "" if rep.fail_gamma is None else str(rep.fail_gamma),
-                    "" if rep.fail_witness is None
-                    else surface.format_class(rep.fail_witness))])
-    else:
-        print("seshadri =", fmt_rat(gamma))
-        if rep.tight:
-            print("tight curves:", ", ".join(surface.format_class(C)
-                                             for C in rep.tight))
-        print("nef at gamma:", rep.nef_at_gamma)
-        if rep.fail_gamma is not None:
-            print("not nef at %s, witness %s"
-                  % (fmt_rat(rep.fail_gamma, decimals=False),
-                     surface.format_class(rep.fail_witness)))
+    tight = [surface.format_class(C) for C in rep.tight]
+    witness = None if rep.fail_witness is None \
+        else surface.format_class(rep.fail_witness)
+    text = ["seshadri = " + fmt_rat(rep.gamma)]
+    if tight:
+        text.append("tight curves: " + ", ".join(tight))
+    text.append("nef at gamma: %s" % rep.nef_at_gamma)
+    if rep.fail_gamma is not None:
+        text.append("not nef at %s, witness %s"
+                    % (fmt_rat(rep.fail_gamma, decimals=False), witness))
+    _emit(args.output, {"gamma": fmt_rat(rep.gamma, decimals=False),
+                        "tight": tight, "nef_at_gamma": rep.nef_at_gamma,
+                        "fail_gamma": rep.fail_gamma, "fail_witness": witness},
+          text=text)
     return 0
 
 
@@ -217,18 +198,12 @@ def _run_filtration(args):
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     profile = filtration.build_profile(Ys, args.weights, args.N)
     F = filtration.F_value(profile)
-    if args.output == "json":
-        data = profile.to_json()
-        data["F"] = str(F)
-        _emit_json(data)
-    elif args.output == "csv":
-        _emit_csv(["nvars", "degree", "ambient_dim", "x_num", "x_den", "dim"],
-                  [(profile.nvars, profile.degree, profile.ambient_dim,
-                    x.numerator, x.denominator, d) for x, d in profile.jumps])
-    else:
-        for x, d in profile.jumps:
-            print("dim %-4d up to x = %s" % (d, fmt_rat(x, decimals=False)))
-        print("F =", fmt_rat(F))
+    _emit(args.output, dict(profile.to_json(), F=F),
+          table=[{"nvars": profile.nvars, "degree": profile.degree,
+                  "ambient_dim": profile.ambient_dim, "x_num": x.numerator,
+                  "x_den": x.denominator, "dim": d} for x, d in profile.jumps],
+          text=["dim %-4d up to x = %s" % (d, fmt_rat(x, decimals=False))
+                for x, d in profile.jumps] + ["F = " + fmt_rat(F)])
     return 0
 
 
@@ -241,29 +216,20 @@ def _run_adapted_basis(args):
         other = filtration.build_profile(Ys, args.weights2, args.N,
                                          with_bases=True)
         va, vb = filtration.common_adapted_basis(profile, other)
-        triples = list(zip(va.elements, va.mu_values, vb.mu_values))
-        if args.output == "json":
-            _emit_json([{"element": s.to_string(), "mu": str(m1), "mu2": str(m2)}
-                        for s, m1, m2 in triples])
-        elif args.output == "csv":
-            _emit_csv(["element", "mu", "mu2"],
-                      [(s.to_string(), str(m1), str(m2))
-                       for s, m1, m2 in triples])
-        else:
-            for s, m1, m2 in triples:
-                print("mu = %-10s mu' = %-10s %s"
-                      % (fmt_rat(m1, decimals=False),
-                         fmt_rat(m2, decimals=False), s.to_string()))
+        rows = [{"element": s.to_string(), "mu": m1, "mu2": m2}
+                for s, m1, m2 in zip(va.elements, va.mu_values, vb.mu_values)]
+        _emit(args.output, rows,
+              text=["mu = %-10s mu' = %-10s %s"
+                    % (fmt_rat(r["mu"], decimals=False),
+                       fmt_rat(r["mu2"], decimals=False), r["element"])
+                    for r in rows])
         return 0
     basis = filtration.adapted_basis(profile)
-    pairs = list(zip(basis.elements, basis.mu_values))
-    if args.output == "json":
-        _emit_json([{"element": s.to_string(), "mu": str(m)} for s, m in pairs])
-    elif args.output == "csv":
-        _emit_csv(["element", "mu"], [(s.to_string(), str(m)) for s, m in pairs])
-    else:
-        for s, m in pairs:
-            print("mu = %-10s %s" % (fmt_rat(m, decimals=False), s.to_string()))
+    rows = [{"element": s.to_string(), "mu": m}
+            for s, m in zip(basis.elements, basis.mu_values)]
+    _emit(args.output, rows,
+          text=["mu = %-10s %s" % (fmt_rat(r["mu"], decimals=False), r["element"])
+                for r in rows])
     return 0
 
 
@@ -282,23 +248,18 @@ def _run_weil(args):
         places = [heights.parse_place(args.place)]
     else:
         raise ValueError("need --place or --places")
-    values = [(place, heights.weil_norm(Y, P, place)) for place in places]
-    total = sum(math.log(q) for _, q in values)
-    if args.output == "json":
-        _emit_json({"point": str(P),
-                    "values": [{"place": str(pl), "norm": str(q),
-                                "log": math.log(q)} for pl, q in values],
-                    "sum_log": total})
-    elif args.output == "csv":
-        _emit_csv(["place", "norm", "log"],
-                  [(str(pl), str(q), "%.12g" % math.log(q))
-                   for pl, q in values])
-    else:
-        for pl, q in values:
-            print("place %-4s norm = %-14s log = %.12g"
-                  % (pl, fmt_rat(q, decimals=False), math.log(q)))
-        if len(values) > 1:
-            print("sum = %.12g" % total)
+    values = []
+    for place in places:
+        q = heights.weil_norm(Y, P, place)
+        values.append({"place": str(place), "norm": q, "log": math.log(q)})
+    total = sum(v["log"] for v in values)
+    text = ["place %-4s norm = %-14s log = %.12g"
+            % (v["place"], fmt_rat(v["norm"], decimals=False), v["log"])
+            for v in values]
+    if len(values) > 1:
+        text.append("sum = %.12g" % total)
+    _emit(args.output, {"point": str(P), "values": values, "sum_log": total},
+          table=values, text=text)
     return 0
 
 
@@ -308,22 +269,19 @@ def _run_height(args):
     P = heights.ProjectivePoint.from_string(args.point)
     norm = heights.height_norm(P)
     h = heights.height(P)
-    if args.output == "json":
-        _emit_json({"point": str(P), "height_norm": norm, "height": h})
-    elif args.output == "csv":
-        _emit_csv(["point", "height_norm", "height"],
-                  [(str(P), norm, "%.12g" % h)])
-    else:
-        print("point =", P)
-        print("height_norm =", norm)
-        print("height = %.12g" % h)
+    _emit(args.output, {"point": str(P), "height_norm": norm, "height": h},
+          text=["point = %s" % P, "height_norm = %d" % norm,
+                "height = %.12g" % h])
     return 0
 
 
 def _run_scan(args):
+    from dataclasses import fields
+
     from . import experiments
 
     if args.config:
+        import json
         with open(args.config) as fh:
             config = experiments.InequalityConfig.from_json(json.load(fh))
     elif args.four_lines:
@@ -332,59 +290,41 @@ def _run_scan(args):
         raise ValueError("need --config FILE or --four-lines")
     report = experiments.scan_inequality(config, bound=args.bound,
                                          keep_rows=args.keep_rows)
-    if args.output == "json":
-        _emit_json(report.to_json())
-    elif args.output == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        print("points    =", report.total)
-        print("skipped   =", report.skipped, "(on a subscheme support)")
-        print("excluded  =", report.excluded, "(on the exclusion locus)")
-        print("evaluated =", report.evaluated)
-        print("zero-height rows =", report.zero_height)
-        print("violations above floor =", len(report.violations))
-        print("violations below floor =", report.low_height_hits)
-        if report.max_ratio_row is not None:
-            r = report.max_ratio_row
-            print("max lhs/rhs = %.12g at %s (height_norm %d)"
-                  % (r.ratio, r.point, r.height_norm))
-        for r in report.violations:
-            print("VIOLATION at %s: lhs = %.12g rhs = %.12g"
-                  % (r.point, r.lhs_log, r.rhs_log))
+    text = ["points    = %d" % report.total,
+            "skipped   = %d (on a subscheme support)" % report.skipped,
+            "excluded  = %d (on the exclusion locus)" % report.excluded,
+            "evaluated = %d" % report.evaluated,
+            "zero-height rows = %d" % report.zero_height,
+            "violations above floor = %d" % len(report.violations),
+            "violations below floor = %d" % report.low_height_hits]
+    r = report.max_ratio_row
+    if r is not None:
+        text.append("max lhs/rhs = %.12g at %s (height_norm %d)"
+                    % (r.ratio, r.point, r.height_norm))
+    text += ["VIOLATION at %s: lhs = %.12g rhs = %.12g"
+             % (r.point, r.lhs_log, r.rhs_log) for r in report.violations]
+    data = report.to_json()
+    _emit(args.output, data, table=data.get("rows", data["violations"]),
+          text=text, header=[f.name for f in fields(experiments.ScanRow)])
     return 3 if report.violations else 0
 
 
 def _run_example5(args):
     from . import experiments
 
-    rows = experiments.four_lines_table(args.l_max)
-    if args.output == "json":
-        _emit_json([{"l": r.l, "A_self": str(r.A_self),
-                     "A_dot_D": str(r.A_dot_D), "xi": str(r.xi),
-                     "beta": str(r.beta), "epsilon": str(r.epsilon),
-                     "seshadri_side": str(r.seshadri_side),
-                     "beta_lower": str(r.beta_lower)} for r in rows])
-    else:
-        sys.stdout.write(experiments.four_lines_table_csv(rows))
+    _emit(args.output, [vars(r) for r in experiments.four_lines_table(args.l_max)])
     return 0
 
 
 def _run_check_position(args):
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     rep = check_general_position(Ys)
-    if args.output == "json":
-        _emit_json({"ok": rep.ok,
-                    "witness": None if rep.witness is None else list(rep.witness)})
-    elif args.output == "csv":
-        _emit_csv(["ok", "witness"],
-                  [(int(rep.ok), "" if rep.witness is None
-                    else ";".join(map(str, rep.witness)))])
+    if rep.ok:
+        text = ["general position: ok"]
     else:
-        if rep.ok:
-            print("general position: ok")
-        else:
-            labels = ",".join(Ys[i].label for i in rep.witness)
-            print("general position: violated by {%s}" % labels)
+        text = ["general position: violated by {%s}"
+                % ",".join(Ys[i].label for i in rep.witness)]
+    _emit(args.output, vars(rep), text=text)
     return 0
 
 
@@ -393,22 +333,16 @@ def _run_concavity_test(args):
 
     Ys = _parse_subschemes(args.ideals, _nvars_from(args))
     rep = filtration.concavity_bound(Ys, args.betas, args.weights, args.N)
-    if args.output == "json":
-        _emit_json({"lhs": str(rep.lhs), "rhs": str(rep.rhs),
-                    "per_subscheme": [str(v) for v in rep.per_subscheme],
-                    "hypotheses_met": rep.hypotheses_met, "holds": rep.holds})
-    elif args.output == "csv":
-        _emit_csv(["lhs", "rhs", "hypotheses_met", "holds", "per_subscheme"],
-                  [(str(rep.lhs), str(rep.rhs), int(rep.hypotheses_met),
-                    int(rep.holds),
-                    ";".join(str(v) for v in rep.per_subscheme))])
-    else:
-        print("lhs F(t) =", fmt_rat(rep.lhs))
-        print("rhs bound =", fmt_rat(rep.rhs))
-        print("hypotheses met:", rep.hypotheses_met)
-        print("bound holds:", rep.holds)
-        if rep.hypotheses_met and not rep.holds:
-            raise ValueError("lower bound failed under its hypotheses")
+    data = dict(vars(rep), holds=rep.holds)
+    _emit(args.output, data,
+          table={k: data[k] for k in ("lhs", "rhs", "hypotheses_met", "holds",
+                                      "per_subscheme")},
+          text=["lhs F(t) = " + fmt_rat(rep.lhs),
+                "rhs bound = " + fmt_rat(rep.rhs),
+                "hypotheses met: %s" % rep.hypotheses_met,
+                "bound holds: %s" % rep.holds])
+    if args.output == "text" and rep.hypotheses_met and not rep.holds:
+        raise ValueError("lower bound failed under its hypotheses")
     return 0
 
 

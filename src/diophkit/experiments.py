@@ -29,8 +29,6 @@ correctly.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,7 +49,6 @@ __all__ = [
     "four_lines_config",
     "four_lines_exclusions",
     "four_lines_table",
-    "four_lines_table_csv",
 ]
 
 
@@ -189,19 +186,6 @@ class ScanReport:
                    None if best is None else ScanRow.from_json(best),
                    None if rows is None else tuple(ScanRow.from_json(r)
                                                    for r in rows))
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["point", "height_norm", "proximities",
-                         "lhs_log", "rhs_log", "ratio", "violated"])
-        for r in (self.rows if self.rows is not None else self.violations):
-            writer.writerow([r.point, r.height_norm,
-                             ";".join("%.12g" % p for p in r.proximities),
-                             "%.12g" % r.lhs_log, "%.12g" % r.rhs_log,
-                             "" if r.ratio is None else "%.12g" % r.ratio,
-                             int(r.violated)])
-        return buf.getvalue()
 
 
 def _check_sample(n, bound):
@@ -498,15 +482,3 @@ def four_lines_table(l_max):
                                  cmp.beta, cmp.epsilon, cmp.seshadri_side,
                                  Fraction(3 * l, 4)))
     return rows
-
-
-def four_lines_table_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["l", "A_self", "A_dot_D", "xi", "beta",
-                     "epsilon", "seshadri_side", "beta_lower"])
-    for r in rows:
-        writer.writerow([r.l, str(r.A_self), str(r.A_dot_D), str(r.xi),
-                         str(r.beta), str(r.epsilon), str(r.seshadri_side),
-                         str(r.beta_lower)])
-    return buf.getvalue()

@@ -11,9 +11,9 @@ from diophkit.beta import (
     beta_blowup_crosscheck,
     beta_convergence,
     beta_truncated,
-    convergence_csv,
     ideal_power_terms,
 )
+from diophkit.cli import main
 from diophkit.graded import (
     Subscheme,
     dim_full,
@@ -174,9 +174,11 @@ class TestConvergence:
         assert rows[0].value == 0
         assert rows[1].value == Fraction(1, 12)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, capsys):
         rows = beta_convergence(sub("pt", ["x0", "x1"], 3), 1, 3)
-        text = convergence_csv(rows)
+        assert main(["beta", "--space", "P2", "--ideal", "x0,x1", "--n-max", "3",
+                     "--output", "csv"]) == 0
+        text = capsys.readouterr().out
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["N", "numerator", "denominator", "value",
                              "min_so_far"]

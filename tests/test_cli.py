@@ -74,7 +74,10 @@ class TestOutputModes:
                            "--n-max", "3", "--output", "csv")
         assert code == 0
         Y = Subscheme.from_strings("H", ["x0"], nvars=3)
-        assert out == beta_mod.convergence_csv(beta_mod.beta_convergence(Y, 1, 3))
+        rows = beta_mod.beta_convergence(Y, 1, 3)
+        assert out == "N,numerator,denominator,value,min_so_far\n" + "".join(
+            "%d,%d,%d,%s,%s\n" % (r.N, r.numerator, r.denominator, r.value,
+                                  r.min_so_far) for r in rows)
 
     def test_filtration_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "filtration", "--space", "P1",

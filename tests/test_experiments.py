@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from diophkit.cli import main
 from diophkit.experiments import (
     ConfigError,
     FourLinesRow,
@@ -17,7 +18,6 @@ from diophkit.experiments import (
     four_lines_config,
     four_lines_exclusions,
     four_lines_table,
-    four_lines_table_csv,
     sample_points,
     scan_inequality,
     sigma_select,
@@ -166,13 +166,19 @@ class TestScanBasics:
         with pytest.raises(ValueError):
             scan_inequality(simple_config(), points=[(1, 2, 3)])
 
-    def test_keep_rows(self):
-        report = scan_inequality(simple_config(), bound=2, keep_rows=True)
+    def test_keep_rows(self, capsys, tmp_path):
+        config = simple_config()
+        report = scan_inequality(config, bound=2, keep_rows=True)
         assert len(report.rows) == report.evaluated
-        header = report.to_csv().splitlines()[0]
-        assert header == \
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_json()))
+        code = main(["scan", "--config", str(path), "--bound", "2",
+                     "--keep-rows", "--output", "csv"])
+        assert code == (3 if report.violations else 0)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == \
             "point,height_norm,proximities,lhs_log,rhs_log,ratio,violated"
-        assert len(report.to_csv().splitlines()) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(report.rows)
 
     def test_report_json_round_trip(self):
         report = scan_inequality(simple_config(), bound=2, keep_rows=True)
@@ -306,7 +312,6 @@ class TestDifferentialOracle:
         want = reference_scan(cfg, reference_points(cfg.nvars - 1, bound),
                               keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
-        assert got.to_csv() == want.to_csv()
 
     def test_overweight_case_splits_at_the_floor(self):
         kw, bound = DIFFERENTIAL_CASES["overweight"]
@@ -393,9 +398,9 @@ class TestFourLinesTable:
             assert r.beta >= r.beta_lower
             assert r.beta > r.seshadri_side
 
-    def test_csv(self):
-        text = four_lines_table_csv(four_lines_table(2))
-        lines = text.splitlines()
+    def test_csv(self, capsys):
+        assert main(["example5", "--l-max", "2", "--output", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == \
             "l,A_self,A_dot_D,xi,beta,epsilon,seshadri_side,beta_lower"
         assert lines[1] == "1,13,3,13/6,13/12,1,1/3,3/4"

@@ -24,12 +24,12 @@ EXPORTS = {
     "beta": [
         "BetaReport", "ConvergenceRow", "CrosscheckReport",
         "beta_blowup_crosscheck", "beta_convergence", "beta_truncated",
-        "convergence_csv", "ideal_power_terms",
+        "ideal_power_terms",
     ],
     "experiments": [
         "ConfigError", "FourLinesRow", "InequalityConfig", "ScanReport", "ScanRow",
         "four_lines", "four_lines_config", "four_lines_exclusions",
-        "four_lines_table", "four_lines_table_csv", "sample_points",
+        "four_lines_table", "sample_points",
         "scan_inequality", "sigma_select",
     ],
     "filtration": [
@@ -65,7 +65,7 @@ SUBMODULES = ["beta", "experiments", "filtration", "graded", "heights", "linalg"
 class TestPublicNames:
     def test_all_is_unchanged(self):
         names = SUBMODULES + [n for group in EXPORTS.values() for n in group]
-        assert len(names) == 84
+        assert len(names) == 82
         assert diophkit.__all__ == sorted(names)
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -95,24 +95,29 @@ class TestPublicNames:
         assert linalg is diophkit.linalg
 
 
+# lists sys.modules before importing json itself, so a run that never
+# needed json or csv shows neither
 PROBE = """
-import json, sys
+import sys
 from diophkit.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diophkit."))]),
-      file=sys.stderr)
+names = sorted(m for m in sys.modules
+               if m.startswith("diophkit.") or m in ("csv", "json"))
+import json
+print(json.dumps([code, names]), file=sys.stderr)
 """
 
 
 def loaded_by(code, *argv):
-    """(exit code, short names of the diophkit modules loaded) of a fresh
-    interpreter running `code` with the given arguments."""
+    """(exit code, short names of the diophkit modules loaded, plus "csv"
+    and "json" where the probe lists them) of a fresh interpreter running
+    `code` with the given arguments."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
     exit_code, names = json.loads(proc.stderr.splitlines()[-1])
-    return exit_code, {name.split(".", 1)[1] for name in names}
+    return exit_code, {name.split(".", 1)[-1] for name in names}
 
 
 def run_cli(*argv):
@@ -155,3 +160,11 @@ class TestImportSets:
         assert code == 0
         assert "experiments" in modules
         assert not modules & {"beta", "filtration", "surface"}
+
+    # each output format loads only its own writer
+    @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", {"json"}),
+                                             ("csv", {"csv"})])
+    def test_output_writers(self, fmt, writers):
+        code, modules = run_cli("height", "--point", "2:3", "--output", fmt)
+        assert code == 0
+        assert modules & {"csv", "json"} == writers
