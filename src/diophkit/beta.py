@@ -13,7 +13,6 @@ form from the Koszul complex, with no elimination; see ``filtration``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -30,33 +29,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BetaReport:
-    N: int
-    numerator: int
-    denominator: int
-    value: Fraction
-    terms: tuple
+    def __init__(self, N, numerator, denominator, value, terms):
+        self.N, self.numerator, self.denominator = N, numerator, denominator
+        self.value, self.terms = value, terms
 
 
-@dataclass(frozen=True)
 class CrosscheckReport:
-    terms: tuple
-    blowup_terms: tuple
-    value: Fraction
+    def __init__(self, terms, blowup_terms, value):
+        self.terms, self.blowup_terms, self.value = terms, blowup_terms, value
 
     @property
     def match(self):
         return self.terms == self.blowup_terms
 
 
-@dataclass(frozen=True)
 class ConvergenceRow:
-    N: int
-    numerator: int
-    denominator: int
-    value: Fraction
-    min_so_far: Fraction
+    def __init__(self, N, numerator, denominator, value, min_so_far):
+        self.N, self.numerator, self.denominator = N, numerator, denominator
+        self.value, self.min_so_far = value, min_so_far
 
 
 def _validate_level(d, N):

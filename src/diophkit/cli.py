@@ -275,9 +275,27 @@ def _run_height(args):
     return 0
 
 
-def _run_scan(args):
-    from dataclasses import fields
+_SCAN_COLUMNS = ("point", "height_norm", "proximities", "lhs_log", "rhs_log",
+                 "ratio", "violated")
 
+
+def _scan_lines(report):
+    text = ["points    = %d" % report.total,
+            "skipped   = %d (on a subscheme support)" % report.skipped,
+            "excluded  = %d (on the exclusion locus)" % report.excluded,
+            "evaluated = %d" % report.evaluated,
+            "zero-height rows = %d" % report.zero_height,
+            "violations above floor = %d" % len(report.violations),
+            "violations below floor = %d" % report.low_height_hits]
+    r = report.max_ratio_row
+    if r is not None:
+        text.append("max lhs/rhs = %.12g at %s (height_norm %d)"
+                    % (r.ratio, r.point, r.height_norm))
+    return text + ["VIOLATION at %s: lhs = %.12g rhs = %.12g"
+                   % (r.point, r.lhs_log, r.rhs_log) for r in report.violations]
+
+
+def _run_scan(args):
     from . import experiments
 
     if args.config:
@@ -290,22 +308,15 @@ def _run_scan(args):
         raise ValueError("need --config FILE or --four-lines")
     report = experiments.scan_inequality(config, bound=args.bound,
                                          keep_rows=args.keep_rows)
-    text = ["points    = %d" % report.total,
-            "skipped   = %d (on a subscheme support)" % report.skipped,
-            "excluded  = %d (on the exclusion locus)" % report.excluded,
-            "evaluated = %d" % report.evaluated,
-            "zero-height rows = %d" % report.zero_height,
-            "violations above floor = %d" % len(report.violations),
-            "violations below floor = %d" % report.low_height_hits]
-    r = report.max_ratio_row
-    if r is not None:
-        text.append("max lhs/rhs = %.12g at %s (height_norm %d)"
-                    % (r.ratio, r.point, r.height_norm))
-    text += ["VIOLATION at %s: lhs = %.12g rhs = %.12g"
-             % (r.point, r.lhs_log, r.rhs_log) for r in report.violations]
-    data = report.to_json()
-    _emit(args.output, data, table=data.get("rows", data["violations"]),
-          text=text, header=[f.name for f in fields(experiments.ScanRow)])
+    # each format builds only what it prints: csv one line per kept row
+    # (else per violation), json the whole report, text the summary
+    if args.output == "json":
+        _emit("json", report.to_json())
+    elif args.output == "csv":
+        rows = report.violations if report.rows is None else report.rows
+        _emit("csv", [vars(r) for r in rows], header=_SCAN_COLUMNS)
+    else:
+        _emit("text", None, text=_scan_lines(report))
     return 3 if report.violations else 0
 
 
@@ -346,8 +357,24 @@ def _run_concavity_test(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a value that starts with a minus sign, and is not a
+    number, for an option; so a surface class such as -E1 is glued to its
+    option (--D -E1 becomes --D=-E1) before parsing."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for arg in sys.argv[1:] if args is None else args:
+            if glued and glued[-1] in ("--A", "--D") and arg.startswith("-") \
+                    and not arg.startswith("--"):
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diophkit",
         description="Exact invariants of polarized subschemes: expansion "
                     "coefficients, filtrations, surface intersection theory, "

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import Subscheme, common_support_dim
@@ -56,38 +55,32 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class InequalityConfig:
-    subschemes: tuple
-    betas: tuple
-    places: PlaceSet
-    epsilon: Fraction
-    exclusions: tuple = ()
     # violations below this multiplicative height are still counted, but
     # separately; log 10 is the default floor the report binds to
-    min_height_norm: int = 10
+    min_height_norm = 10
 
-    def __post_init__(self):
-        subs = tuple(self.subschemes)
+    def __init__(self, subschemes, betas, places, epsilon, exclusions=(),
+                 min_height_norm=min_height_norm):
+        subs = tuple(subschemes)
         if not subs:
             raise ConfigError("need at least one subscheme")
         if len({Y.nvars for Y in subs}) != 1:
             raise ConfigError("subschemes must share one ambient space")
-        betas = tuple(Fraction(b) for b in self.betas)
+        betas = tuple(Fraction(b) for b in betas)
         if len(betas) != len(subs) or any(b <= 0 for b in betas):
             raise ConfigError("need one positive weight per subscheme")
-        eps = Fraction(self.epsilon)
+        eps = Fraction(epsilon)
         if eps <= 0:
             raise ConfigError("epsilon must be positive")
-        excl = tuple(self.exclusions)
+        excl = tuple(exclusions)
         if any(Z.nvars != subs[0].nvars for Z in excl):
             raise ConfigError("exclusions must live in the same space")
-        if not isinstance(self.min_height_norm, int) or self.min_height_norm < 1:
+        if not isinstance(min_height_norm, int) or min_height_norm < 1:
             raise ConfigError("min_height_norm must be a positive integer")
-        object.__setattr__(self, "subschemes", subs)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "exclusions", excl)
+        self.subschemes, self.betas, self.places = subs, betas, places
+        self.epsilon, self.exclusions = eps, excl
+        self.min_height_norm = min_height_norm
 
     @property
     def nvars(self):
@@ -116,15 +109,12 @@ class InequalityConfig:
         )
 
 
-@dataclass(frozen=True)
 class ScanRow:
-    point: str
-    height_norm: int
-    proximities: tuple
-    lhs_log: float
-    rhs_log: float
-    ratio: float | None
-    violated: bool
+    def __init__(self, point, height_norm, proximities, lhs_log, rhs_log,
+                 ratio, violated):
+        self.point, self.height_norm = point, height_norm
+        self.proximities, self.lhs_log, self.rhs_log = proximities, lhs_log, rhs_log
+        self.ratio, self.violated = ratio, violated
 
     def to_json(self):
         return {"point": self.point, "height_norm": self.height_norm,
@@ -139,21 +129,15 @@ class ScanRow:
                    data["rhs_log"], data["ratio"], data["violated"])
 
 
-@dataclass(frozen=True)
 class ScanReport:
-    total: int
-    skipped: int
-    excluded: int
-    evaluated: int
-    zero_height: int
-    low_height_hits: int
-    violations: tuple
-    max_ratio_row: ScanRow | None = None
-    rows: tuple | None = None
-
-    def __post_init__(self):
-        if self.skipped + self.excluded + self.evaluated != self.total:
+    def __init__(self, total, skipped, excluded, evaluated, zero_height,
+                 low_height_hits, violations, max_ratio_row=None, rows=None):
+        if skipped + excluded + evaluated != total:
             raise ValueError("scan counters do not add up")
+        self.total, self.skipped, self.excluded = total, skipped, excluded
+        self.evaluated, self.zero_height = evaluated, zero_height
+        self.low_height_hits, self.violations = low_height_hits, violations
+        self.max_ratio_row, self.rows = max_ratio_row, rows
 
     @property
     def clean(self):
@@ -448,16 +432,12 @@ def four_lines_config(epsilon=Fraction(1, 2), places="inf,2,3,5",
     )
 
 
-@dataclass(frozen=True)
 class FourLinesRow:
-    l: int
-    A_self: Fraction
-    A_dot_D: Fraction
-    xi: Fraction
-    beta: Fraction
-    epsilon: Fraction
-    seshadri_side: Fraction
-    beta_lower: Fraction
+    def __init__(self, l, A_self, A_dot_D, xi, beta, epsilon, seshadri_side,
+                 beta_lower):
+        self.l, self.A_self, self.A_dot_D, self.xi = l, A_self, A_dot_D, xi
+        self.beta, self.epsilon = beta, epsilon
+        self.seshadri_side, self.beta_lower = seshadri_side, beta_lower
 
 
 def four_lines_table(l_max):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -72,13 +71,11 @@ def _fraction_row(row):
     return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
 
 
-@dataclass(frozen=True)
 class FiltrationProfile:
-    nvars: int
-    degree: int
-    ambient_dim: int
-    jumps: tuple
-    bases: tuple | None = None
+    def __init__(self, nvars, degree, ambient_dim, jumps, bases=None):
+        self.nvars, self.degree, self.ambient_dim = nvars, degree, ambient_dim
+        self.jumps, self.bases = jumps, bases
+        self.__post_init__()
 
     def __post_init__(self):
         jumps = tuple((Fraction(x), int(d)) for x, d in self.jumps)
@@ -94,7 +91,7 @@ class FiltrationProfile:
             raise ProfileError("jump dimensions must be positive and strictly decrease")
         if ds[0] != self.ambient_dim:
             raise ProfileError("dimension at x = 0 must equal the ambient dimension")
-        object.__setattr__(self, "jumps", jumps)
+        self.jumps = jumps
         if self.bases is not None:
             bases = tuple(tuple(_fraction_row(row) for row in level)
                           for level in self.bases)
@@ -102,7 +99,10 @@ class FiltrationProfile:
                 raise ProfileError("one basis per jump required")
             if [len(level) for level in bases] != ds:
                 raise ProfileError("stored basis dimensions disagree with jumps")
-            object.__setattr__(self, "bases", bases)
+            self.bases = bases
+
+    def __eq__(self, other):
+        return type(other) is FiltrationProfile and vars(self) == vars(other)
 
     def dim_at(self, x):
         x = Fraction(x)
@@ -130,15 +130,12 @@ class FiltrationProfile:
         return cls(data["nvars"], data["degree"], data["ambient_dim"], jumps)
 
 
-@dataclass(frozen=True)
 class AdaptedBasis:
-    elements: tuple
-    mu_values: tuple
-
-    def __post_init__(self):
-        if len(self.elements) != len(self.mu_values):
+    def __init__(self, elements, mu_values):
+        if len(elements) != len(mu_values):
             raise ProfileError("one mu value per element required")
-        object.__setattr__(self, "mu_values", tuple(Fraction(m) for m in self.mu_values))
+        self.elements = elements
+        self.mu_values = tuple(Fraction(m) for m in mu_values)
 
 
 def _validate_inputs(Ys, t, N):
@@ -441,12 +438,10 @@ def common_adapted_basis(first, second):
     return view_f, view_g
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    lhs: Fraction
-    rhs: Fraction
-    per_subscheme: tuple
-    hypotheses_met: bool
+    def __init__(self, lhs, rhs, per_subscheme, hypotheses_met):
+        self.lhs, self.rhs = lhs, rhs
+        self.per_subscheme, self.hypotheses_met = per_subscheme, hypotheses_met
 
     @property
     def holds(self):

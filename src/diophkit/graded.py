@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -68,16 +67,11 @@ class CatalogError(ValueError):
     """Input falls outside the decidable catalog for this operation."""
 
 
-@dataclass(frozen=True)
 class Subscheme:
     """A closed subscheme of P^(nvars-1) given by homogeneous generators."""
 
-    label: str
-    generators: tuple
-    codim_hint: int | None = None
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __init__(self, label, generators, codim_hint=None):
+        gens = tuple(generators)
         if not gens:
             raise ValueError("a subscheme needs at least one generator")
         for g in gens:
@@ -89,7 +83,10 @@ class Subscheme:
                 raise ValueError("degree-0 generator would make the ideal the unit ideal")
         if len({g.nvars for g in gens}) != 1:
             raise ValueError("generators must share one ambient space")
-        object.__setattr__(self, "generators", gens)
+        self.label, self.generators, self.codim_hint = label, gens, codim_hint
+
+    def __eq__(self, other):
+        return type(other) is Subscheme and vars(self) == vars(other)
 
     @property
     def nvars(self):
@@ -122,17 +119,12 @@ class Subscheme:
         return all(g.evaluate(coords) == 0 for g in self.generators)
 
 
-@dataclass(frozen=True)
 class GradedPiece:
     """A subspace of the degree-``degree`` forms, with an echelonized basis."""
 
-    nvars: int
-    degree: int
-    basis: tuple
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", len(self.basis))
+    def __init__(self, nvars, degree, basis):
+        self.nvars, self.degree, self.basis = nvars, degree, basis
+        self.dim = len(basis)
 
 
 def dim_full(D, n):
@@ -449,10 +441,12 @@ def common_support_dim(Ys):
     return s - 2
 
 
-@dataclass(frozen=True)
 class PositionReport:
-    ok: bool
-    witness: tuple | None = None
+    def __init__(self, ok, witness=None):
+        self.ok, self.witness = ok, witness
+
+    def __eq__(self, other):
+        return type(other) is PositionReport and vars(self) == vars(other)
 
 
 def _subscheme_codim(Y):

@@ -14,7 +14,6 @@ multiplicatively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import HomogeneousForm
@@ -68,19 +67,27 @@ def _is_prime(p):
     return p >= 2 and next(_primes_dividing(p)) == p
 
 
-@dataclass(frozen=True, order=True)
 class Place:
-    """A place of the rationals: a prime, or None for the archimedean one."""
-
-    sort_key: int
-    p: int | None
+    """A place of the rationals: a prime, or None for the archimedean one.
+    Places are immutable and hashable; inf sorts first, then the primes."""
 
     def __init__(self, p=None):
         if p is not None:
             if not isinstance(p, int) or not _is_prime(p):
                 raise PlaceError("finite places are indexed by primes, got %r" % (p,))
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sort_key", 0 if p is None else p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("places are immutable")
+
+    def __eq__(self, other):
+        return type(other) is Place and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __lt__(self, other):
+        return (self.p or 0) < (other.p or 0)
 
     @property
     def is_infinite(self):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import terms_until_zero
@@ -54,18 +53,16 @@ class UnsupportedClassError(SurfaceError):
     pass
 
 
-@dataclass(frozen=True)
 class PicardClass:
     """a*H + sum_i e[i]*E_{i+1}; e[i] is the signed E-coefficient."""
 
-    a: Fraction
-    e: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "e", tuple(Fraction(c) for c in self.e))
+    def __init__(self, a, e):
+        self.a, self.e = Fraction(a), tuple(Fraction(c) for c in e)
         if len(self.e) > MAX_BLOWUPS:
             raise UnsupportedClassError("at most %d exceptional classes" % MAX_BLOWUPS)
+
+    def __eq__(self, other):
+        return type(other) is PicardClass and vars(self) == vars(other)
 
     @property
     def k(self):
@@ -188,28 +185,20 @@ def format_class(D):
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class SeshadriReport:
-    gamma: object
-    tight: tuple
-    nef_at_gamma: bool
-    fail_gamma: object
-    fail_witness: object
+    def __init__(self, gamma, tight, nef_at_gamma, fail_gamma, fail_witness):
+        self.gamma, self.tight, self.nef_at_gamma = gamma, tight, nef_at_gamma
+        self.fail_gamma, self.fail_witness = fail_gamma, fail_witness
 
 
-@dataclass(frozen=True)
 class ClosedFormReport:
-    beta: Fraction
-    xi: Fraction
-    A_self: Fraction
-    A_dot_D: Fraction
+    def __init__(self, beta, xi, A_self, A_dot_D):
+        self.beta, self.xi, self.A_self, self.A_dot_D = beta, xi, A_self, A_dot_D
 
 
-@dataclass(frozen=True)
 class ComparisonReport:
-    beta: Fraction
-    epsilon: Fraction
-    seshadri_side: Fraction
+    def __init__(self, beta, epsilon, seshadri_side):
+        self.beta, self.epsilon, self.seshadri_side = beta, epsilon, seshadri_side
 
     @property
     def holds(self):

@@ -120,6 +120,20 @@ class TestSubcommands:
         assert "E1" in out
         assert "not nef at 101/100" in out
 
+    # argparse alone reads a value with a leading minus sign as an option
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("command,flag,value,rest", [
+        ("seshadri", "--D", "-E1", ["--A", "2H"]),
+        ("seshadri", "--A", "-E1+2H", ["--D", "H-E1"]),
+        ("beta-surface", "--D", "-E1+H", ["--A", "4H-E1", "--N", "2"]),
+        ("beta-surface", "--A", "-E1+4H", ["--D", "H-E1", "--N", "2"]),
+    ])
+    def test_class_with_leading_minus(self, capsys, fmt, command, flag, value,
+                                      rest):
+        spaced = run(capsys, command, flag, value, *rest, "--output", fmt)
+        glued = run(capsys, command, flag + "=" + value, *rest, "--output", fmt)
+        assert spaced == glued and spaced[0] == 0 and spaced[1]
+
     def test_weil_infers_space_from_point(self, capsys):
         code, out, _ = run(capsys, "weil", "--ideal", "x0,x1",
                            "--point", "1:10:100", "--place", "inf")

@@ -95,6 +95,9 @@ class TestPublicNames:
         assert linalg is diophkit.linalg
 
 
+# standard modules a command line should load only when it needs them
+WATCHED = ("csv", "json", "dataclasses", "inspect")
+
 # lists sys.modules before importing json itself, so a run that never
 # needed json or csv shows neither
 PROBE = """
@@ -103,16 +106,16 @@ from diophkit.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
 names = sorted(m for m in sys.modules
-               if m.startswith("diophkit.") or m in ("csv", "json"))
+               if m.startswith("diophkit.") or m in %r)
 import json
 print(json.dumps([code, names]), file=sys.stderr)
-"""
+""" % (WATCHED,)
 
 
 def loaded_by(code, *argv):
-    """(exit code, short names of the diophkit modules loaded, plus "csv"
-    and "json" where the probe lists them) of a fresh interpreter running
-    `code` with the given arguments."""
+    """(exit code, short names of the diophkit modules loaded, plus the
+    WATCHED modules where the probe lists them) of a fresh interpreter
+    running `code` with the given arguments."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
@@ -168,3 +171,42 @@ class TestImportSets:
         code, modules = run_cli("height", "--point", "2:3", "--output", fmt)
         assert code == 0
         assert modules & {"csv", "json"} == writers
+
+
+# one command line per subcommand and mode; the records they build are plain
+# classes, so none of them pays for dataclasses and the inspect it imports
+COMMAND_LINES = {
+    "beta": ["beta", "--space", "P2", "--ideal", "x0 + x1,x1 - x2", "--N", "2"],
+    "beta-crosscheck": ["beta", "--space", "P2", "--ideal", "x0,x1", "--N", "2",
+                        "--crosscheck"],
+    "beta-convergence": ["beta", "--space", "P2", "--ideal", "x0", "--n-max", "2"],
+    "beta-surface": ["beta-surface", "--A", "4H - E1", "--D", "H - E1", "--N", "2"],
+    "seshadri": ["seshadri", "--A", "2H", "--D", "-E1"],
+    "filtration": ["filtration", *LINES, "--weights", "1,1/2,1/3", "--N", "2"],
+    "adapted-basis": ["adapted-basis", *LINES, "--weights", "1,1/2,1/3",
+                      "--weights2", "1/3,1/2,1", "--N", "2"],
+    "weil": ["weil", "--ideal", "x0", "--point", "2:3", "--places", "inf,2"],
+    "height": ["height", "--point", "2:3"],
+    "scan": ["scan", "--four-lines", "--bound", "2", "--keep-rows"],
+    "example5": ["example5", "--l-max", "2"],
+    "check-position": ["check-position", "--space", "P2", "--ideals", "x0;x1"],
+    "concavity-test": ["concavity-test", "--space", "P2", "--ideals", "x0;x1",
+                       "--betas", "1,1", "--weights", "1/2,1/2", "--N", "2"],
+}
+
+
+class TestNoDataclasses:
+    @pytest.mark.parametrize("name", sorted(COMMAND_LINES))
+    def test_command_line(self, name):
+        code, modules = run_cli(*COMMAND_LINES[name])
+        assert code == 0
+        assert not modules & {"dataclasses", "inspect"}
+
+    def test_parser(self):
+        code = ("import sys\n"
+                "from diophkit.cli import build_parser\n"
+                "build_parser()\n"
+                "names = sorted(m for m in sys.modules if m in %r)\n"
+                "import json\n"
+                "print(json.dumps([0, names]), file=sys.stderr)" % (WATCHED,))
+        assert loaded_by(code) == (0, set())
