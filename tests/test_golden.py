@@ -16,7 +16,11 @@ elimination path before complete intersections were counted in closed
 form; the remaining beta (--N, --crosscheck, --n-max), filtration,
 adapted-basis (one and two weightings), concavity-test and four-line scan
 files, one per --output format, were recorded while each subcommand still
-wrote its three formats by hand, before one emitter rendered them.  A
+wrote its three formats by hand, before one emitter rendered them; the
+plane keep-rows and overweight scan files were recorded from the scan
+kernel that evaluated each generator separately and reduced every norm by
+the minimum over generators, before one evaluation pass and the S-free
+norm of one generator replaced it.  A
 change that moves a single byte of these outputs changes behaviour, not
 just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
@@ -47,6 +51,11 @@ CASES = [
     ("scan_space_rows_b2.csv",
      ["scan", "--config", str(GOLDEN / "space_rows_config.json"),
       "--bound", "2", "--keep-rows", "--output", "csv"]),
+    # P^2: a conic, a point cut by two lines and a line, with primes
+    # outside S (11 and 13) in their denominators; every row is kept
+    ("scan_plane_rows_b5.csv",
+     ["scan", "--config", str(GOLDEN / "plane_rows_config.json"),
+      "--bound", "5", "--keep-rows", "--output", "csv"]),
     # a reduced point of P^3 cut by tilted planes, one with a fractional
     # coefficient
     ("beta_tilted_point_p3.json",
@@ -154,10 +163,18 @@ EVERY_FORMAT = [
 CASES += [("%s.%s" % (stem, ext), argv + ["--output", fmt])
           for stem, argv in EVERY_FORMAT for fmt, ext in FORMATS.items()]
 
+# a line of P^1 with weight 5: violations on both sides of the height
+# floor, so the scan exits 3
+OVERWEIGHT = ["scan", "--config", str(GOLDEN / "overweight_config.json"),
+              "--bound", "14"]
+CASES += [("scan_overweight_b14.txt", OVERWEIGHT + ["--output", "text"]),
+          ("scan_overweight_b14.json", OVERWEIGHT + ["--output", "json"])]
+EXIT_CODES = {"scan_overweight_b14.txt": 3, "scan_overweight_b14.json": 3}
+
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_stdout_matches_golden(capsys, name, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert out.encode() == (GOLDEN / name).read_bytes()
