@@ -12,19 +12,35 @@ Points on some Y_i have no proximity value and are skipped; points on a
 configured exclusion locus are tallied separately, mirroring the role of
 the exceptional closed subset in the inequality.
 
-The decision is made in ints.  Each generator g is compiled once into
-G / c with G integral, so at a point x of height H every G(x) is
-evaluated once.  The product Q_i over S of the local norms of Y_i is an
-unreduced pair num_i / den_i: the archimedean factor min_g c H^deg g /
-|G(x)|, times p^k for each finite p in S, k = min_g ord_p G(x) - ord_p c
-(found by repeated division).  With d the common denominator of the
-beta_i and 1 + epsilon, the point violates the inequality exactly when
+The decision is made in ints.  Each generator g of every Y_i and of every
+exclusion is compiled once into G / c with G integral, and the G form one
+flat list: at a point x of height H one pass gives every G(x), and the
+support and exclusion tests read index spans of it.  The product Q_i over
+S of the local norms of Y_i is an unreduced pair num_i / den_i:
+
+- for two or more generators, the archimedean factor min_g c H^deg g /
+  |G(x)|, times p^k for each finite p in S, k = min_g ord_p G(x) - ord_p c
+  (found by repeated division);
+- for one generator, Q_i = H^deg / prod_{v in S} |g(x)|_v, and by the
+  product formula prod_{v in S} |r|_v = |r|' for a rational r != 0, where '
+  removes every prime of S; so Q_i = c' H^deg / |G(x)|', with c' computed
+  once.
+
+With d the common denominator of the beta_i and 1 + epsilon, the point
+violates the inequality exactly when
 
     prod_i num_i^(d beta_i)  >  H^(d (1 + epsilon)) prod_i den_i^(d beta_i).
 
+A hyperplane's factors num_i^(d beta_i), den_i^(d beta_i) and log Q_i
+depend only on (H, G(x)), so they are memoized by that pair.  Since
+|G(x)| <= ||G||_1 H, the memo has O(||G||_1 bound^2) entries, while the
+sample grows like bound^n; higher degrees are not memoized, as their
+values spread over ||G||_1 bound^deg.  H^(d (1 + epsilon)) and
+(1 + epsilon) log H are computed once per height.
+
 Floats appear only in the reported logs; log(num / den) is the same
-double as log of the reduced fraction, since int division rounds
-correctly.
+double for every representation of the same rational, since int division
+rounds correctly.
 """
 
 from __future__ import annotations
@@ -67,6 +83,9 @@ class InequalityConfig:
             raise ConfigError("need at least one subscheme")
         if len({Y.nvars for Y in subs}) != 1:
             raise ConfigError("subschemes must share one ambient space")
+        betas = tuple(betas)
+        if any(isinstance(v, bool) for v in betas + (epsilon,)):
+            raise ConfigError("weights and epsilon must be numbers, not booleans")
         betas = tuple(Fraction(b) for b in betas)
         if len(betas) != len(subs) or any(b <= 0 for b in betas):
             raise ConfigError("need one positive weight per subscheme")
@@ -76,7 +95,8 @@ class InequalityConfig:
         excl = tuple(exclusions)
         if any(Z.nvars != subs[0].nvars for Z in excl):
             raise ConfigError("exclusions must live in the same space")
-        if not isinstance(min_height_norm, int) or min_height_norm < 1:
+        if (isinstance(min_height_norm, bool)
+                or not isinstance(min_height_norm, int) or min_height_norm < 1):
             raise ConfigError("min_height_norm must be a positive integer")
         self.subschemes, self.betas, self.places = subs, betas, places
         self.epsilon, self.exclusions = eps, excl
@@ -173,9 +193,9 @@ class ScanReport:
 
 
 def _check_sample(n, bound):
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("projective dimension must be a positive integer")
-    if not isinstance(bound, int) or bound < 1:
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
         raise ValueError("coordinate bound must be a positive integer")
 
 
@@ -222,54 +242,82 @@ def _integral(form):
     return terms, c
 
 
-def _evaluate(terms, x):
-    total = 0
-    for coeff, factors in terms:
-        for i in factors:
-            coeff *= x[i]
-        total += coeff
-    return total
+def _evaluate_all(forms, x):
+    """G(x) for every integral form G, in order."""
+    out = []
+    for terms in forms:
+        total = 0
+        for coeff, factors in terms:
+            for i in factors:
+                coeff *= x[i]
+            total += coeff
+        out.append(total)
+    return out
+
+
+def _s_free(v, rad):
+    """|v| with every prime dividing rad removed; v is nonzero and rad is
+    the product of the finite places of S."""
+    v = abs(v)
+    g = math.gcd(v, rad)
+    while g > 1:
+        v //= g
+        g = math.gcd(v, g)
+    return v
+
+
+def _vanishes(vals, spans):
+    """Whether every value of some span is zero: x lies on that locus."""
+    return any(not any(vals[a:b]) for a, b in spans)
 
 
 class _Kernel:
-    """A configuration compiled once for integer scanning (see the
-    module docstring): per generator of each Y_i the integral terms of G,
-    c, the degree and -ord_p(c) for every finite place p in S."""
+    """A configuration compiled once for integer scanning (see the module
+    docstring).
 
-    def __init__(self, config):
+    forms lists the integral terms of every generator of every Y_i, then of
+    every exclusion, so one _evaluate_all call gives every G(x); supports
+    and exclusions are index spans into that list.  Each Y_i also gets a
+    plan (start, stop, gens, memo, e, log beta_i): gens is (c', deg) for a
+    single generator and (c, deg, -ord_p(c) for each finite p in S) per
+    generator otherwise; memo maps (H, G(x)) to the factors of a
+    hyperplane and is None for every other Y_i.
+    """
+
+    def __init__(self, config, exps):
         primes = [v.p for v in config.places if not v.is_infinite]
-        self.primes = primes
-        self.subschemes = []
-        for Y in config.subschemes:
+        self.primes, self.rad = primes, math.prod(primes)
+        self.forms, self.plans = [], []
+        for Y, e, b in zip(config.subschemes, exps, config.betas):
+            start = len(self.forms)
             gens = []
             for g in Y.generators:
                 terms, c = _integral(g)
-                gens.append((terms, c, g.degree, [-ord_p(c, p) for p in primes]))
-            self.subschemes.append(gens)
-        self.exclusions = [[_integral(g)[0] for g in Z.generators]
-                           for Z in config.exclusions]
+                self.forms.append(terms)
+                gens.append((c, g.degree, [-ord_p(c, p) for p in primes]))
+            memo = None
+            if len(gens) == 1:
+                c, deg, _ = gens[0]
+                gens = (_s_free(c, self.rad), deg)
+                if deg == 1:
+                    memo = {}
+            self.plans.append((start, len(self.forms), gens, memo, e, float(b)))
+        self.supports = [plan[:2] for plan in self.plans]
+        self.exclusions = []
+        for Z in config.exclusions:
+            start = len(self.forms)
+            self.forms.extend(_integral(g)[0] for g in Z.generators)
+            self.exclusions.append((start, len(self.forms)))
 
-    def values(self, x):
-        """G(x) for every generator of every Y_i, or None when x lies on
-        the support of some Y_i."""
-        out = []
-        for gens in self.subschemes:
-            vals = [_evaluate(terms, x) for terms, _, _, _ in gens]
-            if not any(vals):
-                return None
-            out.append(vals)
-        return out
-
-    def excluded(self, x):
-        return any(not any(_evaluate(terms, x) for terms in Z)
-                   for Z in self.exclusions)
-
-    def norm(self, gens, vals, H):
+    def norm(self, start, stop, gens, vals, H):
         """The product over all places of the local norms of one Y_i, as
         an unreduced positive (numerator, denominator) pair."""
+        if stop - start == 1:
+            c, deg = gens
+            return c * H ** deg, _s_free(vals[start], self.rad)
         num = den = 0
         low = None
-        for (_, c, deg, neg_ord_c), v in zip(gens, vals):
+        for (c, deg, neg_ord_c), v in zip(gens, vals[start:stop]):
             if not v:
                 continue
             a, b = c * H ** deg, abs(v)
@@ -320,9 +368,11 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                  *(b.denominator for b in config.betas))
     exps = [int(d * b) for b in config.betas]
     rhs_exp = int(d * one_plus_eps)
-    log_betas = [float(b) for b in config.betas]
     rhs_scale = float(one_plus_eps)
-    kernel = _Kernel(config)
+    kernel = _Kernel(config, exps)
+    forms, plans, norm = kernel.forms, kernel.plans, kernel.norm
+    # H^(d (1+eps)) and (1+eps) log H, once per height
+    per_height = {}
 
     total = skipped = excluded = evaluated = zero_height = 0
     violations = []
@@ -332,13 +382,14 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     best_ratio = None
     for coords in points:
         total += 1
-        values = kernel.values(coords)
-        if values is None:
-            skipped += 1
-            continue
-        if kernel.excluded(coords):
-            excluded += 1
-            continue
+        vals = _evaluate_all(forms, coords)
+        if 0 in vals:
+            if _vanishes(vals, kernel.supports):
+                skipped += 1
+                continue
+            if _vanishes(vals, kernel.exclusions):
+                excluded += 1
+                continue
         evaluated += 1
         H = max(map(abs, coords))
         if H == 1:
@@ -346,16 +397,27 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
         lhs_num = lhs_den = 1
         lhs_log = 0.0
         proxim = []
-        for gens, vals, e, lb in zip(kernel.subschemes, values, exps, log_betas):
-            num, den = kernel.norm(gens, vals, H)
-            lhs_num *= num ** e
-            lhs_den *= den ** e
-            # int / int is correctly rounded, so this is float(Q) exactly
-            m = math.log(num / den)
+        for start, stop, gens, memo, e, lb in plans:
+            if memo is None:
+                num, den = norm(start, stop, gens, vals, H)
+                # int / int is correctly rounded, so this is float(Q) exactly
+                factors = num ** e, den ** e, math.log(num / den)
+            else:
+                key = (H, vals[start])
+                factors = memo.get(key)
+                if factors is None:
+                    num, den = norm(start, stop, gens, vals, H)
+                    factors = memo[key] = num ** e, den ** e, math.log(num / den)
+            lhs_num *= factors[0]
+            lhs_den *= factors[1]
+            m = factors[2]
             proxim.append(m)
             lhs_log += lb * m
-        violated = lhs_num > H ** rhs_exp * lhs_den
-        rhs_log = rhs_scale * math.log(H)
+        rhs = per_height.get(H)
+        if rhs is None:
+            rhs = per_height[H] = H ** rhs_exp, rhs_scale * math.log(H)
+        violated = lhs_num > rhs[0] * lhs_den
+        rhs_log = rhs[1]
         ratio = lhs_log / rhs_log if H > 1 else None
         track = violated or keep_rows or (ratio is not None and
                                           (best_ratio is None or ratio > best_ratio))
@@ -448,7 +510,7 @@ def four_lines_table(l_max):
     from .surface import (compare_beta_seshadri, strict_transform_line,
                           three_point_blowup, weighted_lines_class)
 
-    if not isinstance(l_max, int) or l_max < 1:
+    if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 1:
         raise ValueError("l_max must be a positive integer")
     model = three_point_blowup()
     D = strict_transform_line(1)

@@ -65,6 +65,11 @@ class TestSamplePoints:
             sample_points(0, 3)
         with pytest.raises(ValueError):
             sample_points(1, 0)
+        # bool is a subclass of int, and True is not a dimension or bound
+        with pytest.raises(ValueError):
+            sample_points(True, 2)
+        with pytest.raises(ValueError):
+            sample_points(2, True)
 
 
 def simple_config(**overrides):
@@ -103,6 +108,18 @@ class TestConfigValidation:
                 betas=(1, 1), places=PlaceSet.from_string("inf"),
                 epsilon=1)
 
+    def test_rejects_booleans(self):
+        with pytest.raises(ConfigError):
+            simple_config(min_height_norm=True)
+        with pytest.raises(ConfigError):
+            simple_config(betas=(True,))
+        with pytest.raises(ConfigError):
+            simple_config(epsilon=True)
+        data = simple_config().to_json()
+        data["min_height_norm"] = True
+        with pytest.raises(ConfigError):
+            InequalityConfig.from_json(data)
+
     def test_json_round_trip(self):
         cfg = four_lines_config()
         blob = json.dumps(cfg.to_json())
@@ -126,6 +143,8 @@ class TestScanBasics:
             scan_inequality(simple_config())
         with pytest.raises(ValueError):
             scan_inequality(simple_config(), bound=0)
+        with pytest.raises(ValueError):
+            scan_inequality(simple_config(), bound=True)
 
     def test_single_hyperplane_clean(self):
         cfg = simple_config()
@@ -294,6 +313,16 @@ DIFFERENTIAL_CASES = {
         places=PlaceSet.from_string("inf,2,5"),
         exclusions=(sub("E", ["x0 - x1"], 4),
                     sub("F", ["x2", "x3 - 3*x1"], 4))), 2),
+    # the paper's four lines with their exclusions: each hyperplane value
+    # recurs at many points of one height
+    "four_lines": (dict(
+        subschemes=four_lines(), betas=(Fraction(1, 3),) * 4,
+        exclusions=four_lines_exclusions()), 8),
+    # c = 14 but c' = 7: the prime 7 of the denominator lies outside S
+    "denominator_outside_s": (dict(
+        subschemes=(sub("H", ["3/14*x0 - x1 + 5/2*x2"], 3),),
+        betas=(Fraction(2, 3),),
+        places=PlaceSet.from_string("inf,2,3")), 6),
     # violations on both sides of the height floor
     "overweight": (dict(
         subschemes=(sub("L", ["x0 - 3/2*x1"], 2),),
@@ -311,6 +340,17 @@ class TestDifferentialOracle:
         got = scan_inequality(cfg, bound=bound, keep_rows=keep_rows)
         want = reference_scan(cfg, reference_points(cfg.nvars - 1, bound),
                               keep_rows=keep_rows)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_explicit_points_with_duplicates(self, keep_rows):
+        kw, _ = DIFFERENTIAL_CASES["multi_generator"]
+        cfg = simple_config(**kw)
+        points = [(1, 2, 3), (2, 4, 6), (-1, -2, -3), (3, -1, 2), (3, -1, 2),
+                  (0, 0, -5), (0, 0, 1), (Fraction(1, 2), 1, Fraction(3, 2)),
+                  (-4, 2, 2), (2, 4, 2), (5, -7, 11), (-5, 7, -11)]
+        got = scan_inequality(cfg, points=points, keep_rows=keep_rows)
+        want = reference_scan(cfg, points, keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
 
     def test_overweight_case_splits_at_the_floor(self):
@@ -409,3 +449,5 @@ class TestFourLinesTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             four_lines_table(0)
+        with pytest.raises(ValueError):
+            four_lines_table(True)
