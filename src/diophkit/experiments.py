@@ -12,19 +12,24 @@ Points on some Y_i have no proximity value and are skipped; points on a
 configured exclusion locus are tallied separately, mirroring the role of
 the exceptional closed subset in the inequality.
 
-The decision is made in ints.  Each generator g of every Y_i and of every
-exclusion is compiled once into G / c with G integral, and the G form one
-flat list: at a point x of height H one pass gives every G(x), and the
-support and exclusion tests read index spans of it.  The product Q_i over
-S of the local norms of Y_i is an unreduced pair num_i / den_i:
+The decision is made in ints.  The generators g of each Y_i are compiled
+once over their least common denominator c, as g = G / c with every G
+integral.  These G, then those of every exclusion, form one flat list, so
+at a point x of height H one pass gives every G(x), and the support and
+exclusion tests read index spans of it.  Over the g with G(x) != 0, the
+product over S of the local norms of Y_i is
 
-- for two or more generators, the archimedean factor min_g c H^deg g /
-  |G(x)|, times p^k for each finite p in S, k = min_g ord_p G(x) - ord_p c
-  (found by repeated division);
-- for one generator, Q_i = H^deg / prod_{v in S} |g(x)|_v, and by the
-  product formula prod_{v in S} |r|_v = |r|' for a rational r != 0, where '
-  removes every prime of S; so Q_i = c' H^deg / |G(x)|', with c' computed
-  once.
+    Q_i = min_g c H^deg g / |G(x)|  *  prod_{p in S} p^(min_g ord_p G(x) - ord_p c).
+
+Let ' remove every prime of S from an integer.  The finite product is
+(gamma / gamma') / (c / c') with gamma = gcd_g G(x), so if g* attains the
+archimedean minimum,
+
+    Q_i = num_i / den_i,  num_i = c' H^deg g*,  den_i = (|G*(x)| / gamma) gamma',
+
+in ints, since gamma divides G*(x).  For one generator gamma = |G(x)|, and
+this is the product formula: prod_{v in S} |r|_v = |r|' for a rational
+r != 0, so Q_i = c' H^deg / |G(x)|'.  c' is computed once.
 
 With d the common denominator of the beta_i and 1 + epsilon, the point
 violates the inequality exactly when
@@ -50,7 +55,7 @@ import math
 from fractions import Fraction
 
 from .graded import Subscheme, common_support_dim
-from .heights import PlaceSet, ProjectivePoint, ord_p
+from .heights import PlaceSet, ProjectivePoint
 
 __all__ = [
     "ConfigError",
@@ -229,17 +234,18 @@ def sample_points(n, bound):
     return list(_iter_points(n, bound))
 
 
-def _integral(form):
-    """A form g as (terms, c) with g = G / c, G integral and c > 0.
+def _integral(forms):
+    """Forms g_j as ([terms of G_j], c) with g_j = G_j / c, each G_j
+    integral and c > 0 their least common denominator.
 
-    Each term of G is (coefficient, variable indices), one index per unit
-    of exponent, so evaluating a term is a run of integer products.
+    Each term of G_j is (coefficient, variable indices), one index per
+    unit of exponent, so evaluating a term is a run of integer products.
     """
-    c = math.lcm(*(v.denominator for v in form.terms.values()))
-    terms = tuple((v.numerator * (c // v.denominator),
+    c = math.lcm(*(v.denominator for g in forms for v in g.terms.values()))
+    return [tuple((v.numerator * (c // v.denominator),
                    tuple(i for i, e in enumerate(exps) for _ in range(e)))
-                  for exps, v in sorted(form.terms.items()))
-    return terms, c
+                  for exps, v in sorted(g.terms.items()))
+            for g in forms], c
 
 
 def _evaluate_all(forms, x):
@@ -278,64 +284,41 @@ class _Kernel:
     forms lists the integral terms of every generator of every Y_i, then of
     every exclusion, so one _evaluate_all call gives every G(x); supports
     and exclusions are index spans into that list.  Each Y_i also gets a
-    plan (start, stop, gens, memo, e, log beta_i): gens is (c', deg) for a
-    single generator and (c, deg, -ord_p(c) for each finite p in S) per
-    generator otherwise; memo maps (H, G(x)) to the factors of a
-    hyperplane and is None for every other Y_i.
+    plan (start, stop, degrees, c', memo, d beta_i, float beta_i), where
+    memo maps (H, G(x)) to the factors of a hyperplane and is None for
+    every other Y_i.
     """
 
     def __init__(self, config, exps):
-        primes = [v.p for v in config.places if not v.is_infinite]
-        self.primes, self.rad = primes, math.prod(primes)
+        self.rad = math.prod(v.p for v in config.places if not v.is_infinite)
         self.forms, self.plans = [], []
         for Y, e, b in zip(config.subschemes, exps, config.betas):
             start = len(self.forms)
-            gens = []
-            for g in Y.generators:
-                terms, c = _integral(g)
-                self.forms.append(terms)
-                gens.append((c, g.degree, [-ord_p(c, p) for p in primes]))
-            memo = None
-            if len(gens) == 1:
-                c, deg, _ = gens[0]
-                gens = (_s_free(c, self.rad), deg)
-                if deg == 1:
-                    memo = {}
-            self.plans.append((start, len(self.forms), gens, memo, e, float(b)))
+            terms, c = _integral(Y.generators)
+            self.forms.extend(terms)
+            degs = tuple(g.degree for g in Y.generators)
+            memo = {} if degs == (1,) else None
+            self.plans.append((start, len(self.forms), degs,
+                               _s_free(c, self.rad), memo, e, float(b)))
         self.supports = [plan[:2] for plan in self.plans]
         self.exclusions = []
         for Z in config.exclusions:
             start = len(self.forms)
-            self.forms.extend(_integral(g)[0] for g in Z.generators)
+            self.forms.extend(_integral(Z.generators)[0])
             self.exclusions.append((start, len(self.forms)))
 
-    def norm(self, start, stop, gens, vals, H):
+    def norm(self, start, stop, degs, c, vals, H):
         """The product over all places of the local norms of one Y_i, as
-        an unreduced positive (numerator, denominator) pair."""
-        if stop - start == 1:
-            c, deg = gens
-            return c * H ** deg, _s_free(vals[start], self.rad)
+        an unreduced positive (numerator, denominator) pair; c is c'."""
+        vs = vals[start:stop]
         num = den = 0
-        low = None
-        for (c, deg, neg_ord_c), v in zip(gens, vals[start:stop]):
-            if not v:
-                continue
-            a, b = c * H ** deg, abs(v)
-            if not den or a * den < num * b:
-                num, den = a, b
-            ks = []
-            for p, k in zip(self.primes, neg_ord_c):
-                while v % p == 0:
-                    v //= p
-                    k += 1
-                ks.append(k)
-            low = ks if low is None else list(map(min, low, ks))
-        for p, k in zip(self.primes, low):
-            if k > 0:
-                num *= p ** k
-            elif k < 0:
-                den *= p ** -k
-        return num, den
+        for deg, v in zip(degs, vs):
+            if v:
+                a, b = H ** deg, abs(v)
+                if not den or a * den < num * b:
+                    num, den = a, b
+        g = math.gcd(*vs)
+        return c * num, den // g * _s_free(g, self.rad)
 
 
 def _explicit_points(points, nvars):
@@ -397,16 +380,16 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
         lhs_num = lhs_den = 1
         lhs_log = 0.0
         proxim = []
-        for start, stop, gens, memo, e, lb in plans:
+        for start, stop, degs, c, memo, e, lb in plans:
             if memo is None:
-                num, den = norm(start, stop, gens, vals, H)
+                num, den = norm(start, stop, degs, c, vals, H)
                 # int / int is correctly rounded, so this is float(Q) exactly
                 factors = num ** e, den ** e, math.log(num / den)
             else:
                 key = (H, vals[start])
                 factors = memo.get(key)
                 if factors is None:
-                    num, den = norm(start, stop, gens, vals, H)
+                    num, den = norm(start, stop, degs, c, vals, H)
                     factors = memo[key] = num ** e, den ** e, math.log(num / den)
             lhs_num *= factors[0]
             lhs_den *= factors[1]

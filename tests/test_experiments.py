@@ -318,10 +318,12 @@ DIFFERENTIAL_CASES = {
     "four_lines": (dict(
         subschemes=four_lines(), betas=(Fraction(1, 3),) * 4,
         exclusions=four_lines_exclusions()), 8),
-    # c = 14 but c' = 7: the prime 7 of the denominator lies outside S
+    # c = 14 but c' = 7 for the line, c = 21 but c' = 7 for the point: the
+    # prime 7 of the denominators lies outside S
     "denominator_outside_s": (dict(
-        subschemes=(sub("H", ["3/14*x0 - x1 + 5/2*x2"], 3),),
-        betas=(Fraction(2, 3),),
+        subschemes=(sub("H", ["3/14*x0 - x1 + 5/2*x2"], 3),
+                    sub("P", ["x0 - 2/7*x2", "x1 + 1/3*x2"], 3)),
+        betas=(Fraction(2, 3), Fraction(1, 2)),
         places=PlaceSet.from_string("inf,2,3")), 6),
     # violations on both sides of the height floor
     "overweight": (dict(
