@@ -293,19 +293,20 @@ class _Kernel:
         self.rad = math.prod(v.p for v in config.places if not v.is_infinite)
         self.forms, self.plans = [], []
         for Y, e, b in zip(config.subschemes, exps, config.betas):
-            start = len(self.forms)
-            terms, c = _integral(Y.generators)
-            self.forms.extend(terms)
+            start, stop, c = self._compile(Y.generators)
             degs = tuple(g.degree for g in Y.generators)
-            memo = {} if degs == (1,) else None
-            self.plans.append((start, len(self.forms), degs,
-                               _s_free(c, self.rad), memo, e, float(b)))
+            self.plans.append((start, stop, degs, _s_free(c, self.rad),
+                               {} if degs == (1,) else None, e, float(b)))
         self.supports = [plan[:2] for plan in self.plans]
-        self.exclusions = []
-        for Z in config.exclusions:
-            start = len(self.forms)
-            self.forms.extend(_integral(Z.generators)[0])
-            self.exclusions.append((start, len(self.forms)))
+        self.exclusions = [self._compile(Z.generators)[:2]
+                           for Z in config.exclusions]
+
+    def _compile(self, generators):
+        """Append the integral forms of generators; their span and c."""
+        start = len(self.forms)
+        terms, c = _integral(generators)
+        self.forms.extend(terms)
+        return start, len(self.forms), c
 
     def norm(self, start, stop, degs, c, vals, H):
         """The product over all places of the local norms of one Y_i, as
