@@ -37,7 +37,7 @@ violates the inequality exactly when
     prod_i num_i^(d beta_i)  >  H^(d (1 + epsilon)) prod_i den_i^(d beta_i).
 
 A hyperplane's factors num_i^(d beta_i), den_i^(d beta_i) and log Q_i
-depend only on (H, G(x)), so they are memoized by that pair.  Since
+depend only on (H, |G(x)|), so they are memoized by that pair.  Since
 |G(x)| <= ||G||_1 H, the memo has O(||G||_1 bound^2) entries, while the
 sample grows like bound^n; higher degrees are not memoized, as their
 values spread over ||G||_1 bound^deg.  H^(d (1 + epsilon)) and
@@ -285,7 +285,7 @@ class _Kernel:
     every exclusion, so one _evaluate_all call gives every G(x); supports
     and exclusions are index spans into that list.  Each Y_i also gets a
     plan (start, stop, degrees, c', memo, d beta_i, float beta_i), where
-    memo maps (H, G(x)) to the factors of a hyperplane and is None for
+    memo maps (H, |G(x)|) to the factors of a hyperplane and is None for
     every other Y_i.
     """
 
@@ -387,7 +387,7 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                 # int / int is correctly rounded, so this is float(Q) exactly
                 factors = num ** e, den ** e, math.log(num / den)
             else:
-                key = (H, vals[start])
+                key = (H, abs(vals[start]))
                 factors = memo.get(key)
                 if factors is None:
                     num, den = norm(start, stop, degs, c, vals, H)
