@@ -46,29 +46,24 @@ def test_tracer_target_resolves(name, short, path):
     assert callable(_resolve(short, path)), name
 
 
-def _lines():
-    from diophkit.graded import Subscheme
-
-    return [Subscheme.from_strings("A", ["x0"], nvars=3),
-            Subscheme.from_strings("B", ["x1 + x2"], nvars=3)]
-
-
 def _hook_args():
     """Arguments of a tiny call to each target that has a hook."""
     from diophkit.experiments import four_lines_config
     from diophkit.graded import Subscheme
 
     point = Subscheme.from_strings("P", ["x0", "x1"], nvars=3)
+    lines = [Subscheme.from_strings("A", ["x0"], nvars=3),
+             Subscheme.from_strings("B", ["x1 + x2"], nvars=3)]
     t = (1, Fraction(1, 2))
     return {
         "linalg.rank": ([[1, 2], [2, 4]],),
         "linalg.rref": ([[1, 2], [3, 4]],),
         "graded.ideal_power_gens": (point, 2, 2),
-        "graded.filtration_ideal_gens": (_lines(), t, 1, 2),
-        "graded.graded_dim_filtration_ideal": (_lines(), t, 1, 2),
-        "filtration.build_profile": (_lines(), t, 2),
+        "graded.filtration_ideal_gens": (lines, t, 1, 2),
+        "graded.graded_dim_filtration_ideal": (lines, t, 1, 2),
+        "filtration.build_profile": (lines, t, 2),
         "staircase.threshold_set": (t, 1),
-        "graded.coordinate_groups": (_lines(),),
+        "graded.coordinate_groups": (lines,),
         "experiments.sample_points": (1, 2),
         "experiments.scan_inequality": (four_lines_config(), 2),
     }
