@@ -51,9 +51,9 @@ class ConvergenceRow:
 
 
 def _validate_level(d, N):
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError("polarization degree must be a positive integer")
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError("level N must be a positive integer")
 
 
@@ -96,7 +96,7 @@ def beta_blowup_crosscheck(Y, d, N):
 
 
 def beta_convergence(Y, d, N_max):
-    if not isinstance(N_max, int) or N_max < 1:
+    if isinstance(N_max, bool) or not isinstance(N_max, int) or N_max < 1:
         raise ValueError("N_max must be a positive integer")
     rows = []
     running = None

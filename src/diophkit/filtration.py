@@ -26,8 +26,12 @@ from fractions import Fraction
 
 from . import linalg
 from .graded import (
+    CatalogError,
     _linear_forms,
+    _linear_rows,
     _power_products,
+    _validate_family,
+    common_support_dim,
     complete_intersection_degrees,
     dim_full,
     normalize,
@@ -35,7 +39,6 @@ from .graded import (
     terms_until_zero,
 )
 from .polynomials import FormError, HomogeneousForm, monomial_exponents
-from .staircase import validate_weights
 
 __all__ = [
     "ProfileError",
@@ -139,15 +142,8 @@ class AdaptedBasis:
 
 
 def _validate_inputs(Ys, t, N):
-    Ys = list(Ys)
-    if not Ys:
-        raise ValueError("need at least one subscheme")
-    if len({Y.nvars for Y in Ys}) != 1:
-        raise ValueError("subschemes must share one ambient space")
-    t = validate_weights(t)
-    if len(t) != len(Ys):
-        raise ValueError("one weight per subscheme required")
-    if not isinstance(N, int) or N < 0:
+    Ys, t = _validate_family(Ys, t)
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise ValueError("twist degree must be a nonnegative integer")
     return Ys, t
 
@@ -451,16 +447,15 @@ class BoundReport:
 def _hypotheses_met(Ys):
     """Common support nonempty and the concatenated linear generators are
     independent (a regular sequence near the common support)."""
-    from . import graded as _graded
     try:
-        d = _graded.common_support_dim(Ys)
-    except _graded.CatalogError:
+        d = common_support_dim(Ys)
+    except CatalogError:
         return False
     if d is None:
         return False
     if any(g.degree != 1 for Y in Ys for g in Y.generators):
         return False
-    rows = _graded._linear_rows([g for Y in Ys for g in Y.generators])
+    rows = _linear_rows([g for Y in Ys for g in Y.generators])
     total = sum(len(Y.generators) for Y in Ys)
     return linalg.rank(rows) == total
 

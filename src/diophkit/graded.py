@@ -45,7 +45,6 @@ from .staircase import threshold_set, validate_weights
 __all__ = [
     "CatalogError",
     "Subscheme",
-    "GradedPiece",
     "PositionReport",
     "dim_full",
     "span_dim",
@@ -119,14 +118,6 @@ class Subscheme:
         return all(g.evaluate(coords) == 0 for g in self.generators)
 
 
-class GradedPiece:
-    """A subspace of the degree-``degree`` forms, with an echelonized basis."""
-
-    def __init__(self, nvars, degree, basis):
-        self.nvars, self.degree, self.basis = nvars, degree, basis
-        self.dim = len(basis)
-
-
 def dim_full(D, n):
     """h^0 of O(D) on P^n: the number of degree-D monomials in n+1 variables."""
     if D < 0:
@@ -169,20 +160,20 @@ def span_dim(forms):
 
 
 def span_piece(forms, nvars, degree):
-    """Echelonized GradedPiece spanned by the family (may be empty)."""
+    """Reduced echelon basis, as degree-``degree`` forms, of the span of the
+    family (empty when the family spans nothing)."""
     live = [f for f in forms if not f.is_zero]
     if not live:
-        return GradedPiece(nvars, degree, ())
+        return ()
     shape = _common_shape(live)
     if shape != (nvars, degree):
         raise FormError("family does not match the requested graded piece")
     columns = monomial_exponents(degree, nvars)
     index = {e: i for i, e in enumerate(columns)}
     basis_rows = linalg.rref([f.coeff_vector(index) for f in live])
-    basis = tuple(HomogeneousForm(nvars, degree,
-                                  {columns[j]: c for j, c in enumerate(row) if c})
-                  for row in basis_rows)
-    return GradedPiece(nvars, degree, basis)
+    return tuple(HomogeneousForm(nvars, degree,
+                                 {columns[j]: c for j, c in enumerate(row) if c})
+                 for row in basis_rows)
 
 
 def _power_products(Y, m, cache=None):
@@ -319,9 +310,9 @@ def graded_dim_ideal_power(Y, m, D):
     return span_dim(ideal_power_gens(Y, m, D))
 
 
-def filtration_ideal_gens(Ys, t, x, D):
-    """Spanning family of the degree-D piece of sum_b prod_i I_i^{b_i},
-    b running over the minimal generators of the threshold set."""
+def _validate_family(Ys, t):
+    """The subschemes as a list sharing one ambient space, and their weights
+    as Fractions (``validate_weights``), one per subscheme."""
     Ys = list(Ys)
     if not Ys:
         raise ValueError("need at least one subscheme")
@@ -330,11 +321,17 @@ def filtration_ideal_gens(Ys, t, x, D):
     t = validate_weights(t)
     if len(t) != len(Ys):
         raise ValueError("one weight per subscheme required")
+    return Ys, t
+
+
+def filtration_ideal_gens(Ys, t, x, D):
+    """Spanning family of the degree-D piece of sum_b prod_i I_i^{b_i},
+    b running over the minimal generators of the threshold set."""
+    Ys, t = _validate_family(Ys, t)
     nvars = Ys[0].nvars
-    sat = threshold_set(t, x)
     out = []
     cache = {}
-    for b in sat.generators:
+    for b in threshold_set(t, x):
         factor_lists = [_power_products(Y, bi, cache) for Y, bi in zip(Ys, b)]
         for combo in itertools.product(*factor_lists):
             prod = combo[0]
@@ -349,21 +346,23 @@ def filtration_ideal_gens(Ys, t, x, D):
 
 
 def graded_dim_filtration_ideal(Ys, t, x, D):
-    """dim of the degree-D piece of the threshold-x filtration ideal."""
-    Ys = list(Ys)
+    """dim of the degree-D piece of the threshold-x filtration ideal.
+
+    On inputs ``normalize`` accepts, a monomial lies in the piece exactly
+    when its order vector o has t.o >= x, that is, when o is in the
+    threshold set."""
+    Ys, t = _validate_family(Ys, t)
     x = Fraction(x)
+    if x < 0:
+        raise ValueError("threshold x must be nonnegative")
     nvars = Ys[0].nvars
     if x == 0:
         return dim_full(D, nvars - 1)
     norm = normalize(Ys)
     if norm is not None:
         groups, _ = norm
-        t = validate_weights(t)
-        if len(t) != len(Ys):
-            raise ValueError("one weight per subscheme required")
-        sat = threshold_set(t, x)
         return sum(1 for e in monomial_exponents(D, nvars)
-                   if sat.contains(order_vector(e, groups)))
+                   if sum(w * o for w, o in zip(t, order_vector(e, groups))) >= x)
     return span_dim(filtration_ideal_gens(Ys, t, x, D))
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "ProjectivePoint",
     "ord_p",
     "norm",
-    "log_norm",
     "height_norm",
     "height",
     "weil_norm",
@@ -212,13 +211,6 @@ def norm(q, place):
     if q == 0:
         return Fraction(0)
     return Fraction(place.p) ** (-ord_p(q, place.p))
-
-
-def log_norm(q, place):
-    value = norm(q, place)
-    if value == 0:
-        raise ValueError("log of zero norm")
-    return math.log(value)
 
 
 def height_norm(P):

@@ -11,8 +11,8 @@ Bases adapted to filtrations come from that one growing space: a chain's
 levels walked deepest first keep exactly the rows that refine it to a
 complete flag (``chain_basis``), and a basis adapted to two chains takes one
 vector per Bruhat cell of their relative position (``adapted_cells``), so
-no intersection of subspaces is ever formed.  Kernels, intersections and
-sums of subspaces use rational Gauss-Jordan on small matrices.
+no intersection of subspaces is ever formed.  Kernels, inverses and span
+tests use rational Gauss-Jordan on small matrices.
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ __all__ = [
     "RowSpace",
     "rank",
     "rref",
-    "reduce_vector",
     "in_span",
     "nullspace",
     "inverse",
-    "sum_rowspaces",
-    "intersect_rowspaces",
     "extend_basis",
     "chain_basis",
-    "complete_flag",
     "adapted_cells",
-    "common_adapted_basis",
-    "adapted_to_chain",
 ]
 
 
@@ -215,19 +209,16 @@ def _pivot_columns(basis):
     return pivots
 
 
-def reduce_vector(vec, basis):
-    """Residual of vec after eliminating against an rref basis."""
+def in_span(vec, basis):
+    """Whether vec lies in the span of an rref basis: its residual after
+    eliminating against the basis rows is zero."""
     v = [Fraction(x) for x in vec]
     for row in basis:
         col = next(j for j, val in enumerate(row) if val != 0)
         f = v[col]
         if f:
             v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def in_span(vec, basis):
-    return not any(reduce_vector(vec, basis))
+    return not any(v)
 
 
 def nullspace(rows):
@@ -257,28 +248,6 @@ def inverse(rows):
     if _pivot_columns(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
-
-
-def sum_rowspaces(first, second):
-    return rref(list(first) + list(second))
-
-
-def intersect_rowspaces(first, second, width=None):
-    """Basis of the intersection, via the double orthogonal complement."""
-    rows = list(first) + list(second)
-    if width is None:
-        if not rows:
-            raise ValueError("cannot infer width from two empty families")
-        width = len(rows[0])
-    zero = (Fraction(0),) * width
-    ann_first = nullspace(list(first) if first else [zero])
-    ann_second = nullspace(list(second) if second else [zero])
-    stacked = list(ann_first) + list(ann_second)
-    if not stacked:
-        # both spaces are the whole ambient
-        return rref([tuple(Fraction(1) if i == j else Fraction(0) for j in range(width))
-                     for i in range(width)])
-    return rref(nullspace(stacked))
 
 
 def extend_basis(pool, basis):
@@ -318,22 +287,6 @@ def chain_basis(chain, width):
         if space.rank != dims[k]:
             raise ValueError("chain levels must be nested, each with independent rows")
     return kept
-
-
-def complete_flag(chain, width):
-    """Refine a strictly decreasing chain of subspaces to a complete flag.
-
-    chain: list of bases, starting with the full ambient space and strictly
-    decreasing in dimension.  Returns a list of rref bases of length
-    width + 1, from dimension ``width`` down to 0: the spans of the first
-    d rows of ``chain_basis``.
-    """
-    space = RowSpace(width)
-    flag = [()]
-    for _, row in chain_basis(chain, width):
-        space.add(row)
-        flag.append(space.rref())
-    return flag[::-1]
 
 
 def adapted_cells(chain_f, chain_g, width):
@@ -383,28 +336,3 @@ def adapted_cells(chain_f, chain_g, width):
         pick = next(row[:width] for row in space.rref() if row[width])
         cells.append((width - i, deep + 1, pick))
     return tuple(cells)
-
-
-def common_adapted_basis(chain_f, chain_g, width):
-    """One basis adapted to two decreasing subspace chains (the vectors of
-    ``adapted_cells``)."""
-    basis = tuple(vec for _, _, vec in adapted_cells(chain_f, chain_g, width))
-    if rank(basis) != width:
-        raise ValueError("internal error: adapted construction failed")
-    return basis
-
-
-def adapted_to_chain(vectors, chain):
-    """Check that a basis is adapted: each chain subspace is spanned by the
-    vectors it contains."""
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        return not chain or all(len(level) == 0 for level in chain)
-    if rank(vecs) != len(vecs):
-        return False
-    for level in chain:
-        basis = rref(level)
-        inside = [v for v in vecs if in_span(v, basis)]
-        if len(inside) != len(basis):
-            return False
-    return True

@@ -31,9 +31,9 @@ class ParseError(FormError):
 
 def monomial_exponents(degree, nvars):
     """All exponent tuples of the given total degree, sorted lexicographically."""
-    if not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError("degree must be a nonnegative integer")
-    if not isinstance(nvars, int) or nvars < 1:
+    if isinstance(nvars, bool) or not isinstance(nvars, int) or nvars < 1:
         raise ValueError("need at least one variable")
 
     def rec(remaining, slots):
@@ -53,9 +53,9 @@ class HomogeneousForm:
     __slots__ = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        if not isinstance(nvars, int) or nvars < 1:
+        if isinstance(nvars, bool) or not isinstance(nvars, int) or nvars < 1:
             raise FormError("need at least one variable")
-        if not isinstance(degree, int) or degree < 0:
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
             raise FormError("degree must be a nonnegative integer")
         clean = {}
         for exps, coeff in terms.items():
@@ -144,7 +144,7 @@ class HomogeneousForm:
         return HomogeneousForm(self.nvars, self.degree + other.degree, out)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise FormError("exponent must be a nonnegative integer")
         result = HomogeneousForm.one(self.nvars)
         for _ in range(k):

@@ -1,10 +1,10 @@
-"""Upward-closed subsets of N^r stored as minimal-generator antichains.
+"""Threshold sets of N^r as minimal-generator antichains.
 
-This is the combinatorial layer under the ideal filtrations: threshold sets
-{b in N^r : t.b >= x} for a nonnegative rational weight vector t, exact
-intersection of upward-closed sets, and expansion of a weight vector by
-multiplicities.  Everything is carried in Fractions so that membership
-tests and jump values stay exact.
+This is the combinatorial layer under the ideal filtrations: the threshold
+set {b in N^r : t.b >= x} for a nonnegative rational weight vector t is
+upward closed, so it is given by its finitely many minimal elements.
+Everything is carried in Fractions so that membership tests and jump values
+stay exact.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from fractions import Fraction
 
 __all__ = [
     "EmptyThresholdSetError",
-    "SaturatedSet",
     "threshold_set",
-    "intersect_saturated",
-    "expand_weights",
-    "block_sums",
-    "validate_exponent",
     "validate_weights",
-    "minimal_elements",
 ]
 
 # Guard against runaway box enumerations; desk-scale inputs stay far below.
@@ -30,17 +24,6 @@ _MAX_BOX_CELLS = 2_000_000
 
 class EmptyThresholdSetError(ValueError):
     """The requested threshold set contains no lattice points at all."""
-
-
-def validate_exponent(vec):
-    """Normalize one point of N^r to a tuple of nonnegative ints."""
-    entries = tuple(vec)
-    if not entries:
-        raise ValueError("exponent vector must have length >= 1")
-    for e in entries:
-        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent entries must be nonnegative integers, got {e!r}")
-    return entries
 
 
 def validate_weights(t):
@@ -55,101 +38,20 @@ def validate_weights(t):
     return entries
 
 
-def _dominates(a, b):
-    return all(x >= y for x, y in zip(a, b))
-
-
-def minimal_elements(vectors):
-    """Antichain of minimal elements of a finite subset of N^r.
-
-    Scanning by increasing coordinate sum is enough: any vector strictly
-    below v has a smaller sum, so it was already considered, and if it was
-    itself discarded then whatever dominated it from below also sits below v.
-    """
-    out = []
-    for v in sorted(set(vectors), key=lambda w: (sum(w), w)):
-        if not any(_dominates(v, m) for m in out):
-            out.append(v)
-    return out
-
-
-class SaturatedSet:
-    """Upward closure of a finite antichain in N^r.
-
-    The stored generators must already be pairwise incomparable; use
-    :meth:`from_members` to minimalize an arbitrary finite family first.
-    """
-
-    __slots__ = ("generators", "dim")
-
-    def __init__(self, generators, dim=None):
-        gens = [validate_exponent(g) for g in generators]
-        if not gens:
-            raise ValueError("a saturated set needs at least one generator")
-        dims = {len(g) for g in gens}
-        if len(dims) != 1:
-            raise ValueError("generators must all have the same length")
-        r = dims.pop()
-        if dim is not None and dim != r:
-            raise ValueError(f"declared dimension {dim} does not match generators of length {r}")
-        mins = minimal_elements(gens)
-        if len(mins) != len(set(gens)):
-            raise ValueError("generators must form an antichain")
-        self.generators = tuple(sorted(mins))
-        self.dim = r
-
-    @classmethod
-    def from_members(cls, vectors):
-        """Build the upward closure of an arbitrary finite family."""
-        vecs = [validate_exponent(v) for v in vectors]
-        if not vecs:
-            raise ValueError("need at least one member")
-        return cls(minimal_elements(vecs))
-
-    def contains(self, b):
-        b = validate_exponent(b)
-        if len(b) != self.dim:
-            raise ValueError("dimension mismatch")
-        return any(_dominates(b, g) for g in self.generators)
-
-    def intersect(self, other):
-        return intersect_saturated(self, other)
-
-    def members_in_box(self, box):
-        """All members with b_i <= box_i; used by small enumerations."""
-        ranges = [range(s + 1) for s in box]
-        return [b for b in itertools.product(*ranges) if self.contains(b)]
-
-    def to_json(self):
-        return [list(g) for g in self.generators]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([tuple(g) for g in data])
-
-    def __eq__(self, other):
-        if not isinstance(other, SaturatedSet):
-            return NotImplemented
-        return self.dim == other.dim and self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.dim, self.generators))
-
-    def __repr__(self):
-        return f"SaturatedSet({list(self.generators)!r})"
-
-
 def _ceil_fraction(q):
     return -((-q.numerator) // q.denominator)
 
 
 def threshold_set(t, x):
-    """Minimal generators of {b in N^r : t.b >= x}.
+    """Minimal generators of {b in N^r : t.b >= x}, as a sorted tuple.
 
     x = 0 gives the whole lattice, generated by the zero vector.  Entries
     of t that are zero force the corresponding coordinate of every minimal
     element to zero, so minimalization happens in the positive-weight
-    sub-lattice and is zero-padded afterwards.
+    sub-lattice and is zero-padded afterwards.  Scanning the members by
+    increasing coordinate sum is enough to minimalize: any member strictly
+    below b has a smaller sum, so it was already considered, and if it was
+    itself discarded then whatever dominated it from below also sits below b.
     """
     x = Fraction(x)
     if x < 0:
@@ -161,7 +63,7 @@ def threshold_set(t, x):
         raise ValueError("weights must be nonnegative")
     r = len(entries)
     if x == 0:
-        return SaturatedSet([(0,) * r])
+        return ((0,) * r,)
     if all(w == 0 for w in entries):
         raise EmptyThresholdSetError("zero weights with positive threshold give an empty set")
 
@@ -173,11 +75,12 @@ def threshold_set(t, x):
     if cells > _MAX_BOX_CELLS:
         raise ValueError("threshold box too large for direct enumeration")
 
-    hits = []
-    for b in itertools.product(*[range(c + 1) for c in caps]):
-        if sum(entries[i] * v for i, v in zip(pos, b)) >= x:
-            hits.append(b)
-    mins = minimal_elements(hits)
+    hits = [b for b in itertools.product(*[range(c + 1) for c in caps])
+            if sum(entries[i] * v for i, v in zip(pos, b)) >= x]
+    mins = []
+    for b in sorted(hits, key=lambda v: (sum(v), v)):
+        if not any(all(a >= m for a, m in zip(b, low)) for low in mins):
+            mins.append(b)
 
     padded = []
     for m in mins:
@@ -185,43 +88,4 @@ def threshold_set(t, x):
         for i, v in zip(pos, m):
             full[i] = v
         padded.append(tuple(full))
-    return SaturatedSet(padded)
-
-
-def intersect_saturated(first, second):
-    """Intersection of two upward-closed sets via componentwise maxima."""
-    if not isinstance(first, SaturatedSet) or not isinstance(second, SaturatedSet):
-        raise TypeError("expected SaturatedSet operands")
-    if first.dim != second.dim:
-        raise ValueError("dimension mismatch")
-    joins = [tuple(max(a, b) for a, b in zip(g, h))
-             for g in first.generators for h in second.generators]
-    return SaturatedSet(minimal_elements(joins))
-
-
-def expand_weights(t, eps):
-    """Repeat each weight t_j according to the multiplicity eps_j."""
-    entries = validate_weights(t)
-    counts = tuple(eps)
-    if len(counts) != len(entries):
-        raise ValueError("weights and multiplicities must have the same length")
-    for c in counts:
-        if isinstance(c, bool) or not isinstance(c, int) or c < 1:
-            raise ValueError("multiplicities must be integers >= 1")
-    out = []
-    for w, c in zip(entries, counts):
-        out.extend([w] * c)
-    return tuple(out)
-
-
-def block_sums(vec, eps):
-    """Collapse an expanded vector back to block totals, one per multiplicity."""
-    entries = tuple(vec)
-    if len(entries) != sum(eps):
-        raise ValueError("vector length must equal the sum of multiplicities")
-    out = []
-    pos = 0
-    for c in eps:
-        out.append(sum(entries[pos:pos + c]))
-        pos += c
-    return tuple(out)
+    return tuple(sorted(padded))

@@ -1,17 +1,19 @@
 """The table-of-intersection-ranks construction that Bruhat cells replaced.
 
 It is kept here, and only here, as a differential oracle for
-``linalg.common_adapted_basis`` and ``filtration.adapted_basis``: flags are
+``linalg.chain_basis``, ``linalg.adapted_cells`` and
+``filtration.adapted_basis``: flags are
 refined by recomputing a rational reduced echelon form after every picked
 vector, the whole (width + 1)^2 table of ranks dim(F_i meet G_j) is filled
 from annihilators, and every jump cell computes its meet from two
-nullspaces.  mu values come from span tests against each level.  It shares
-no elimination code with the incremental row space.
+nullspaces (``meet``, which the tests also use to intersect row spaces).
+mu values come from span tests against each level.  It shares no
+elimination code with the incremental row space.
 """
 
 from fractions import Fraction
 
-from diophkit.linalg import in_span, nullspace, rank, rref, sum_rowspaces
+from diophkit.linalg import in_span, nullspace, rank, rref
 
 
 def extend_basis(pool, basis):
@@ -45,11 +47,19 @@ def complete_flag(chain, width):
     return [flag[d] for d in range(width, -1, -1)]
 
 
-def _intersection_dim(ann_a, ann_b, width):
-    stacked = list(ann_a) + list(ann_b)
+def annihilator(basis, width):
+    """Basis of the linear forms that vanish on the span of basis."""
+    return nullspace(list(basis) or [(Fraction(0),) * width])
+
+
+def meet(first, second, width):
+    """rref basis of the intersection of the spans of two families: the
+    common zeros of their annihilators."""
+    stacked = list(annihilator(first, width)) + list(annihilator(second, width))
     if not stacked:
-        return width
-    return width - rank(stacked)
+        return rref([tuple(Fraction(1) if a == b else Fraction(0) for b in range(width))
+                     for a in range(width)])
+    return rref(nullspace(stacked))
 
 
 def common_adapted_basis(chain_f, chain_g, width):
@@ -57,22 +67,10 @@ def common_adapted_basis(chain_f, chain_g, width):
     (F_i meet G_{j-1} + F_{i-1} meet G_j) of the rank table, in order of i."""
     F = complete_flag(chain_f, width)
     G = complete_flag(chain_g, width)
-    zero = (Fraction(0),) * width
-
-    def annihilator(basis):
-        return nullspace(list(basis) if basis else [zero])
-
-    ann_f = [annihilator(b) for b in F]
-    ann_g = [annihilator(b) for b in G]
-    r = [[_intersection_dim(ann_f[i], ann_g[j], width)
+    ann_f = [annihilator(b, width) for b in F]
+    ann_g = [annihilator(b, width) for b in G]
+    r = [[width - rank(list(ann_f[i]) + list(ann_g[j]))
           for j in range(width + 1)] for i in range(width + 1)]
-
-    def meet(i, j):
-        stacked = list(ann_f[i]) + list(ann_g[j])
-        if not stacked:
-            return rref([tuple(Fraction(1) if a == b else Fraction(0) for b in range(width))
-                         for a in range(width)])
-        return rref(nullspace(stacked))
 
     chosen = []
     for i in range(1, width + 1):
@@ -81,8 +79,8 @@ def common_adapted_basis(chain_f, chain_g, width):
             if delta == 0:
                 continue
             assert delta == 1, "degenerate rank pattern"
-            big = meet(i - 1, j - 1)
-            wall = sum_rowspaces(meet(i, j - 1), meet(i - 1, j))
+            big = meet(F[i - 1], G[j - 1], width)
+            wall = rref(meet(F[i], G[j - 1], width) + meet(F[i - 1], G[j], width))
             chosen.append(next(v for v in big if not in_span(v, wall)))
     assert len(chosen) == width and rank(chosen) == width
     return tuple(chosen)

@@ -41,8 +41,8 @@ def sweep_profile(Ys, t, N, with_bases=False):
                 bases.append(tuple(_monomial_rows(columns)))
         elif with_bases:
             piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
-            pairs.append((x, piece.dim))
-            bases.append(tuple(f.coeff_vector(index) for f in piece.basis))
+            pairs.append((x, len(piece)))
+            bases.append(tuple(f.coeff_vector(index) for f in piece))
         else:
             pairs.append((x, span_dim(filtration_ideal_gens(Ys, t, x, N))))
         if pairs[-1][1] == 0:

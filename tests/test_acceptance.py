@@ -14,6 +14,7 @@ import random
 import time
 from fractions import Fraction
 
+from adapted_oracle import meet
 from diophkit import linalg
 from diophkit.beta import beta_blowup_crosscheck, beta_truncated
 from diophkit.experiments import (
@@ -47,7 +48,6 @@ from diophkit.heights import (
     weil_norm,
 )
 from diophkit.polynomials import HomogeneousForm, monomial_exponents
-from diophkit.staircase import intersect_saturated, threshold_set
 from diophkit.surface import (
     strict_transform_line,
     three_point_blowup,
@@ -203,12 +203,16 @@ def check_filtration_instance(rng, Ys, t, u, N):
     B = piece_rows(u, y)
 
     # graded-dimension identity: the linear-algebra intersection matches
-    # the count under the merged staircase
-    sum_dim = len(linalg.sum_rowspaces(A, B))
+    # the count of monomials whose order vector o lies in both threshold
+    # sets, t.o >= x and u.o >= y
+    sum_dim = len(linalg.rref(list(A) + list(B)))
     inter_dim = len(A) + len(B) - sum_dim
-    sat = intersect_saturated(threshold_set(t, x), threshold_set(u, y))
-    staircase_count = sum(1 for e in monomial_exponents(N, nvars)
-                          if sat.contains(order_vector(e, groups)))
+    staircase_count = 0
+    for e in monomial_exponents(N, nvars):
+        o = order_vector(e, groups)
+        if (sum(w * v for w, v in zip(t, o)) >= x
+                and sum(w * v for w, v in zip(u, o)) >= y):
+            staircase_count += 1
     assert inter_dim == staircase_count
 
     # weight expansion: splitting every block into single variables with
@@ -227,7 +231,7 @@ def check_filtration_instance(rng, Ys, t, u, N):
 
     # convex containment: intersections land inside the mixed piece
     lams = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    inter = linalg.intersect_rowspaces(A, B, width=width)
+    inter = meet(A, B, width)
     for lam in lams:
         mixed = piece_rows(tuple(lam * a + (1 - lam) * b
                                  for a, b in zip(t, u)),

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from adapted_oracle import meet
+from diophkit.filtration import build_profile
 from diophkit.graded import (
     CatalogError,
     Subscheme,
@@ -28,7 +30,6 @@ from diophkit.graded import (
 )
 from diophkit.linalg import in_span, rref
 from diophkit.polynomials import HomogeneousForm, monomial_exponents, parse_form
-from diophkit.staircase import intersect_saturated, threshold_set
 
 
 def sub(label, gens, nvars):
@@ -64,8 +65,8 @@ class TestSpanRank:
     def test_span_piece_basis_is_echelon(self):
         piece = span_piece([parse_form("x0^2 + x1^2"),
                             parse_form("x0^2 - x1^2")], 2, 2)
-        assert piece.dim == 2
-        texts = {f.to_string() for f in piece.basis}
+        assert len(piece) == 2
+        texts = {f.to_string() for f in piece}
         assert texts == {"x0^2", "x1^2"}
 
 
@@ -117,23 +118,36 @@ class TestFiltrationIdealDims:
         assert graded_dim_filtration_ideal(Ys, (1, 1), 4, 3) == 0
 
     def test_fast_and_span_routes_agree(self):
+        """The monomial count agrees with the rank of the generating family
+        and with the profile, also for a zero weight, a generator x0^2, and
+        thresholds on and between the jumps."""
         coord = [sub("a", ["x0"], 3), sub("b", ["x1"], 3)]
         tilted = [sub("a", ["x0 + x2"], 3), sub("b", ["x1 - x2"], 3)]
-        t = (1, Fraction(1, 2))
+        squared = [sub("a", ["x0^2", "x1"], 3), sub("b", ["x2"], 3)]
         assert normalize(tilted)[1] is not None
-        for x in [Fraction(1, 2), 1, Fraction(3, 2), 2, 3]:
-            want = graded_dim_filtration_ideal(coord, t, x, 3)
-            got = graded_dim_filtration_ideal(tilted, t, x, 3)
-            assert got == want
-            assert got == span_dim(filtration_ideal_gens(tilted, t, x, 3))
+        assert coordinate_groups(squared) == [((0, 2), (1, 1)), ((2, 1),)]
+        half = (1, Fraction(1, 2))
+        assert build_profile(tilted, half, 3) == build_profile(coord, half, 3)
+        cases = [(coord, half), (tilted, half), (tilted, (0, 1)),
+                 (squared, (Fraction(1, 3), 1)), (squared, (1, 0))]
+        for Ys, t in cases:
+            profile = build_profile(Ys, t, 3)
+            for x in [Fraction(k, 6) for k in range(1, 25)]:
+                got = graded_dim_filtration_ideal(Ys, t, x, 3)
+                assert got == span_dim(filtration_ideal_gens(Ys, t, x, 3))
+                assert got == profile.dim_at(x)
 
 
-def monomial_dim(Ys, sat, D):
-    """Counting oracle: degree-D monomials whose order vector lies in sat."""
+def dot(w, b):
+    return sum(Fraction(a) * v for a, v in zip(w, b))
+
+
+def monomial_dim(Ys, member, D):
+    """Counting oracle: degree-D monomials whose order vector passes member."""
     groups = coordinate_groups(Ys)
     assert groups is not None
     return sum(1 for e in monomial_exponents(D, Ys[0].nvars)
-               if sat.contains(order_vector(e, groups)))
+               if member(order_vector(e, groups)))
 
 
 class TestIntersectionIdentity:
@@ -146,8 +160,8 @@ class TestIntersectionIdentity:
         dim_N = span_dim(gens_N)
         dim_sum = span_dim(list(gens_M) + list(gens_N))
         lhs = dim_M + dim_N - dim_sum
-        inter = intersect_saturated(threshold_set(t, x), threshold_set(u, y))
-        assert lhs == monomial_dim(Ys, inter, D)
+        # o lies in both threshold sets
+        assert lhs == monomial_dim(Ys, lambda o: dot(t, o) >= x and dot(u, o) >= y, D)
 
     def test_two_points_p1(self):
         Ys = [sub("a", ["x0"], 2), sub("b", ["x1"], 2)]
@@ -192,8 +206,7 @@ class TestConvexContainment:
                   for f in filtration_ideal_gens(Ys, t, x, D) if not f.is_zero]
         rows_N = [f.coeff_vector(columns)
                   for f in filtration_ideal_gens(Ys, u, y, D) if not f.is_zero]
-        from diophkit.linalg import intersect_rowspaces
-        inter = intersect_rowspaces(rows_M, rows_N, width=len(columns))
+        inter = meet(rows_M, rows_N, len(columns))
         mix_t = tuple(lam * a + (1 - lam) * b for a, b in zip(t, u))
         mix_x = lam * Fraction(x) + (1 - lam) * Fraction(y)
         rows_W = [f.coeff_vector(columns)

@@ -24,7 +24,6 @@ from diophkit.heights import (
     global_weil_norm,
     height,
     height_norm,
-    log_norm,
     norm,
     ord_p,
     parse_place,
@@ -153,11 +152,6 @@ class TestNorms:
         assert ord_p(Fraction(5, 12), 2) == -2
         with pytest.raises(ValueError):
             ord_p(0, 3)
-
-    def test_log_norm(self):
-        assert math.isclose(log_norm(8, Place(2)), -3 * math.log(2))
-        with pytest.raises(ValueError):
-            log_norm(0, Place(2))
 
     def test_product_formula(self):
         f = product_formula_factors(Fraction(-12, 5))

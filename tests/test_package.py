@@ -6,6 +6,7 @@ subcommand does not run must stay out of that process: these checks list
 `sys.modules` in fresh interpreters and use no clock.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import diophkit
+from test_bench_contract import TARGETS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,6 +95,27 @@ class TestPublicNames:
         assert not hasattr(diophkit, "nope")
         from diophkit import linalg
         assert linalg is diophkit.linalg
+
+    def test_every_listed_name_is_used(self):
+        """A name in a submodule's __all__ is re-exported by the package,
+        wrapped by the benchmark's tracer, or used by code in src/: loaded,
+        read as an attribute or imported, which its own def or class line
+        and the __all__ strings are not."""
+        traced = {(short, path.split(".")[0]) for _, short, path in TARGETS}
+        used = set()
+        for path in (SRC / "diophkit").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        unused = ["%s.%s" % (module, name) for module in SUBMODULES
+                  for name in importlib.import_module("diophkit." + module).__all__
+                  if name not in diophkit._EXPORTS[module]
+                  and (module, name) not in traced and name not in used]
+        assert unused == []
 
 
 # standard modules a command line should load only when it needs them

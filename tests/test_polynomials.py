@@ -1,5 +1,6 @@
 """Sparse homogeneous forms: parsing, arithmetic, evaluation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,37 @@ class TestValidation:
     def test_monomial_constructor(self):
         m = HomogeneousForm.monomial((1, 2), coeff=Fraction(5, 3))
         assert m.degree == 3 and m.is_monomial
+
+
+def _count_calls():
+    """One call per place that checks a count, taking the count as v."""
+    from diophkit import beta, filtration, graded, surface
+
+    Y = graded.Subscheme.from_strings("L", ["x0"], nvars=3)
+    model = surface.three_point_blowup()
+    A, D = surface.parse_class("4H - E1", 3), surface.parse_class("H - E1", 3)
+    return {
+        "beta-degree": lambda v: beta.beta_truncated(Y, v, 2),
+        "beta-level": lambda v: beta.beta_truncated(Y, 1, v),
+        "beta-n-max": lambda v: beta.beta_convergence(Y, 1, v),
+        "profile-degree": lambda v: filtration.build_profile([Y], (1,), v),
+        "exponents-degree": lambda v: monomial_exponents(v, 2),
+        "exponents-nvars": lambda v: monomial_exponents(2, v),
+        "form-nvars": lambda v: HomogeneousForm(v, 1, {}),
+        "form-degree": lambda v: HomogeneousForm(2, v, {}),
+        "form-power": lambda v: parse_form("x0 + x1") ** v,
+        "surface-k": lambda v: surface.SurfaceModel(v),
+        "h0-level": lambda v: surface.h0_terms(model, A, D, v),
+        "lines-weight": lambda v: surface.weighted_lines_class(v),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_count_calls()))
+def test_counts_reject_booleans(name):
+    """bool is a subclass of int, but True is not a count: it is refused
+    like any other non-integer, with the same error."""
+    call = _count_calls()[name]
+    with pytest.raises(ValueError) as wanted:
+        call(1.5)
+    with pytest.raises(wanted.type, match="^%s$" % re.escape(str(wanted.value))):
+        call(True)

@@ -1,4 +1,5 @@
-"""Saturated sets: threshold antichains against brute-force box oracles."""
+"""Threshold sets: minimal-generator antichains against brute-force box
+oracles."""
 
 import itertools
 from fractions import Fraction
@@ -7,15 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diophkit.staircase import (
-    EmptyThresholdSetError,
-    SaturatedSet,
-    block_sums,
-    expand_weights,
-    intersect_saturated,
-    minimal_elements,
-    threshold_set,
-)
+from diophkit.staircase import EmptyThresholdSetError, threshold_set
 
 
 def box_members(t, x, side):
@@ -28,32 +21,38 @@ def box_members(t, x, side):
     }
 
 
-def up_closure_in_box(sat, side):
-    return set(sat.members_in_box([side] * sat.dim))
+def dominates(a, b):
+    return all(x >= y for x, y in zip(a, b))
+
+
+def up_closure_in_box(gens, side):
+    """All lattice points of [0, side]^r above some generator."""
+    return {b for b in itertools.product(range(side + 1), repeat=len(gens[0]))
+            if any(dominates(b, g) for g in gens)}
 
 
 class TestThresholdSet:
     def test_single_weight_ceiling(self):
-        assert threshold_set((1,), Fraction(5, 2)).generators == ((3,),)
+        assert threshold_set((1,), Fraction(5, 2)) == ((3,),)
 
     def test_two_equal_weights(self):
         sat = threshold_set((1, 1), 2)
-        assert set(sat.generators) == {(2, 0), (1, 1), (0, 2)}
+        assert set(sat) == {(2, 0), (1, 1), (0, 2)}
 
     def test_unequal_weights_dominated_point_dropped(self):
         sat = threshold_set((1, 2), 2)
-        assert set(sat.generators) == {(2, 0), (0, 1)}
+        assert set(sat) == {(2, 0), (0, 1)}
 
     def test_unit_vectors(self):
         sat = threshold_set((1, 1, 1), 1)
-        assert set(sat.generators) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert set(sat) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_zero_threshold_whole_lattice(self):
-        assert threshold_set((1, 2), 0).generators == ((0, 0),)
+        assert threshold_set((1, 2), 0) == ((0, 0),)
 
     def test_zero_weight_coordinate_pinned(self):
         sat = threshold_set((1, 0), 3)
-        assert sat.generators == ((3, 0),)
+        assert sat == ((3, 0),)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -65,7 +64,7 @@ class TestThresholdSet:
 
     def test_fractional_weights(self):
         sat = threshold_set((1, Fraction(1, 2)), 1)
-        assert set(sat.generators) == {(1, 0), (0, 2)}
+        assert set(sat) == {(1, 0), (0, 2)}
 
     @given(
         t=st.lists(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1),
@@ -93,130 +92,14 @@ class TestThresholdSet:
         x=st.fractions(min_value=0, max_value=4, max_denominator=2),
     )
     def test_generators_are_members_and_saturated(self, t, x):
+        """Each generator clears the threshold and no smaller point does:
+        lowering any entry drops below x, so the generators form the
+        antichain of minimal members, listed in sorted order."""
         sat = threshold_set(t, x)
-        for g in sat.generators:
+        assert sat == tuple(sorted(sat))
+        for g in sat:
             assert sum(w * v for w, v in zip(t, g)) >= x
             for i in range(len(g)):
-                bumped = tuple(v + (i == j) for j, v in enumerate(g))
-                assert sat.contains(bumped)
-
-
-class TestMinimalElements:
-    def test_antichain_output(self):
-        mins = minimal_elements([(2, 0), (1, 1), (2, 1), (3, 0)])
-        assert set(mins) == {(2, 0), (1, 1)}
-
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                    min_size=1, max_size=12))
-    def test_minimal_elements_generate_same_closure(self, vecs):
-        mins = minimal_elements(vecs)
-        dominates = lambda a, b: all(x >= y for x, y in zip(a, b))
-        for v in vecs:
-            assert any(dominates(v, m) for m in mins)
-        for m in mins:
-            assert not any(dominates(m, other) for other in mins if other != m)
-
-
-class TestIntersect:
-    def test_componentwise_max(self):
-        M = SaturatedSet([(1, 0)])
-        N = SaturatedSet([(0, 1)])
-        assert intersect_saturated(M, N).generators == ((1, 1),)
-
-    def test_two_generator_case(self):
-        M = SaturatedSet([(2, 0), (0, 1)])
-        N = SaturatedSet([(1, 0)])
-        assert set(intersect_saturated(M, N).generators) == {(2, 0), (1, 1)}
-
-    def test_idempotent(self):
-        M = SaturatedSet([(2, 0), (1, 1), (0, 3)])
-        assert intersect_saturated(M, M) == M
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            intersect_saturated(SaturatedSet([(1,)]), SaturatedSet([(1, 0)]))
-
-    @given(
-        a=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                   min_size=1, max_size=6),
-        b=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                   min_size=1, max_size=6),
-    )
-    def test_box_semantics_and_commutativity(self, a, b):
-        M = SaturatedSet.from_members(a)
-        N = SaturatedSet.from_members(b)
-        inter = intersect_saturated(M, N)
-        assert inter == intersect_saturated(N, M)
-        side = 9
-        assert up_closure_in_box(inter, side) == (
-            up_closure_in_box(M, side) & up_closure_in_box(N, side)
-        )
-
-    @given(
-        fams=st.lists(
-            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                     min_size=1, max_size=4),
-            min_size=3, max_size=3),
-    )
-    def test_associative(self, fams):
-        A, B, C = (SaturatedSet.from_members(f) for f in fams)
-        left = intersect_saturated(intersect_saturated(A, B), C)
-        right = intersect_saturated(A, intersect_saturated(B, C))
-        assert left == right
-
-
-class TestExpandWeights:
-    def test_mixed_multiplicity_shape(self):
-        assert expand_weights((1, 2), (2, 1)) == (1, 1, 2)
-
-    def test_identity_multiplicities(self):
-        t = (Fraction(1, 3), 2, 5)
-        assert expand_weights(t, (1, 1, 1)) == t
-
-    def test_single_block(self):
-        assert expand_weights((3,), (2,)) == (3, 3)
-
-    def test_bad_multiplicity(self):
-        with pytest.raises(ValueError):
-            expand_weights((1, 2), (0, 1))
-
-    def test_block_sums_inverse_shape(self):
-        assert block_sums((1, 1, 2), (2, 1)) == (2, 2)
-        with pytest.raises(ValueError):
-            block_sums((1, 1), (3,))
-
-    @given(
-        t=st.lists(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2),
-                                    Fraction(3)]), min_size=1, max_size=2),
-        eps=st.data(),
-        x=st.fractions(min_value=0, max_value=3, max_denominator=2),
-    )
-    def test_threshold_commutes_with_expansion(self, t, eps, x):
-        """An expanded vector clears the expanded threshold iff its block
-        sums clear the original one."""
-        counts = eps.draw(st.lists(st.integers(1, 2), min_size=len(t),
-                                   max_size=len(t)))
-        expanded = expand_weights(t, counts)
-        sat = threshold_set(t, x)
-        sat_exp = threshold_set(expanded, x)
-        side = 3
-        for b in itertools.product(range(side + 1), repeat=len(expanded)):
-            assert sat_exp.contains(b) == sat.contains(block_sums(b, counts))
-
-
-class TestSaturatedSetBasics:
-    def test_rejects_non_antichain_constructor(self):
-        with pytest.raises(ValueError):
-            SaturatedSet([(1, 0), (2, 0)])
-
-    def test_from_members_minimalizes(self):
-        sat = SaturatedSet.from_members([(1, 0), (2, 0), (1, 3)])
-        assert sat.generators == ((1, 0),)
-
-    def test_json_round_trip(self):
-        sat = SaturatedSet([(2, 0), (1, 1), (0, 2)])
-        assert SaturatedSet.from_json(sat.to_json()) == sat
-
-    def test_contains_dimension_check(self):
-        with pytest.raises(ValueError):
-            SaturatedSet([(1, 0)]).contains((1,))
+                if g[i]:
+                    lowered = tuple(v - (i == j) for j, v in enumerate(g))
+                    assert sum(w * v for w, v in zip(t, lowered)) < x
