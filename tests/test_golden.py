@@ -20,7 +20,10 @@ wrote its three formats by hand, before one emitter rendered them; the
 plane keep-rows and overweight scan files were recorded from the scan
 kernel that evaluated each generator separately and reduced every norm by
 the minimum over generators, before one evaluation pass and the S-free
-norm of one generator replaced it.  A
+norm of one generator replaced it; the four-line filtration at N = 8 and
+common basis at N = 4 were recorded from Fraction generator products,
+substituted monomial images and a Fraction inverse, before integer rows
+replaced them.  A
 change that moves a single byte of these outputs changes behaviour, not
 just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
@@ -87,6 +90,15 @@ CASES = [
     ("adapted_basis_four_lines_two.json",
      ["adapted-basis", "--space", "P2", "--ideals", FOUR_LINES,
       "--weights", "1,1/2,1/3,1/5", "--weights2", "1/5,1/3,1/2,1", "--N", "2",
+      "--output", "json"]),
+    # the same four lines at desk size: many generator products per level,
+    # and a common basis whose f-coordinates need fractions
+    ("filtration_four_lines_n8.json",
+     ["filtration", "--space", "P2", "--ideals", FOUR_LINES,
+      "--weights", "1,1/2,1/3,1/5", "--N", "8", "--output", "json"]),
+    ("adapted_basis_four_lines_two_n4.json",
+     ["adapted-basis", "--space", "P2", "--ideals", FOUR_LINES,
+      "--weights", "1,1/2,1/3,1/5", "--weights2", "1/5,1/3,1/2,1", "--N", "4",
       "--output", "json"]),
     # the coordinate triangle: both bases are monomial rows already
     ("adapted_basis_triangle_two.json",
