@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from . import linalg
 from .filtration import build_profile
-from .graded import _linear_rows, dim_full, terms_until_zero
+from .graded import (
+    CatalogError,
+    _linear_rows,
+    common_support_dim,
+    dim_full,
+    terms_until_zero,
+)
 
 __all__ = [
     "BetaReport",
@@ -61,7 +67,18 @@ def ideal_power_terms(Y, degree):
     """h^0 of the powers I_Y^m in the given degree, m = 1.. first zero.
 
     With the single weight 1 the filtration piece at x = m is I_Y^m, so one
-    profile carries every term."""
+    profile carries every term.
+
+    An empty Y has the ideal sheaf O_X, so no term h^0(O(D) . I_Y^m)
+    vanishes and beta is not finite: that raises ValueError.  A support
+    outside ``common_support_dim``'s catalog is not checked."""
+    try:
+        empty = common_support_dim([Y]) is None
+    except CatalogError:
+        empty = False
+    if empty:
+        raise ValueError("subscheme %r is empty, so no term vanishes and beta "
+                         "is not finite" % Y.label)
     return terms_until_zero(build_profile([Y], (1,), degree).dim_at)
 
 

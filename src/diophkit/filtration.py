@@ -6,7 +6,9 @@ jump values and dimensions of this step function; its normalized integral
 F(t) is the quantity the concavity bound controls.  Dimensions are exact
 and jump values are Fractions throughout.
 
-Inputs that ``graded.normalize`` accepts are counted monomial by monomial.
+Inputs that ``graded.normalize`` accepts are counted monomial by monomial:
+the weights are scaled to integers once, each monomial gets an integer
+level, and the dimensions are running sums of one histogram of the levels.
 A profile without bases of one complete intersection (the generators a
 regular sequence with nonempty support, ``complete_intersection_degrees``)
 is a sum of binomials.  Every other input takes one pass: the values t.b
@@ -14,12 +16,21 @@ of the b that can reach degree N are walked downwards, each adding the
 generating rows of its own products to one integer row space, and the
 rank after a value is the dimension there.  Ideal powers are the case of one subscheme with weight 1.
 
+Rows are integers end to end.  A generator has its denominators cleared
+once, products are integer polynomials on packed exponents
+(``_Monomials``), and the images of the monomials under a change of
+coordinates are built one variable at a time, once per (A, N).  Scaling a
+row by a positive integer changes neither its span nor the row space's
+primitive rows, so the reduced echelon bases are those of the Fraction
+rows.  Fractions appear only in jump values and in those bases.
+
 Step convention: a profile [(x_1, d_1), ..., (x_K, d_K)] means the
 dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -29,7 +40,6 @@ from .graded import (
     CatalogError,
     _linear_forms,
     _linear_rows,
-    _power_products,
     _validate_family,
     common_support_dim,
     complete_intersection_degrees,
@@ -148,16 +158,24 @@ def _validate_inputs(Ys, t, N):
     return Ys, t
 
 
+def _integer_weights(t):
+    """(L, T) with L the least common denominator of the weights and
+    T_i = L t_i, so that t.b = T.b / L with T.b an integer."""
+    L = math.lcm(*[w.denominator for w in t])
+    return L, [w.numerator * (L // w.denominator) for w in t]
+
+
 def _order_levels(Ys, t, N):
     """The values t.b, descending, each with its b, over the b with
     sum_i b_i mindeg(Y_i) <= N; for any other b the product of the
     powers I_i^{b_i} has no degree-N part."""
     mins = [min(g.degree for g in Y.generators) for Y in Ys]
+    L, T = _integer_weights(t)
     levels = {}
     for b in itertools.product(*[range(N // m + 1) for m in mins]):
         if sum(bi * m for bi, m in zip(b, mins)) <= N:
-            levels.setdefault(sum(w * bi for w, bi in zip(t, b)), []).append(b)
-    return sorted(levels.items(), reverse=True)
+            levels.setdefault(sum(w * bi for w, bi in zip(T, b)), []).append(b)
+    return [(Fraction(v, L), levels[v]) for v in sorted(levels, reverse=True)]
 
 
 def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
@@ -182,15 +200,83 @@ def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
     return FiltrationProfile(nvars, N, ambient, tuple(jumps), level_bases)
 
 
-def _monomial_rows(monos, A=None):
-    """Coefficient rows over the monomials ``monos`` of each monomial y^e in
-    ``monos``, written in the variables x where y = A x (y = x for None)."""
-    index = {e: i for i, e in enumerate(monos)}
-    forms = [HomogeneousForm.monomial(e) for e in monos]
-    if A is not None:
-        images = _linear_forms(A)
-        forms = [f.substitute(images) for f in forms]
-    return [f.coeff_vector(index) for f in forms]
+class _Monomials:
+    """The degree-N monomials in ``nvars`` variables as the columns of
+    integer rows, and integer polynomials over them.
+
+    An exponent e of degree <= N is packed into the integer
+    sum_j e_j B^j with B = N + 1.  Every digit stays below B, so the packing
+    is one-to-one, and the key of a product of monomials of total degree
+    <= N is the sum of their keys.  A polynomial is a dict {key: int}."""
+
+    def __init__(self, N, nvars):
+        self.degree, self.nvars = N, nvars
+        self._powers = [(N + 1) ** j for j in range(nvars)]
+        self.index = {self.key(e): i
+                      for i, e in enumerate(monomial_exponents(N, nvars))}
+        self.width = len(self.index)
+        self._shifts = {}
+
+    def key(self, e):
+        return sum(a * p for a, p in zip(e, self._powers))
+
+    def shifts(self, d):
+        """Keys of the monomials of degree d, in column order."""
+        if d not in self._shifts:
+            self._shifts[d] = [self.key(e) for e in monomial_exponents(d, self.nvars)]
+        return self._shifts[d]
+
+    def form(self, f):
+        """A form with its denominators cleared, as an integer polynomial."""
+        scale = math.lcm(*[c.denominator for c in f.terms.values()])
+        return {self.key(e): c.numerator * (scale // c.denominator)
+                for e, c in f.terms.items()}
+
+    def row(self, poly, shift=0):
+        """The coefficient row of a degree-N polynomial, or of a lower-degree
+        one times the monomial with key ``shift``."""
+        row = [0] * self.width
+        index = self.index
+        for k, c in poly.items():
+            row[index[k + shift]] = c
+        return row
+
+
+def _mul(f, g):
+    """Product of two integer polynomials on packed exponents."""
+    out = {}
+    get = out.get
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _monomial_images(A, N):
+    """Integer rows, over the degree-N monomials in x, of the images of the
+    degree-N monomials y^e under y = A x, in column order.  Row k of A has
+    its denominators cleared, and the image of y^e is that of y^(e - u_k)
+    times y_k, for the first variable k of e: each row is the Fraction
+    image times a positive integer."""
+    nvars = len(A)
+    monos = _Monomials(N, nvars)
+    ys = [monos.form(y) for y in _linear_forms(A)]
+    images = {(0,) * nvars: {0: 1}}
+    for d in range(1, N + 1):
+        for e in monomial_exponents(d, nvars):
+            k = next(j for j, a in enumerate(e) if a)
+            lower = e[:k] + (e[k] - 1,) + e[k + 1:]
+            images[e] = _mul(images[lower], ys[k])
+    return tuple(tuple(monos.row(images[e])) for e in monomial_exponents(N, nvars))
+
+
+def _unit_rows(width):
+    """The standard basis as Fraction rows: the rref of the whole space."""
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(tuple(one if i == j else zero for j in range(width))
+                 for i in range(width))
 
 
 def build_profile(Ys, t, N, with_bases=False):
@@ -206,24 +292,39 @@ def build_profile(Ys, t, N, with_bases=False):
     groups, A = norm
     nvars = Ys[0].nvars
     monos = monomial_exponents(N, nvars)
-    levels = [sum(w * o for w, o in zip(t, order_vector(e, groups)))
-              for e in monos]
-    rows = _monomial_rows(monos, A) if with_bases else None
-    # the images of the monomials enter one reduced echelon form, deepest
-    # level first; distinct unit rows in column order already are the rref
-    space = linalg.RowSpace(len(monos)) if with_bases and A is not None else None
+    # one histogram of the integer levels T.o(e), as buckets of monomial
+    # indices; level 0 is always a value, possibly with an empty bucket
+    L, T = _integer_weights(t)
+    buckets = {0: []}
+    for i, e in enumerate(monos):
+        level = sum(w * o for w, o in zip(T, order_vector(e, groups)))
+        buckets.setdefault(level, []).append(i)
+    if A is None:
+        # distinct unit rows in column order already are the rref
+        units = _unit_rows(len(monos)) if with_bases else None
+        live = []
+    elif with_bases:
+        # the images of the monomials enter one reduced echelon form,
+        # deepest level first
+        images = _monomial_images(A, N)
+        space = linalg.RowSpace(len(monos))
     pairs = []
     bases = [] if with_bases else None
-    for v in sorted(set(levels) | {Fraction(0)}, reverse=True):
-        live = [i for i, lv in enumerate(levels) if lv >= v]
-        pairs.append((v, len(live)))
-        if space is not None:
-            for i in live:
-                if levels[i] == v:
-                    space.add(rows[i])
+    count = 0
+    for v in sorted(buckets, reverse=True):
+        bucket = buckets[v]
+        count += len(bucket)
+        pairs.append((Fraction(v, L), count))
+        if not with_bases:
+            continue
+        if A is None:
+            live.extend(bucket)
+            live.sort()
+            bases.append(tuple(units[i] for i in live))
+        else:
+            for i in bucket:
+                space.add(images[i])
             bases.append(space.rref())
-        elif with_bases:
-            bases.append(tuple(rows[i] for i in live))
     pairs.reverse()
     if with_bases:
         bases.reverse()
@@ -258,38 +359,56 @@ def _complete_intersection_profile(degrees, n, w, N):
     return _profile_from_pairs(pairs, n + 1, N, ambient)
 
 
-def _piece_rows(Ys, b, N, index, cache):
+def _products(gens, b, N, cache):
+    """(degree, product) for each choice of b_i generators of every
+    subscheme i (with repetition), in the order of ``itertools.product``
+    over the subschemes, skipping products of degree above N.  ``gens``
+    holds each subscheme's generators as (degree, integer polynomial).
+    Each product is one multiplication of a cached shorter one: the powers
+    of one subscheme are keyed by their generator indices, and the products
+    over the first subschemes by their prefix of b."""
+    *head, m = b
+    i = len(head)
+    prefix = cache.get(tuple(head)) if head else [(0, {0: 1})]
+    if prefix is None:
+        prefix = cache[tuple(head)] = _products(gens, head, N, cache)
+    powers = cache.setdefault(i, {(): (0, {0: 1})})
+    factors = []
+    for combo in itertools.combinations_with_replacement(range(len(gens[i])), m):
+        for j in range(len(combo)):
+            if combo[:j + 1] not in powers:
+                d, p = powers[combo[:j]]
+                gd, g = gens[i][combo[j]]
+                powers[combo[:j + 1]] = (d + gd, _mul(p, g) if d + gd <= N else None)
+        factors.append(powers[combo])
+    # degree 0 is only the empty product, 1
+    return [(d1 + d2, p2 if not d1 else p1 if not d2 else _mul(p1, p2))
+            for d1, p1 in prefix for d2, p2 in factors if d1 + d2 <= N]
+
+
+def _piece_rows(gens, b, monos, cache):
     """Integer rows spanning the degree-N piece of prod_i I_i^{b_i}: each
     product of b_i generators of every Y_i, times every monomial that
-    brings it to degree N.  Products of degree above N are skipped."""
-    nvars = Ys[0].nvars
-    one = HomogeneousForm.one(nvars)
-    factor_lists = [_power_products(Y, bi, cache) for Y, bi in zip(Ys, b)]
-    for combo in itertools.product(*factor_lists):
-        prod = math.prod(combo, start=one)
-        gap = N - prod.degree
-        if gap < 0:
-            continue
-        scale = math.lcm(*[c.denominator for c in prod.terms.values()])
-        terms = [(e, int(c * scale)) for e, c in prod.terms.items()]
-        for shift in monomial_exponents(gap, nvars):
-            row = [0] * len(index)
-            for e, c in terms:
-                row[index[tuple(a + k for a, k in zip(e, shift))]] = c
-            yield row
+    brings it to degree N."""
+    N = monos.degree
+    for d, prod in _products(gens, b, N, cache):
+        for shift in monos.shifts(N - d):
+            yield monos.row(prod, shift)
 
 
-def _level_spaces(Ys, t, N, index):
+def _level_spaces(Ys, t, N):
     """Walk the values x > 0 of ``_order_levels`` downwards, yielding
     (x, space) with ``space`` spanning the filtration piece at x.  The piece
     at x is the sum of the pieces of the b with t.b >= x, so each value only
     adds its own b's rows.  Stops once the piece is the whole space."""
-    space = linalg.RowSpace(len(index))
+    monos = _Monomials(N, Ys[0].nvars)
+    gens = [[(g.degree, monos.form(g)) for g in Y.generators] for Y in Ys]
+    space = linalg.RowSpace(monos.width)
     cache = {}
     for x, bs in _order_levels(Ys, t, N):
         if x == 0:
             return
-        for row in (row for b in bs for row in _piece_rows(Ys, b, N, index, cache)):
+        for row in (row for b in bs for row in _piece_rows(gens, b, monos, cache)):
             if space.rank == space.width:
                 break
             space.add(row)
@@ -303,16 +422,13 @@ def _generic_profile(Ys, t, N, with_bases=False):
     ``normalize`` does not accept.  A value whose rows raise the rank is the
     end of a run of equal dimensions, so it is a jump."""
     nvars = Ys[0].nvars
-    columns = monomial_exponents(N, nvars)
-    index = {e: i for i, e in enumerate(columns)}
-    ambient = len(columns)
+    ambient = dim_full(N, nvars - 1)
     ends = []
-    for x, space in _level_spaces(Ys, t, N, index):
+    for x, space in _level_spaces(Ys, t, N):
         if not ends or space.rank > ends[-1][1]:
             basis = space.rref() if with_bases else None
             ends.append((x, space.rank, basis))
-    ends.append((Fraction(0), ambient,
-                 tuple(_monomial_rows(columns)) if with_bases else None))
+    ends.append((Fraction(0), ambient, _unit_rows(ambient) if with_bases else None))
     ends.reverse()
     pairs = [(x, d) for x, d, _ in ends]
     bases = [basis for _, _, basis in ends] if with_bases else None
@@ -341,7 +457,7 @@ def _generic_mu(s, Ys, t):
     piece holds s."""
     columns = {e: i for i, e in enumerate(monomial_exponents(s.degree, s.nvars))}
     vec = s.coeff_vector(columns)
-    for x, space in _level_spaces(Ys, t, s.degree, columns):
+    for x, space in _level_spaces(Ys, t, s.degree):
         if vec in space:
             return x
     return Fraction(0)

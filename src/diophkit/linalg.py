@@ -103,20 +103,30 @@ class RowSpace:
         if len(row) != self.width:
             raise ValueError("row length does not match the space")
         ints = list(row) if all(type(v) is int for v in row) else _int_row(row)
+        width, pivots = self.width, self._pivots
         col = 0
         while True:
-            col = next((j for j in range(col, self.width) if ints[j]), None)
-            if col is None:
+            for col in range(col, width):
+                if ints[col]:
+                    break
+            else:
                 return None, None
-            lead = self._pivots.get(col)
+            lead = pivots.get(col)
             if lead is None:
                 return col, ints
-            # both rows are zero left of col, so only the tails change
+            # both rows are zero up to col once it is cleared, so only the
+            # tails change; the residual is the primitive part of
+            # p * ints - f * lead, so dividing p and f by their gcd first
+            # gives the same row from smaller products
             p, f = lead[col], ints[col]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            col += 1
             tail = [a * p - f * b for a, b in zip(ints[col:], lead[col:])]
             content = gcd(*tail)
             if content > 1:
                 tail = [a // content for a in tail]
+            ints[col - 1] = 0
             ints[col:] = tail
 
     def add(self, row):
@@ -307,20 +317,37 @@ def adapted_cells(chain_f, chain_g, width):
     Returns (dim_f, dim_g, vector) per cell in order of i: the vector lies
     in the members of dimension dim_f = n - i + 1 and dim_g = n - l + 1 of
     the two flags, and not in the next smaller ones.
+
+    All of this is in integers: each g'_l is kept as a primitive integer
+    vector, a nonzero multiple of the rational one.  Scaling a g'_m, or an
+    f_k, changes no pivot, no span and no reduced echelon basis, so the
+    cells' vectors are those of rational elimination.
     """
-    inv = inverse([row for _, row in reversed(chain_basis(chain_f, width))])
+    # f-coordinates by fraction-free elimination: in the span of the rows
+    # (f_k | e_k | 0) the row (g | 0 | 1) reduces to (0 | -s c | s) with
+    # g = sum_k c_k f_k and s > 0, the f_k and g with denominators cleared
+    basis = RowSpace(2 * width + 1)
+    for k, (_, f) in enumerate(reversed(chain_basis(chain_f, width))):
+        basis.add(_int_row(f) + [int(j == k) for j in range(width)] + [0])
+    zeros = [0] * width
     owner = {}
     reduced = []
     for _, g in chain_basis(chain_g, width):
-        vec = [sum(a * row[k] for a, row in zip(g, inv) if a) for k in range(width)]
-        vec += g
+        g = _int_row(g)
+        _, res = basis._reduce(g + zeros + [1])
+        s = res[-1]
+        vec = [-a for a in res[width:-1]] + [s * a for a in g]
         while True:
+            content = gcd(*vec)
+            vec = [a // content for a in vec]
             piv = next(k for k, a in enumerate(vec) if a)
             if piv not in owner:
                 break
             red = reduced[owner[piv]][1]
-            f = vec[piv] / red[piv]
-            vec = [a - f * b if b else a for a, b in zip(vec, red)]
+            p, f = red[piv], vec[piv]
+            d = gcd(p, f)
+            p, f = p // d, f // d
+            vec = [a * p - f * b for a, b in zip(vec, red)]
         owner[piv] = len(reduced)
         reduced.append((piv, vec))
     # reduced[n - m] holds piv(m) - 1 and g'_m, its f-coordinates followed

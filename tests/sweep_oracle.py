@@ -12,10 +12,11 @@ import itertools
 from fractions import Fraction
 
 from diophkit import linalg
-from diophkit.filtration import _monomial_rows, _profile_from_pairs
+from diophkit.filtration import _profile_from_pairs
 from diophkit.graded import filtration_ideal_gens, span_dim, span_piece
 from diophkit.polynomials import monomial_exponents
 from diophkit.staircase import validate_weights
+from fraction_oracle import monomial_rows
 
 
 def candidate_values(Ys, t, N):
@@ -38,7 +39,7 @@ def sweep_profile(Ys, t, N, with_bases=False):
         if x == 0:
             pairs.append((x, ambient))
             if with_bases:
-                bases.append(tuple(_monomial_rows(columns)))
+                bases.append(tuple(monomial_rows(columns)))
         elif with_bases:
             piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
             pairs.append((x, len(piece)))

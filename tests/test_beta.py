@@ -127,6 +127,25 @@ class TestIdealPowerTerms:
         assert ideal_power_terms(Y, D) == terms_until_zero(
             lambda m: span_dim(ideal_power_gens(Y, m, D)))
 
+    @pytest.mark.parametrize("gens,nvars", [
+        (["x0", "x1", "x2"], 3),                   # coordinate lines of P^2
+        (["x0", "x1"], 2),                         # two points of P^1
+        (["x0 + x1", "x1 + x2", "x0 + x2"], 3),    # independent tilted lines
+        (["x0", "x1", "x2^2 + x0*x1"], 3),         # a point off a conic
+    ])
+    def test_empty_subscheme_has_no_finite_beta(self, gens, nvars):
+        with pytest.raises(ValueError, match="'E' is empty"):
+            ideal_power_terms(sub("E", gens, nvars), 3)
+        with pytest.raises(ValueError, match="'E' is empty"):
+            beta_convergence(sub("E", gens, nvars), 1, 2)
+
+    def test_support_outside_the_catalog_keeps_its_terms(self):
+        # two effective conics: common_support_dim cannot decide, so the
+        # terms are counted as before
+        Y = sub("Q", ["x0^2 + x1^2", "x1*x2 + x0^2"], 3)
+        assert ideal_power_terms(Y, 4) == terms_until_zero(
+            lambda m: span_dim(ideal_power_gens(Y, m, 4)))
+
 
 class TestBlowupCrosscheck:
     def test_coordinate_point(self):

@@ -179,6 +179,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    # three coordinate lines of P^2 meet nowhere, and so do two points of
+    # P^1 (the space inferred from x0, x1): the ideal sheaf is O_X, no term
+    # vanishes, and beta is not finite
+    @pytest.mark.parametrize("argv", [
+        ["--space", "P2", "--ideal", "x0,x1,x2", "--N", "3"],
+        ["--ideal", "x0,x1", "--N", "3"],
+    ], ids=["P2", "inferred-P1"])
+    def test_empty_subscheme_is_one(self, capsys, argv):
+        code, out, err = run(capsys, "beta", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: subscheme 'Y1' is empty, so no term vanishes "
+                       "and beta is not finite\n")
+
     def test_support_hit_is_one(self, capsys):
         code, _, err = run(capsys, "weil", "--ideal", "x0",
                            "--point", "0:1", "--place", "inf")
