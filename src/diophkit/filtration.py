@@ -272,13 +272,6 @@ def _monomial_images(A, N):
     return tuple(tuple(monos.row(images[e])) for e in monomial_exponents(N, nvars))
 
 
-def _unit_rows(width):
-    """The standard basis as Fraction rows: the rref of the whole space."""
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(tuple(one if i == j else zero for j in range(width))
-                 for i in range(width))
-
-
 def build_profile(Ys, t, N, with_bases=False):
     """Exact jump profile of the weighted filtration on degree-N forms."""
     Ys, t = _validate_inputs(Ys, t, N)
@@ -301,7 +294,7 @@ def build_profile(Ys, t, N, with_bases=False):
         buckets.setdefault(level, []).append(i)
     if A is None:
         # distinct unit rows in column order already are the rref
-        units = _unit_rows(len(monos)) if with_bases else None
+        units = linalg._unit_rows(len(monos)) if with_bases else None
         live = []
     elif with_bases:
         # the images of the monomials enter one reduced echelon form,
@@ -428,7 +421,7 @@ def _generic_profile(Ys, t, N, with_bases=False):
         if not ends or space.rank > ends[-1][1]:
             basis = space.rref() if with_bases else None
             ends.append((x, space.rank, basis))
-    ends.append((Fraction(0), ambient, _unit_rows(ambient) if with_bases else None))
+    ends.append((Fraction(0), ambient, linalg._unit_rows(ambient) if with_bases else None))
     ends.reverse()
     pairs = [(x, d) for x, d, _ in ends]
     bases = [basis for _, _, basis in ends] if with_bases else None

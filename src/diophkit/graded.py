@@ -98,7 +98,7 @@ class Subscheme:
     @classmethod
     def from_strings(cls, label, gens, nvars=None):
         forms = [parse_form(g, nvars=nvars) for g in gens]
-        if nvars is None:
+        if nvars is None and forms:
             width = max(f.nvars for f in forms)
             forms = [f if f.nvars == width else parse_form(g, nvars=width)
                      for f, g in zip(forms, gens)]
@@ -264,9 +264,7 @@ def normalize(Ys):
     reduced = linalg.rref(rows)
     if len(reduced) < len(rows):
         return None
-    nvars = Ys[0].nvars
-    units = [tuple(Fraction(int(i == j)) for j in range(nvars)) for i in range(nvars)]
-    padding, _ = linalg.extend_basis(units, reduced)
+    padding, _ = linalg.extend_basis(linalg._unit_rows(Ys[0].nvars), reduced)
     return groups, tuple(rows) + tuple(padding)
 
 
@@ -418,14 +416,10 @@ def common_support_dim(Ys):
         for g in Y.generators:
             (linear if g.degree == 1 else nonlinear).append(g)
 
-    if linear:
-        rows = _linear_rows(linear)
-        if linalg.rank(rows) == nvars:
-            return None
-        basis = linalg.nullspace(rows)
-    else:
-        basis = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(nvars))
-                      for i in range(nvars))
+    basis = (linalg.nullspace(_linear_rows(linear)) if linear
+             else linalg._unit_rows(nvars))
+    if not basis:
+        return None
     s = len(basis)  # dimension of the solution cone, >= 1 here
 
     restrictions = [_restrict(f, basis) for f in nonlinear]

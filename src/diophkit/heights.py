@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .polynomials import HomogeneousForm
 
@@ -62,7 +63,10 @@ def _primes_dividing(n):
         yield n
 
 
+@lru_cache(maxsize=256)
 def _is_prime(p):
+    # cached: ord_p checks its prime on every call, and weil_norm calls it
+    # once per generator value with the prime of one place
     return p >= 2 and next(_primes_dividing(p)) == p
 
 
@@ -189,6 +193,8 @@ class ProjectivePoint:
 
 
 def ord_p(q, p):
+    if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
+        raise ValueError("ord_p needs a prime p, got %r" % (p,))
     q = Fraction(q)
     if q == 0:
         raise ValueError("ord of zero is undefined")

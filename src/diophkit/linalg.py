@@ -1,18 +1,18 @@
 """Exact linear algebra over Q.
 
-Row vectors are tuples of Fractions (ints are fine too).  Ranks go through
-integer fraction-free elimination in the Bareiss style, so intermediate
-entries stay integral, and ``RowSpace`` keeps such an integer echelon form
-growing row by row, for callers that need the rank after every batch; its
-``rref`` keeps the reduced echelon basis up to date incrementally, for
-callers that need a basis after every batch.
+Row vectors are tuples of Fractions (ints are fine too).  All row reduction
+is one engine: ``RowSpace`` keeps an integer echelon form, grown row by row
+by fraction-free elimination, so entries stay integral, for callers that
+need the rank after every batch; its ``rref`` keeps the reduced echelon
+basis up to date incrementally, for callers that need a basis after every
+batch.  ``rank``, ``rref``, span tests, kernels and inverses are read off
+the space of their rows.
 
-Bases adapted to filtrations come from that one growing space: a chain's
+Bases adapted to filtrations come from the same growing space: a chain's
 levels walked deepest first keep exactly the rows that refine it to a
 complete flag (``chain_basis``), and a basis adapted to two chains takes one
 vector per Bruhat cell of their relative position (``adapted_cells``), so
-no intersection of subspaces is ever formed.  Kernels, inverses and span
-tests use rational Gauss-Jordan on small matrices.
+no intersection of subspaces is ever formed.
 """
 
 from __future__ import annotations
@@ -37,46 +37,6 @@ def _int_row(row):
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     scale = lcm(*[f.denominator for f in fracs]) if fracs else 1
     return [f.numerator * (scale // f.denominator) for f in fracs]
-
-
-def rank(rows):
-    """Rank of the row family, by fraction-free integer elimination."""
-    mat = []
-    width = None
-    for r in rows:
-        ints = _int_row(r)
-        if width is None:
-            width = len(ints)
-        elif len(ints) != width:
-            raise ValueError("rows must share one length")
-        if any(ints):
-            mat.append(ints)
-    if not mat:
-        return 0
-    ncols = width
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        p = mat[rk][col]
-        for i in range(rk + 1, len(mat)):
-            f = mat[i][col]
-            row = mat[i]
-            lead = mat[rk]
-            for j in range(col, ncols):
-                row[j] = (row[j] * p - f * lead[j]) // prev
-        prev = p
-        rk += 1
-        if rk == len(mat):
-            break
-    return rk
 
 
 class RowSpace:
@@ -131,12 +91,16 @@ class RowSpace:
 
     def add(self, row):
         """Add a row; True when it was independent of the space."""
+        return self._insert(row) is not None
+
+    def _insert(self, row):
+        """Add a row; the pivot column of its residual, or None when it
+        lies in the space."""
         col, ints = self._reduce(row)
-        if col is None:
-            return False
-        content = gcd(*ints) if ints[col] > 0 else -gcd(*ints)
-        self._pivots[col] = [a // content for a in ints]
-        return True
+        if col is not None:
+            content = gcd(*ints) if ints[col] > 0 else -gcd(*ints)
+            self._pivots[col] = [a // content for a in ints]
+        return col
 
     def __contains__(self, row):
         return self._reduce(row)[0] is None
@@ -172,92 +136,68 @@ class RowSpace:
         return tuple(self._reduced[col] for col in sorted(self._reduced))
 
 
+def _span(rows):
+    """The ``RowSpace`` of a family of rows, which must share one length."""
+    space = None
+    for row in rows:
+        if space is None:
+            space = RowSpace(len(row))
+        space.add(row)
+    return space if space is not None else RowSpace(0)
+
+
+def _unit_rows(width):
+    """The standard basis as Fraction rows: the rref of the whole space."""
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(tuple(one if i == j else zero for j in range(width))
+                 for i in range(width))
+
+
+def rank(rows):
+    """Rank of the row family."""
+    return _span(rows).rank
+
+
 def rref(rows):
     """Reduced row echelon basis of the row space (no zero rows)."""
-    mat = []
-    width = None
-    for r in rows:
-        vec = [Fraction(v) for v in r]
-        if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise ValueError("rows must share one length")
-        if any(vec):
-            mat.append(vec)
-    if not mat:
-        return ()
-    ncols = width
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        p = mat[rk][col]
-        mat[rk] = [v / p for v in mat[rk]]
-        for i in range(len(mat)):
-            if i != rk and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
-        rk += 1
-        if rk == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:rk] if any(r))
-
-
-def _pivot_columns(basis):
-    pivots = []
-    for row in basis:
-        for j, v in enumerate(row):
-            if v != 0:
-                pivots.append(j)
-                break
-    return pivots
+    return _span(rows).rref()
 
 
 def in_span(vec, basis):
-    """Whether vec lies in the span of an rref basis: its residual after
-    eliminating against the basis rows is zero."""
-    v = [Fraction(x) for x in vec]
+    """Whether vec lies in the span of the basis rows."""
+    space = RowSpace(len(vec))
     for row in basis:
-        col = next(j for j, val in enumerate(row) if val != 0)
-        f = v[col]
-        if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
+        space.add(row)
+    return vec in space
 
 
 def nullspace(rows):
     """Basis of {x : row . x = 0 for every row}, as tuples of Fractions."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    rows = list(rows)
+    if not rows:
         raise ValueError("nullspace needs the ambient width; pass at least one row")
-    width = len(mat[0])
-    basis = rref(mat)
-    pivots = _pivot_columns(basis)
-    free = [j for j in range(width) if j not in pivots]
+    space = _span(rows)
+    basis, pivots = space.rref(), sorted(space._pivots)
+    width = space.width
     out = []
-    for f in free:
+    for free in range(width):
+        if free in space._pivots:
+            continue
         vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
+        vec[free] = Fraction(1)
         for row, p in zip(basis, pivots):
-            vec[p] = -row[f]
+            vec[p] = -row[free]
         out.append(tuple(vec))
     return tuple(out)
 
 
 def inverse(rows):
-    """Inverse of an invertible square matrix, by Gauss-Jordan on [A | I]."""
+    """Inverse of an invertible square matrix, from the rref of [A | I]."""
     n = len(rows)
-    reduced = rref([tuple(row) + tuple(int(i == j) for j in range(n))
-                    for i, row in enumerate(rows)])
-    if _pivot_columns(reduced) != list(range(n)):
+    space = _span([tuple(row) + unit for row, unit in zip(rows, _unit_rows(n))])
+    if sorted(space._pivots) != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return tuple(row[n:] for row in space.rref())
 
 
 def extend_basis(pool, basis):
@@ -318,48 +258,38 @@ def adapted_cells(chain_f, chain_g, width):
     in the members of dimension dim_f = n - i + 1 and dim_g = n - l + 1 of
     the two flags, and not in the next smaller ones.
 
-    All of this is in integers: each g'_l is kept as a primitive integer
-    vector, a nonzero multiple of the rational one.  Scaling a g'_m, or an
-    f_k, changes no pivot, no span and no reduced echelon basis, so the
-    cells' vectors are those of rational elimination.
+    Both reductions are one fraction-free elimination in a ``RowSpace`` of
+    width 3 n.  In the span of the rows (f_k | e_k | 0), the row
+    (g_l | 0 | g_l) reduces to (0 | -s c | s g_l), where g_l = sum_k c_k f_k,
+    s > 0, and the f_k and g_l have their denominators cleared.  Added to
+    the same space, that row is reduced further against the deeper g's,
+    pivoting on its first nonzero f-coordinate: what is stored is
+    (0 | -c' | g'_l) for the f-coordinates c' of g'_l, up to a nonzero
+    factor, with its pivot at n + piv(l) - 1.  So each g'_l is a primitive
+    integer vector, a nonzero multiple of the rational one.  Scaling a
+    g'_m, or an f_k, changes no pivot, no span and no reduced echelon
+    basis, so the cells' vectors are those of rational elimination.
     """
-    # f-coordinates by fraction-free elimination: in the span of the rows
-    # (f_k | e_k | 0) the row (g | 0 | 1) reduces to (0 | -s c | s) with
-    # g = sum_k c_k f_k and s > 0, the f_k and g with denominators cleared
-    basis = RowSpace(2 * width + 1)
-    for k, (_, f) in enumerate(reversed(chain_basis(chain_f, width))):
-        basis.add(_int_row(f) + [int(j == k) for j in range(width)] + [0])
+    space = RowSpace(3 * width)
     zeros = [0] * width
+    for k, (_, f) in enumerate(reversed(chain_basis(chain_f, width))):
+        space.add(_int_row(f) + [int(j == k) for j in range(width)] + zeros)
+    # reduced[n - m] holds piv(m) - 1 and the entries of g'_m
     owner = {}
     reduced = []
     for _, g in chain_basis(chain_g, width):
         g = _int_row(g)
-        _, res = basis._reduce(g + zeros + [1])
-        s = res[-1]
-        vec = [-a for a in res[width:-1]] + [s * a for a in g]
-        while True:
-            content = gcd(*vec)
-            vec = [a // content for a in vec]
-            piv = next(k for k, a in enumerate(vec) if a)
-            if piv not in owner:
-                break
-            red = reduced[owner[piv]][1]
-            p, f = red[piv], vec[piv]
-            d = gcd(p, f)
-            p, f = p // d, f // d
-            vec = [a * p - f * b for a, b in zip(vec, red)]
-        owner[piv] = len(reduced)
-        reduced.append((piv, vec))
-    # reduced[n - m] holds piv(m) - 1 and g'_m, its f-coordinates followed
-    # by its entries
+        col = space._insert(g + zeros + g)
+        owner[col - width] = len(reduced)
+        reduced.append((col - width, space._pivots[col][2 * width:]))
     cells = []
     for i in range(width):
         deep = owner[i]
-        space = RowSpace(width + 1)
+        cell = RowSpace(width + 1)
         for m in range(deep + 1):
             piv, vec = reduced[m]
             if piv >= i:
-                space.add(vec[width:] + [int(m == deep)])
-        pick = next(row[:width] for row in space.rref() if row[width])
+                cell.add(vec + [int(m == deep)])
+        pick = next(row[:width] for row in cell.rref() if row[width])
         cells.append((width - i, deep + 1, pick))
     return tuple(cells)

@@ -7,13 +7,14 @@ refined by recomputing a rational reduced echelon form after every picked
 vector, the whole (width + 1)^2 table of ranks dim(F_i meet G_j) is filled
 from annihilators, and every jump cell computes its meet from two
 nullspaces (``meet``, which the tests also use to intersect row spaces).
-mu values come from span tests against each level.  It shares no
-elimination code with the incremental row space.
+mu values come from span tests against each level.  Its eliminations come
+from ``elimination_oracle``, so it shares no code with the incremental row
+space.
 """
 
 from fractions import Fraction
 
-from diophkit.linalg import in_span, nullspace, rank, rref
+from elimination_oracle import in_span, nullspace, rank, rref
 
 
 def extend_basis(pool, basis):

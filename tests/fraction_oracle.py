@@ -8,8 +8,9 @@ They are kept here, and only here, as differential oracles:
 * ``piece_rows`` multiplies generators as Fraction ``HomogeneousForm``s
   and clears the denominators of each product;
 * ``adapted_cells`` puts the g's in f-coordinates through a Fraction
-  Gauss-Jordan ``linalg.inverse`` and reduces them with Fraction
-  multipliers.
+  Gauss-Jordan inverse, reduces them with Fraction multipliers and takes
+  each cell's reduced echelon form by Gauss-Jordan
+  (``elimination_oracle``).
 
 The integer routes give each row up to one positive scalar, which changes
 no span, no primitive row and no reduced echelon basis.
@@ -19,8 +20,9 @@ import itertools
 import math
 
 from diophkit.graded import _linear_forms, _power_products
-from diophkit.linalg import RowSpace, chain_basis, inverse
+from diophkit.linalg import chain_basis
 from diophkit.polynomials import HomogeneousForm, monomial_exponents
+from elimination_oracle import inverse, rref
 
 
 def monomial_rows(monos, A=None):
@@ -76,12 +78,9 @@ def adapted_cells(chain_f, chain_g, width):
     cells = []
     for i in range(width):
         deep = owner[i]
-        space = RowSpace(width + 1)
-        for m in range(deep + 1):
-            piv, vec = reduced[m]
-            if piv >= i:
-                space.add(vec[width:] + [int(m == deep)])
-        pick = next(row[:width] for row in space.rref() if row[width])
+        rows = [vec[width:] + [int(m == deep)]
+                for m, (piv, vec) in enumerate(reduced[:deep + 1]) if piv >= i]
+        pick = next(row[:width] for row in rref(rows) if row[width])
         cells.append((width - i, deep + 1, pick))
     return tuple(cells)
 

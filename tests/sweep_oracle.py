@@ -4,16 +4,17 @@ It is kept here, and only here, as a differential oracle: for every
 candidate value t.b with b in the order box, it builds the generating family
 of the threshold ideal from scratch (``filtration_ideal_gens``) and takes its
 exact rank, or its echelon basis; mu is found by bisection over the same
-candidates with an exact membership test.  It shares no elimination code
+candidates with an exact membership test.  Every rank, basis and membership
+test comes from ``elimination_oracle``, so it shares no elimination code
 with ``filtration._generic_profile``.
 """
 
 import itertools
 from fractions import Fraction
 
-from diophkit import linalg
+import elimination_oracle
 from diophkit.filtration import _profile_from_pairs
-from diophkit.graded import filtration_ideal_gens, span_dim, span_piece
+from diophkit.graded import filtration_ideal_gens
 from diophkit.polynomials import monomial_exponents
 from diophkit.staircase import validate_weights
 from fraction_oracle import monomial_rows
@@ -40,12 +41,15 @@ def sweep_profile(Ys, t, N, with_bases=False):
             pairs.append((x, ambient))
             if with_bases:
                 bases.append(tuple(monomial_rows(columns)))
-        elif with_bases:
-            piece = span_piece(filtration_ideal_gens(Ys, t, x, N), nvars, N)
-            pairs.append((x, len(piece)))
-            bases.append(tuple(f.coeff_vector(index) for f in piece))
         else:
-            pairs.append((x, span_dim(filtration_ideal_gens(Ys, t, x, N))))
+            rows = [f.coeff_vector(index)
+                    for f in filtration_ideal_gens(Ys, t, x, N)]
+            if with_bases:
+                piece = elimination_oracle.rref(rows)
+                pairs.append((x, len(piece)))
+                bases.append(piece)
+            else:
+                pairs.append((x, elimination_oracle.rank(rows)))
         if pairs[-1][1] == 0:
             break
     return _profile_from_pairs(pairs, nvars, N, ambient, bases)
@@ -64,10 +68,9 @@ def sweep_mus(forms, Ys, t):
         if x == 0:
             return True
         if x not in bases:
-            bases[x] = linalg.rref([f.coeff_vector(columns)
-                                    for f in filtration_ideal_gens(Ys, t, x, N)
-                                    if not f.is_zero])
-        return linalg.in_span(vec, bases[x])
+            bases[x] = elimination_oracle.rref(
+                [f.coeff_vector(columns) for f in filtration_ideal_gens(Ys, t, x, N)])
+        return elimination_oracle.in_span(vec, bases[x])
 
     def mu(vec):
         lo, hi = 0, len(candidates) - 1

@@ -193,6 +193,17 @@ class TestExitCodes:
         assert err == ("error: subscheme 'Y1' is empty, so no term vanishes "
                        "and beta is not finite\n")
 
+    # a list of generators with none in it names no subscheme
+    @pytest.mark.parametrize("argv", [
+        ["beta", "--ideal", ","],
+        ["filtration", "--ideals", "x0;,", "--weights", "1,1", "--N", "2"],
+    ], ids=["beta", "filtration"])
+    def test_no_generator_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a subscheme needs at least one generator\n"
+
     def test_support_hit_is_one(self, capsys):
         code, _, err = run(capsys, "weil", "--ideal", "x0",
                            "--point", "0:1", "--place", "inf")

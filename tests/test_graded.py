@@ -299,6 +299,10 @@ class TestSubschemeBasics:
         with pytest.raises(ValueError):
             Subscheme("z", (HomogeneousForm.zero(2, 1),))
 
+    def test_rejects_an_empty_generator_list(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            Subscheme.from_strings("e", [])
+
     def test_rejects_degree_zero_generator(self):
         with pytest.raises(ValueError):
             sub("u", ["3"], 2)

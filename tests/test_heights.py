@@ -153,6 +153,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             ord_p(0, 3)
 
+    # 1, -1 and True divide everything, so the loop would never end; 0
+    # divides nothing; 4 is not a prime, so ord_4 is no valuation
+    @pytest.mark.parametrize("p", [1, -1, 0, 4, True, 2.0, None])
+    def test_ord_rejects_a_p_that_is_not_a_prime(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            ord_p(12, p)
+
     def test_product_formula(self):
         f = product_formula_factors(Fraction(-12, 5))
         assert f[PLACE_INF] == Fraction(12, 5)

@@ -1,4 +1,9 @@
-"""Fraction-free ranks, kernels, and bases adapted to one or two chains."""
+"""Fraction-free ranks, kernels, and bases adapted to one or two chains.
+
+Ranks, reduced echelon bases, span tests, kernels and inverses all come
+from ``RowSpace``; they are checked against the Bareiss and Gauss-Jordan
+eliminations of ``elimination_oracle``, which share no code with it.
+"""
 
 import random
 from fractions import Fraction
@@ -8,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import adapted_oracle
+import elimination_oracle as oracle
 from diophkit.linalg import (
     RowSpace,
     adapted_cells,
@@ -23,6 +29,22 @@ from diophkit.linalg import (
 
 def frac_rows(rows):
     return [tuple(Fraction(v) for v in row) for row in rows]
+
+
+INTS = st.integers(-4, 4)
+FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def matrices(draw, width=None, min_rows=0, max_rows=6):
+    """An integer or a Fraction matrix, with some rows of zeros."""
+    if width is None:
+        width = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([INTS, FRACS]))
+    row = st.lists(entry, min_size=width, max_size=width).map(tuple)
+    zero = st.just((0,) * width)
+    return draw(st.lists(st.one_of(row, zero), min_size=min_rows,
+                         max_size=max_rows))
 
 
 def flag_of(chain, width):
@@ -69,11 +91,13 @@ class TestRank:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             rank([(1, 0), (1, 0, 0)])
+        with pytest.raises(ValueError):
+            rref([(1, 0), (1, 0, 0)])
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
                     min_size=1, max_size=6))
     def test_agrees_with_rref(self, rows):
-        assert rank(rows) == len(rref(rows))
+        assert rank(rows) == len(oracle.rref(rows))
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                     min_size=2, max_size=5))
@@ -99,7 +123,7 @@ class TestRowSpace:
             space.add(row)
         rows = space.rows()
         assert rows == [[2, 1, 0], [0, 2, 3]]
-        assert rref(rows) == rref([(0, 6, 9), (4, 2, 0)])
+        assert oracle.rref(rows) == oracle.rref([(0, 6, 9), (4, 2, 0)])
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -111,10 +135,11 @@ class TestRowSpace:
     def test_agrees_with_rank_and_rref(self, rows, probe):
         space = RowSpace(4)
         for k, row in enumerate(rows):
-            assert space.add(row) == (rank(rows[:k + 1]) > rank(rows[:k]))
-        assert space.rank == rank(rows)
-        assert rref(space.rows()) == rref(rows)
-        assert (probe in space) == in_span(probe, rref(rows))
+            assert space.add(row) == \
+                (oracle.rank(rows[:k + 1]) > oracle.rank(rows[:k]))
+        assert space.rank == oracle.rank(rows)
+        assert oracle.rref(space.rows()) == oracle.rref(rows)
+        assert (probe in space) == oracle.in_span(probe, oracle.rref(rows))
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
                     min_size=1, max_size=7))
@@ -122,7 +147,7 @@ class TestRowSpace:
         space = RowSpace(4)
         for k, row in enumerate(rows):
             space.add(row)
-            assert space.rref() == rref(rows[:k + 1])
+            assert space.rref() == oracle.rref(rows[:k + 1])
 
     def test_snapshots_share_untouched_rows(self):
         space = RowSpace(3)
@@ -175,6 +200,56 @@ class TestNullspace:
         assert rank(rows) + len(nullspace(rows)) == 4
 
 
+class TestAgainstOracle:
+    """Each entry point against the elimination it replaced."""
+
+    def test_empty_input(self):
+        assert rank([]) == oracle.rank([]) == 0
+        assert rref([]) == oracle.rref([]) == ()
+        assert rank([(0, 0, 0)]) == 0 and rref([(0, 0, 0)]) == ()
+        assert in_span((0, 0), ()) and not in_span((0, 1), ())
+        assert inverse([]) == oracle.inverse([]) == ()
+        with pytest.raises(ValueError):
+            nullspace([])
+
+    @given(matrices())
+    def test_rank(self, rows):
+        assert rank(rows) == oracle.rank(rows)
+
+    @given(matrices())
+    def test_rref(self, rows):
+        basis = rref(rows)
+        assert basis == oracle.rref(rows)
+        assert all(type(v) is Fraction for row in basis for v in row)
+
+    @given(matrices(width=4), st.lists(INTS, min_size=6, max_size=6),
+           st.lists(FRACS, min_size=4, max_size=4), st.booleans())
+    def test_in_span(self, rows, coeffs, free, combine):
+        basis = oracle.rref(rows)
+        if combine:
+            probe = [sum((c * row[j] for c, row in zip(coeffs, rows)),
+                         Fraction(0)) for j in range(4)]
+        else:
+            probe = free
+        assert in_span(probe, basis) == oracle.in_span(probe, basis)
+        assert in_span(probe, rows) == oracle.in_span(probe, basis)
+
+    @given(matrices(min_rows=1))
+    def test_nullspace(self, rows):
+        assert nullspace(rows) == oracle.nullspace(rows)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: matrices(width=n, min_rows=n, max_rows=n)))
+    def test_inverse(self, rows):
+        try:
+            expected = oracle.inverse(rows)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse(rows)
+        else:
+            assert inverse(rows) == expected
+
+
 class TestSpaceOperations:
     def test_extend_basis(self):
         pool = frac_rows([(1, 1, 0), (1, 0, 0), (0, 0, 1)])
@@ -191,7 +266,7 @@ class TestSpaceOperations:
                     for _ in range(rng.randint(1, 6))]
             chosen, full = extend_basis(pool, basis)
             assert chosen == adapted_oracle.extend_basis(pool, basis)[0]
-            assert full == rref(list(basis) + pool)
+            assert full == oracle.rref(list(basis) + pool)
 
 
 class TestFlags:
