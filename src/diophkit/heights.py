@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .polynomials import HomogeneousForm
 
@@ -63,10 +62,7 @@ def _primes_dividing(n):
         yield n
 
 
-@lru_cache(maxsize=256)
 def _is_prime(p):
-    # cached: ord_p checks its prime on every call, and weil_norm calls it
-    # once per generator value with the prime of one place
     return p >= 2 and next(_primes_dividing(p)) == p
 
 
@@ -195,6 +191,11 @@ class ProjectivePoint:
 def ord_p(q, p):
     if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
         raise ValueError("ord_p needs a prime p, got %r" % (p,))
+    return _ord(q, p)
+
+
+def _ord(q, p):
+    # ord_p for a prime that a Place has already checked
     q = Fraction(q)
     if q == 0:
         raise ValueError("ord of zero is undefined")
@@ -216,7 +217,7 @@ def norm(q, place):
         return abs(q)
     if q == 0:
         return Fraction(0)
-    return Fraction(place.p) ** (-ord_p(q, place.p))
+    return Fraction(place.p) ** (-_ord(q, place.p))
 
 
 def height_norm(P):
@@ -244,7 +245,7 @@ def weil_norm(Y, P, place):
         m = Fraction(height_norm(P))
         return min(m ** g.degree / abs(v) for g, v in vals)
     p = place.p
-    return Fraction(p) ** min(ord_p(v, p) for _, v in vals)
+    return Fraction(p) ** min(_ord(v, p) for _, v in vals)
 
 
 def weil(Y, P, place):
@@ -285,7 +286,7 @@ def weil_floor_norm(Y, place):
         worst = max(sum(abs(c) for c in g.terms.values()) for g in Y.generators)
         return Fraction(1) / worst
     p = place.p
-    drop = min(min(ord_p(c, p) for c in g.terms.values()) for g in Y.generators)
+    drop = min(min(_ord(c, p) for c in g.terms.values()) for g in Y.generators)
     return Fraction(p) ** min(0, drop)
 
 

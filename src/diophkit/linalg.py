@@ -265,8 +265,8 @@ def adapted_cells(chain_f, chain_g, width):
     the same space, that row is reduced further against the deeper g's,
     pivoting on its first nonzero f-coordinate: what is stored is
     (0 | -c' | g'_l) for the f-coordinates c' of g'_l, up to a nonzero
-    factor, with its pivot at n + piv(l) - 1.  So each g'_l is a primitive
-    integer vector, a nonzero multiple of the rational one.  Scaling a
+    factor, with its pivot at n + piv(l) - 1.  So each g'_l is an integer
+    vector, a nonzero multiple of the rational one.  Scaling a
     g'_m, or an f_k, changes no pivot, no span and no reduced echelon
     basis, so the cells' vectors are those of rational elimination.
     """
