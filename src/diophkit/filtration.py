@@ -126,9 +126,6 @@ class FiltrationProfile:
                 return dk
         return 0
 
-    def monomial_order(self):
-        return monomial_exponents(self.degree, self.nvars)
-
     def to_json(self):
         return {
             "nvars": self.nvars,

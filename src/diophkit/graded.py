@@ -1,13 +1,13 @@
 """Graded pieces of subscheme ideal powers on P^n, and the position checker.
 
-Dimensions of degree-D pieces are ranks of explicit generating families:
-for a power I^m the family is {g_1 ... g_m * monomial}, for a filtration
-ideal it runs over the minimal generators of a threshold set.  These
-per-piece routes answer one question at a time; whole profiles, and the
-ideal-power terms of beta, come from the one-pass walk in ``filtration``.
+The dimension queries ``graded_dim_*`` read one value off a profile of
+``filtration.build_profile`` (an ideal power is one subscheme of weight 1).
+The per-piece route, the rank (``span_dim``) of the family {g_1 ... g_m *
+monomial} for I^m or of the products over a threshold set's minimal
+generators, is only the oracle those counts are tested against.
 
-``normalize`` is the one place that picks the monomial fast path.  It
-accepts exactly two kinds of input:
+``normalize``, which only ``filtration`` calls, is the one place that
+picks the monomial fast path.  It accepts exactly two kinds of input:
 
 * coordinate monomials: every generator is c * x_j^e, with the variables
   distinct inside a subscheme and disjoint across subschemes
@@ -143,18 +143,11 @@ def _common_shape(forms):
 
 
 def span_dim(forms):
-    """Dimension of the span of homogeneous forms of one common degree.
-
-    Families consisting solely of monomials span exactly the coordinate
-    subspace picked out by their exponent set, so the rank is the number of
-    distinct exponents; anything else goes through exact elimination.
-    """
+    """Dimension of the span of forms of one common degree, by elimination."""
     live = [f for f in forms if not f.is_zero]
     if not live:
         return 0
     nvars, degree = _common_shape(live)
-    if all(f.is_monomial for f in live):
-        return len({next(iter(f.terms)) for f in live})
     columns = {e: i for i, e in enumerate(monomial_exponents(degree, nvars))}
     return linalg.rank([f.coeff_vector(columns) for f in live])
 
@@ -257,14 +250,14 @@ def normalize(Ys):
         return None
     groups = []
     rows = []
+    space = linalg.RowSpace(Ys[0].nvars)
     for Y in Ys:
         basis = linalg.rref(_linear_rows(Y.generators))
         groups.append(tuple((len(rows) + k, 1) for k in range(len(basis))))
+        if not all(space.add(row) for row in basis):
+            return None
         rows.extend(basis)
-    reduced = linalg.rref(rows)
-    if len(reduced) < len(rows):
-        return None
-    padding, _ = linalg.extend_basis(linalg._unit_rows(Ys[0].nvars), reduced)
+    padding = [unit for unit in linalg._unit_rows(space.width) if space.add(unit)]
     return groups, tuple(rows) + tuple(padding)
 
 
@@ -293,19 +286,13 @@ def order_vector(exps, groups):
 
 def graded_dim_ideal_power(Y, m, D):
     """dim of the degree-D piece of I_Y^m."""
+    from .filtration import build_profile
+
     if m < 0:
         raise ValueError("power must be nonnegative")
     if D < 0:
         return 0
-    n = Y.nvars - 1
-    if m == 0:
-        return dim_full(D, n)
-    norm = normalize([Y])
-    if norm is not None:
-        groups, _ = norm
-        return sum(1 for e in monomial_exponents(D, Y.nvars)
-                   if order_vector(e, groups)[0] >= m)
-    return span_dim(ideal_power_gens(Y, m, D))
+    return build_profile([Y], (1,), D).dim_at(m)
 
 
 def _validate_family(Ys, t):
@@ -344,24 +331,16 @@ def filtration_ideal_gens(Ys, t, x, D):
 
 
 def graded_dim_filtration_ideal(Ys, t, x, D):
-    """dim of the degree-D piece of the threshold-x filtration ideal.
+    """dim of the degree-D piece of the threshold-x filtration ideal."""
+    from .filtration import build_profile
 
-    On inputs ``normalize`` accepts, a monomial lies in the piece exactly
-    when its order vector o has t.o >= x, that is, when o is in the
-    threshold set."""
     Ys, t = _validate_family(Ys, t)
     x = Fraction(x)
     if x < 0:
         raise ValueError("threshold x must be nonnegative")
-    nvars = Ys[0].nvars
-    if x == 0:
-        return dim_full(D, nvars - 1)
-    norm = normalize(Ys)
-    if norm is not None:
-        groups, _ = norm
-        return sum(1 for e in monomial_exponents(D, nvars)
-                   if sum(w * o for w, o in zip(t, order_vector(e, groups))) >= x)
-    return span_dim(filtration_ideal_gens(Ys, t, x, D))
+    if D < 0:
+        return 0
+    return build_profile(Ys, t, D).dim_at(x)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "in_span",
     "nullspace",
     "inverse",
-    "extend_basis",
     "chain_basis",
     "adapted_cells",
 ]
@@ -200,28 +199,15 @@ def inverse(rows):
     return tuple(row[n:] for row in space.rref())
 
 
-def extend_basis(pool, basis):
-    """Pick the vectors of pool, in order, that extend the span of a basis;
-    returns (chosen, rref of the extended span)."""
-    basis, pool = list(basis), list(pool)
-    if not basis and not pool:
-        return [], ()
-    space = RowSpace(len((basis or pool)[0]))
-    for row in basis:
-        space.add(row)
-    chosen = [tuple(Fraction(x) for x in v) for v in pool if space.add(v)]
-    return chosen, space.rref()
-
-
 def chain_basis(chain, width):
     """A basis adapted to a strictly decreasing chain of subspaces.
 
     chain: bases of the subspaces, starting with the full ambient space.
     The levels are walked deepest first into one ``RowSpace``, and each row
-    that raises the rank is kept: this is the pick ``extend_basis`` makes
-    level by level.  Returns (level index, row) pairs in the order kept;
-    the first d rows span the dimension-d member of the complete flag that
-    refines the chain.
+    that raises the rank is kept: level by level, the rows that extend the
+    span of the deeper levels.  Returns (level index, row) pairs in the
+    order kept; the first d rows span the dimension-d member of the
+    complete flag that refines the chain.
     """
     if not chain:
         raise ValueError("chain must contain at least the ambient space")

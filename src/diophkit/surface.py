@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MAX_BLOWUPS = 3
+PROBE_STEP = Fraction(1, 100)  # seshadri_report's witness is for gamma + this
 
 
 class SurfaceError(ValueError):
@@ -266,21 +267,18 @@ class SurfaceModel:
         self._check(D)
         if not D.is_integral:
             raise UnsupportedClassError("section counts need integral classes")
-        budget = int(D.dot(self.ample_probe)) * 4 + 64
-        for _ in range(budget):
+        # every negative curve C has C.ample_probe >= 1, so each stripped
+        # component lowers the integer D.ample_probe and the loop ends
+        while True:
             if D.is_zero:
                 return 1
-            if D.dot(self.ample_probe) <= 0 or D.dot(self.H) < 0:
-                return 0
-            moving = next((C for C in self.test_curves
-                           if C.dot(C) >= 0 and D.dot(C) < 0), None)
-            if moving is not None:
+            if D.dot(self.ample_probe) <= 0 or any(
+                    C.dot(C) >= 0 and D.dot(C) < 0 for C in self.test_curves):
                 return 0
             fixed = next((C for C in self.neg_curves if D.dot(C) < 0), None)
             if fixed is None:
                 return int(self.chi(D))
             D = D - fixed
-        raise UnsupportedClassError("base-component reduction did not terminate")
 
     def seshadri(self, A, D):
         """sup of gamma with A - gamma*D nef, for nef A; math.inf if the
@@ -294,14 +292,14 @@ class SurfaceModel:
                   for C in self.test_curves if D.dot(C) > 0]
         return min(ratios) if ratios else math.inf
 
-    def seshadri_report(self, A, D, probe_step=Fraction(1, 100)):
+    def seshadri_report(self, A, D):
         gamma = self.seshadri(A, D)
         if isinstance(gamma, float) and math.isinf(gamma):
             return SeshadriReport(math.inf, (), True, None, None)
         tight = tuple(C for C in self.test_curves
                       if D.dot(C) > 0 and A.dot(C) == gamma * D.dot(C))
         nef_at, _ = self.is_nef(A - gamma * D)
-        fail_gamma = gamma + Fraction(probe_step)
+        fail_gamma = gamma + PROBE_STEP
         _, witness = self.is_nef(A - fail_gamma * D)
         return SeshadriReport(gamma, tight, nef_at, fail_gamma, witness)
 
@@ -331,6 +329,14 @@ def h0_terms(model, A, D, N):
     """Section counts h^0(N*A - m*D) for m = 1, 2, ... up to the first zero."""
     if isinstance(N, bool) or not isinstance(N, int) or N <= 0:
         raise ValueError("N must be a positive integer")
+    # the rays of the nef cone for k <= 3; when D.P > 0 for one of them,
+    # (N A - m D).P < 0 for m large, so a zero term comes
+    H, E = model.H, model.exceptional
+    rays = [H] + [H - e for e in E]
+    if model.k == 3:
+        rays.append(2 * H - E[0] - E[1] - E[2])
+    if all(D.dot(P) <= 0 for P in rays):
+        raise UnsupportedClassError("-D is pseudo-effective, so no term vanishes")
     return terms_until_zero(lambda m: model.zariski_h0(N * A - m * D))
 
 

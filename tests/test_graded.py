@@ -112,6 +112,16 @@ class TestFiltrationIdealDims:
         Ys = [sub("a", ["x0"], 2), sub("b", ["x1"], 2)]
         assert graded_dim_filtration_ideal(Ys, (1, 1), 0, 3) == dim_full(3, 1)
 
+    def test_negative_degree_is_zero_on_every_route(self):
+        normalized = [sub("a", ["x0"], 2)]
+        generic = [sub("C", ["x0*x2 - x1^2"], 3), sub("L", ["x0 + x1"], 3)]
+        assert normalize(normalized) is not None and normalize(generic) is None
+        for Ys in (normalized, generic):
+            for x in (0, 1, Fraction(5, 2)):
+                assert graded_dim_filtration_ideal(Ys, (1,) * len(Ys), x, -1) == 0
+            with pytest.raises(ValueError):
+                graded_dim_filtration_ideal(Ys, (1,) * len(Ys), -1, -1)
+
     def test_two_points_on_line(self):
         Ys = [sub("a", ["x0"], 2), sub("b", ["x1"], 2)]
         assert graded_dim_filtration_ideal(Ys, (1, 1), 2, 3) == 4

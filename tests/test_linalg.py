@@ -18,7 +18,6 @@ from diophkit.linalg import (
     RowSpace,
     adapted_cells,
     chain_basis,
-    extend_basis,
     in_span,
     inverse,
     nullspace,
@@ -248,25 +247,6 @@ class TestAgainstOracle:
                 inverse(rows)
         else:
             assert inverse(rows) == expected
-
-
-class TestSpaceOperations:
-    def test_extend_basis(self):
-        pool = frac_rows([(1, 1, 0), (1, 0, 0), (0, 0, 1)])
-        chosen, full = extend_basis(pool, rref([(1, 1, 0)]))
-        assert len(chosen) == 2 and len(full) == 3
-
-    def test_extend_basis_matches_rref_per_vector(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            width = rng.randint(1, 5)
-            basis = rref([[rng.randint(-2, 2) for _ in range(width)]
-                          for _ in range(rng.randint(0, width))])
-            pool = [[rng.randint(-2, 2) for _ in range(width)]
-                    for _ in range(rng.randint(1, 6))]
-            chosen, full = extend_basis(pool, basis)
-            assert chosen == adapted_oracle.extend_basis(pool, basis)[0]
-            assert full == oracle.rref(list(basis) + pool)
 
 
 class TestFlags:

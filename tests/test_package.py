@@ -117,6 +117,20 @@ class TestPublicNames:
                   and (module, name) not in traced and name not in used]
         assert unused == []
 
+    def test_only_filtration_counts_order_vectors(self):
+        """Every graded dimension is read off filtration.build_profile, so
+        the fast-path test and the order-vector count have one caller."""
+        callers = set()
+        for path in (SRC / "diophkit").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else \
+                        getattr(func, "attr", None)
+                    if name in ("normalize", "order_vector"):
+                        callers.add(path.name)
+        assert callers == {"filtration.py"}
+
 
 # standard modules a command line should load only when it needs them
 WATCHED = ("csv", "json", "dataclasses", "inspect")

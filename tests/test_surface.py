@@ -9,7 +9,11 @@ the special systems where naive conditions undercount.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,18 @@ class TestZariskiH0:
         D = parse_class("2H - 2E1 - 2E2")
         assert model.zariski_h0(D) == 1
 
+    def test_classes_far_outside_the_effective_cone(self):
+        # the sweep reaches D.ample_probe = -18 (-6H - 6E1 on k = 1), far
+        # outside the effective cone
+        assert SurfaceModel(1).zariski_h0(parse_class("-6H - 6E1")) == 0
+        for k in range(4):
+            model = SurfaceModel(k)
+            for a in range(-6, 7):
+                for e in itertools.product((-6, -3, 0, 3, 6), repeat=k):
+                    mults = tuple(-c for c in e) + (0,) * (3 - k)
+                    D = PicardClass(a, e)
+                    assert model.zariski_h0(D) == oracle_h0(a, mults), (a, e)
+
     def test_exceptional_curve_sections(self):
         model = SurfaceModel(3)
         assert model.zariski_h0(parse_class("E1", k=3)) == 1
@@ -249,6 +265,12 @@ class TestTruncatedBeta:
         assert all(t > 0 for t in terms)
         assert terms[0] > terms[-1]
 
+    def test_terms_end_when_D_meets_one_nef_ray(self):
+        # D.H = D.(H - E_i) = 0, but D.(2H - E1 - E2 - E3) = 2
+        model = three_point_blowup()
+        D = parse_class("-2H + 2E1 + 2E2 + 2E3")
+        assert h0_terms(model, model.H, D, 1) == (1,)
+
     def test_min_so_far_monotone_toward_closed_form(self):
         model = three_point_blowup()
         A = weighted_lines_class(1)
@@ -279,3 +301,30 @@ class TestComparison:
             rep = compare_beta_seshadri(model, weighted_lines_class(l),
                                         strict_transform_line(1), r=1, n=2)
             assert rep.beta >= Fraction(3 * l, 4)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv):
+    """The command line in a fresh interpreter, stopped after 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "diophkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestBetaSurfaceCommand:
+    # -D pseudo-effective: no term h^0(N A - m D) is ever 0, so the terms
+    # are refused up front; in a subprocess, since a missing guard loops
+    @pytest.mark.parametrize("A,D,k", [("H", "-E1", "1"), ("2H - E1", "E1 - H", "1"),
+                                       ("H", "-H", "3"), ("H", "0", "0")])
+    def test_anti_effective_D_is_an_error(self, A, D, k):
+        proc = run_cli("beta-surface", "--A", A, "--D=" + D, "--k", k, "--N", "2")
+        assert proc.returncode == 1
+        assert "pseudo-effective" in proc.stderr
+
+    def test_D_with_zero_probe_degree(self):
+        proc = run_cli("beta-surface", "--A", "4H - E1", "--D", "H - 2E1",
+                       "--N", "1")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[1] == "terms = 10,6,3,1"
