@@ -16,14 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .filtration import build_profile
-from .graded import (
-    CatalogError,
-    _linear_rows,
-    common_support_dim,
-    dim_full,
-    terms_until_zero,
-)
+from .filtration import _power_terms
+from .graded import _linear_rows, dim_full
 
 __all__ = [
     "BetaReport",
@@ -65,21 +59,8 @@ def _validate_level(d, N):
 
 def ideal_power_terms(Y, degree):
     """h^0 of the powers I_Y^m in the given degree, m = 1.. first zero.
-
-    With the single weight 1 the filtration piece at x = m is I_Y^m, so one
-    profile carries every term.
-
-    An empty Y has the ideal sheaf O_X, so no term h^0(O(D) . I_Y^m)
-    vanishes and beta is not finite: that raises ValueError.  A support
-    outside ``common_support_dim``'s catalog is not checked."""
-    try:
-        empty = common_support_dim([Y]) is None
-    except CatalogError:
-        empty = False
-    if empty:
-        raise ValueError("subscheme %r is empty, so no term vanishes and beta "
-                         "is not finite" % Y.label)
-    return terms_until_zero(build_profile([Y], (1,), degree).dim_at)
+    An empty Y raises ValueError: no term vanishes and beta is not finite."""
+    return _power_terms(Y, degree)
 
 
 def beta_truncated(Y, d, N):
@@ -95,7 +76,7 @@ def beta_blowup_crosscheck(Y, d, N):
     """Same terms computed twice for a reduced point in the plane: once in
     the graded ring, once as section counts of d N H - m E on the one-point
     blow-up.  They must agree term by term."""
-    from .surface import SurfaceModel
+    from .surface import SurfaceModel, h0_terms
 
     _validate_level(d, N)
     if Y.nvars != 3:
@@ -106,7 +87,7 @@ def beta_blowup_crosscheck(Y, d, N):
         raise ValueError("generators must cut a single reduced point")
     terms = ideal_power_terms(Y, d * N)
     model = SurfaceModel(1)
-    blowup = terms_until_zero(lambda m: model.zariski_h0(d * N * model.H - m * model.E(1)))
+    blowup = h0_terms(model, model.H, model.E(1), d * N)
     denominator = N * dim_full(d * N, Y.n)
     return CrosscheckReport(terms, blowup,
                             Fraction(sum(terms), denominator))

@@ -160,8 +160,7 @@ def _run_beta_surface(args):
     A = surface.parse_class(args.A)
     D = surface.parse_class(args.D)
     model, (A, D) = _model_for(args, A, D)
-    value = surface.beta_surface_truncated(model, A, D, args.N)
-    terms = surface.h0_terms(model, A, D, args.N)
+    value, terms = surface._beta_surface_terms(model, A, D, args.N)
     _emit(args.output, {"N": args.N, "value": value, "terms": terms},
           text=["beta_trunc = " + fmt_rat(value),
                 "terms = " + ",".join(map(str, terms))])

@@ -360,7 +360,7 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
 
     total = skipped = excluded = evaluated = zero_height = 0
     violations = []
-    low_hits = []
+    low_hits = 0
     rows = [] if keep_rows else None
     best = None
     best_ratio = None
@@ -412,14 +412,14 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                 if H >= config.min_height_norm:
                     violations.append(row)
                 else:
-                    low_hits.append(row)
+                    low_hits += 1
             if ratio is not None and (best_ratio is None or ratio > best_ratio):
                 best = row
                 best_ratio = ratio
             if keep_rows:
                 rows.append(row)
     return ScanReport(total, skipped, excluded, evaluated, zero_height,
-                      len(low_hits), tuple(violations), best,
+                      low_hits, tuple(violations), best,
                       None if rows is None else tuple(rows))
 
 

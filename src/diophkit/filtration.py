@@ -6,15 +6,17 @@ jump values and dimensions of this step function; its normalized integral
 F(t) is the quantity the concavity bound controls.  Dimensions are exact
 and jump values are Fractions throughout.
 
-Inputs that ``graded.normalize`` accepts are counted monomial by monomial:
-the weights are scaled to integers once, each monomial gets an integer
-level, and the dimensions are running sums of one histogram of the levels.
-A profile without bases of one complete intersection (the generators a
-regular sequence with nonempty support, ``complete_intersection_degrees``)
-is a sum of binomials.  Every other input takes one pass: the values t.b
-of the b that can reach degree N are walked downwards, each adding the
-generating rows of its own products to one integer row space, and the
-rank after a value is the dimension there.  Ideal powers are the case of one subscheme with weight 1.
+Profiles without bases are counted where they can be: on inputs that
+``graded.normalize`` accepts the dimensions are running sums of one
+histogram of integer monomial levels, and one complete intersection (the
+generators a regular sequence with nonempty support,
+``complete_intersection_degrees``) is a sum of binomials.  Every other
+profile, and every mu value, is read off one downward walk of (x, row
+space) pairs (``_walk``) in which each value adds only its own rows: the
+images of its monomials under the change of coordinates for normalized
+inputs, the generating rows of its own products for the rest.  The rank
+after a value is the dimension there.  Ideal powers are the case of one
+subscheme with weight 1.
 
 Rows are integers end to end.  A generator has its denominators cleared
 once, products are integer polynomials on packed exponents
@@ -272,53 +274,34 @@ def _monomial_images(A, N):
 def build_profile(Ys, t, N, with_bases=False):
     """Exact jump profile of the weighted filtration on degree-N forms."""
     Ys, t = _validate_inputs(Ys, t, N)
-    norm = normalize(Ys)
-    if norm is None:
-        if len(Ys) == 1 and not with_bases:
-            degrees = complete_intersection_degrees(Ys[0])
-            if degrees is not None:
-                return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
-        return _generic_profile(Ys, t, N, with_bases)
-    groups, A = norm
     nvars = Ys[0].nvars
-    monos = monomial_exponents(N, nvars)
-    # one histogram of the integer levels T.o(e), as buckets of monomial
-    # indices; level 0 is always a value, possibly with an empty bucket
+    if with_bases:
+        return _walk_profile(_walk(Ys, t, N), nvars, N, True)
+    norm = normalize(Ys)
+    if norm is not None:
+        # the dimension at a level is the number of monomials at or above it
+        L, buckets = _level_buckets(norm[0], t, N, nvars)
+        levels = sorted(buckets, reverse=True)
+        dims = itertools.accumulate(len(buckets[v]) for v in levels)
+        pairs = [(Fraction(v, L), d) for v, d in zip(levels, dims)]
+        return _profile_from_pairs(pairs[::-1], nvars, N, pairs[-1][1])
+    if len(Ys) == 1:
+        degrees = complete_intersection_degrees(Ys[0])
+        if degrees is not None:
+            return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
+    return _generic_profile(Ys, t, N)
+
+
+def _level_buckets(groups, t, N, nvars):
+    """(L, buckets): the histogram of the integer levels L t.o(e) of the
+    degree-N monomials e, as buckets of monomial indices in column order.
+    Level 0 is always a key, possibly with an empty bucket."""
     L, T = _integer_weights(t)
     buckets = {0: []}
-    for i, e in enumerate(monos):
+    for i, e in enumerate(monomial_exponents(N, nvars)):
         level = sum(w * o for w, o in zip(T, order_vector(e, groups)))
         buckets.setdefault(level, []).append(i)
-    if A is None:
-        # distinct unit rows in column order already are the rref
-        units = linalg._unit_rows(len(monos)) if with_bases else None
-        live = []
-    elif with_bases:
-        # the images of the monomials enter one reduced echelon form,
-        # deepest level first
-        images = _monomial_images(A, N)
-        space = linalg.RowSpace(len(monos))
-    pairs = []
-    bases = [] if with_bases else None
-    count = 0
-    for v in sorted(buckets, reverse=True):
-        bucket = buckets[v]
-        count += len(bucket)
-        pairs.append((Fraction(v, L), count))
-        if not with_bases:
-            continue
-        if A is None:
-            live.extend(bucket)
-            live.sort()
-            bases.append(tuple(units[i] for i in live))
-        else:
-            for i in bucket:
-                space.add(images[i])
-            bases.append(space.rref())
-    pairs.reverse()
-    if with_bases:
-        bases.reverse()
-    return _profile_from_pairs(pairs, nvars, N, len(monos), bases)
+    return L, buckets
 
 
 def _complete_intersection_profile(degrees, n, w, N):
@@ -407,22 +390,48 @@ def _level_spaces(Ys, t, N):
             return
 
 
-def _generic_profile(Ys, t, N, with_bases=False):
-    """The same profile by one incremental elimination, for subschemes that
-    ``normalize`` does not accept.  A value whose rows raise the rank is the
-    end of a run of equal dimensions, so it is a jump."""
-    nvars = Ys[0].nvars
+def _image_spaces(groups, A, t, N):
+    """The walk of ``_level_spaces`` for inputs ``normalize`` accepts.  In
+    the variables y = A x the piece at x is spanned by the y^e whose level
+    t.o(e) is at least x, so each level of the histogram adds the images of
+    its own monomials."""
+    L, buckets = _level_buckets(groups, t, N, len(A))
+    images = _monomial_images(A, N)
+    space = linalg.RowSpace(len(images))
+    for v in sorted(buckets, reverse=True):
+        if v == 0:
+            return
+        for i in buckets[v]:
+            space.add(images[i])
+        yield Fraction(v, L), space
+
+
+def _walk(Ys, t, N):
+    """The downward walk of (x, space) pairs over the values x > 0, with
+    ``space`` spanning the filtration piece at x: monomial images for the
+    inputs ``normalize`` accepts, generator products for the rest."""
+    norm = normalize(Ys)
+    if norm is None:
+        return _level_spaces(Ys, t, N)
+    return _image_spaces(*norm, t, N)
+
+
+def _walk_profile(spaces, nvars, N, with_bases):
+    """The profile read off a downward walk: the rank after each value, and
+    with bases its reduced echelon form; the piece at 0 is the whole space."""
     ambient = dim_full(N, nvars - 1)
-    ends = []
-    for x, space in _level_spaces(Ys, t, N):
-        if not ends or space.rank > ends[-1][1]:
-            basis = space.rref() if with_bases else None
-            ends.append((x, space.rank, basis))
-    ends.append((Fraction(0), ambient, linalg._unit_rows(ambient) if with_bases else None))
-    ends.reverse()
-    pairs = [(x, d) for x, d, _ in ends]
-    bases = [basis for _, _, basis in ends] if with_bases else None
-    return _profile_from_pairs(pairs, nvars, N, ambient, bases)
+    steps = [(x, space.rank, space.rref() if with_bases else None)
+             for x, space in spaces]
+    steps.append((Fraction(0), ambient, linalg._unit_rows(ambient) if with_bases else None))
+    steps.reverse()
+    bases = [basis for _, _, basis in steps] if with_bases else None
+    return _profile_from_pairs([(x, d) for x, d, _ in steps], nvars, N, ambient, bases)
+
+
+def _generic_profile(Ys, t, N, with_bases=False):
+    """The profile from the product-row walk, for subschemes that
+    ``normalize`` rejects, and the oracle of those it accepts."""
+    return _walk_profile(_level_spaces(Ys, t, N), Ys[0].nvars, N, with_bases)
 
 
 def mu_value(s, Ys, t):
@@ -432,22 +441,19 @@ def mu_value(s, Ys, t):
     Ys, t = _validate_inputs(Ys, t, s.degree)
     if s.nvars != Ys[0].nvars:
         raise FormError("form and subschemes live in different ambient spaces")
-    norm = normalize(Ys)
-    if norm is None:
-        return _generic_mu(s, Ys, t)
-    groups, A = norm
-    if A is not None:
-        s = s.substitute(_linear_forms(linalg.inverse(A)))
-    return min(sum(w * o for w, o in zip(t, order_vector(e, groups)))
-               for e in s.support())
+    return _walk_mu(s, _walk(Ys, t, s.degree))
 
 
 def _generic_mu(s, Ys, t):
-    """mu from the same downward walk: the first value whose filtration
-    piece holds s."""
+    """mu from the product-row walk."""
+    return _walk_mu(s, _level_spaces(Ys, t, s.degree))
+
+
+def _walk_mu(s, spaces):
+    """The first value of a downward walk whose filtration piece holds s."""
     columns = {e: i for i, e in enumerate(monomial_exponents(s.degree, s.nvars))}
     vec = s.coeff_vector(columns)
-    for x, space in _level_spaces(Ys, t, s.degree):
+    for x, space in spaces:
         if vec in space:
             return x
     return Fraction(0)
@@ -540,6 +546,21 @@ def common_adapted_basis(first, second):
     return view_f, view_g
 
 
+def _power_terms(Y, N):
+    """h^0 of the powers I_Y^m in degree N, m = 1.. first zero, all read
+    off the profile of Y with weight 1.  An empty Y has the ideal sheaf
+    O_X, so no term vanishes: that raises ValueError.  A support outside
+    ``common_support_dim``'s catalog is not checked."""
+    try:
+        empty = common_support_dim([Y]) is None
+    except CatalogError:
+        empty = False
+    if empty:
+        raise ValueError("subscheme %r is empty, so no term vanishes and beta "
+                         "is not finite" % Y.label)
+    return terms_until_zero(build_profile([Y], (1,), N).dim_at)
+
+
 class BoundReport:
     def __init__(self, lhs, rhs, per_subscheme, hypotheses_met):
         self.lhs, self.rhs = lhs, rhs
@@ -582,11 +603,9 @@ def concavity_bound(Ys, betas, t, N):
     if sum(b * w for b, w in zip(betas, t)) != 1:
         raise ValueError("weights must satisfy sum_i beta_i t_i = 1")
 
+    terms = [_power_terms(Y, N) for Y in Ys]
     lhs = F_value(build_profile(Ys, t, N))
     ambient = dim_full(N, Ys[0].nvars - 1)
-    per = []
-    for Y, b in zip(Ys, betas):
-        total = sum(terms_until_zero(build_profile([Y], (1,), N).dim_at))
-        per.append(Fraction(total, ambient) / b)
+    per = [Fraction(sum(ts), ambient) / b for ts, b in zip(terms, betas)]
     rhs = min(per)
     return BoundReport(lhs, rhs, tuple(per), _hypotheses_met(Ys))

@@ -69,7 +69,7 @@ class CatalogError(ValueError):
 class Subscheme:
     """A closed subscheme of P^(nvars-1) given by homogeneous generators."""
 
-    def __init__(self, label, generators, codim_hint=None):
+    def __init__(self, label, generators):
         gens = tuple(generators)
         if not gens:
             raise ValueError("a subscheme needs at least one generator")
@@ -82,7 +82,7 @@ class Subscheme:
                 raise ValueError("degree-0 generator would make the ideal the unit ideal")
         if len({g.nvars for g in gens}) != 1:
             raise ValueError("generators must share one ambient space")
-        self.label, self.generators, self.codim_hint = label, gens, codim_hint
+        self.label, self.generators = label, gens
 
     def __eq__(self, other):
         return type(other) is Subscheme and vars(self) == vars(other)
@@ -234,18 +234,19 @@ def coordinate_groups(Ys):
 def normalize(Ys):
     """Coordinate-monomial form of the subschemes, or None.
 
-    Returns ``(groups, A)``.  ``groups`` has one tuple of (variable,
-    exponent) pairs per subscheme, as from ``coordinate_groups``.  ``A`` is
-    None when the generators already are coordinate monomials.  Otherwise
-    every generator is linear, and A is an invertible matrix whose first
-    rows are bases of the subschemes' generator spans, stacked in order and
-    padded with unit rows; in the new variables y = A x subscheme i is cut
-    by the consecutive block ``groups[i]`` of y's.  Returns None when the
-    generators are neither, or when the stacked bases are dependent.
+    Returns ``(groups, A)`` with A an invertible matrix: in the variables
+    y = A x the generators of subscheme i are the coordinate monomials
+    ``groups[i]`` of (variable, exponent) pairs.  A is the identity when the
+    generators already are coordinate monomials (``coordinate_groups``).
+    Otherwise every generator is linear, the first rows of A are bases of
+    the subschemes' generator spans, stacked in order and padded with unit
+    rows, and subscheme i is cut by a consecutive block of y's.  Returns
+    None when the generators are neither, or when the stacked bases are
+    dependent.
     """
     groups = coordinate_groups(Ys)
     if groups is not None:
-        return groups, None
+        return groups, linalg._unit_rows(Ys[0].nvars)
     if any(g.degree != 1 for Y in Ys for g in Y.generators):
         return None
     groups = []
@@ -441,10 +442,6 @@ def check_general_position(Ys):
         raise ValueError("need at least one subscheme")
     n = Ys[0].n
     codims = [_subscheme_codim(Y) for Y in Ys]
-    for Y, hint, codim in zip(Ys, [Y.codim_hint for Y in Ys], codims):
-        if hint is not None and codim != math.inf and hint != codim:
-            raise CatalogError(f"codim hint {hint} for {Y.label!r} disagrees "
-                               f"with computed codimension {codim}")
     for size in range(1, len(Ys) + 1):
         for subset in itertools.combinations(range(len(Ys)), size):
             d = common_support_dim([Ys[i] for i in subset])

@@ -5,8 +5,8 @@ is one engine: ``RowSpace`` keeps an integer echelon form, grown row by row
 by fraction-free elimination, so entries stay integral, for callers that
 need the rank after every batch; its ``rref`` keeps the reduced echelon
 basis up to date incrementally, for callers that need a basis after every
-batch.  ``rank``, ``rref``, span tests, kernels and inverses are read off
-the space of their rows.
+batch.  ``rank``, ``rref``, span tests and kernels are read off the space
+of their rows.
 
 Bases adapted to filtrations come from the same growing space: a chain's
 levels walked deepest first keep exactly the rows that refine it to a
@@ -26,7 +26,6 @@ __all__ = [
     "rref",
     "in_span",
     "nullspace",
-    "inverse",
     "chain_basis",
     "adapted_cells",
 ]
@@ -115,12 +114,14 @@ class RowSpace:
         snapshot after every batch of rows costs one reduction per new row;
         reduced rows that a batch leaves alone are shared between
         snapshots."""
+        zero = Fraction(0)
         for col, row in self._pivots.items():
             if col in self._reduced:
                 continue
             # zero before col, so the reduced rows pivoting after col cannot
-            # touch its leading 1, and those pivoting before it do not apply
-            vec = [Fraction(a, row[col]) for a in row]
+            # touch its leading 1, and those pivoting before it do not apply;
+            # the zero entries share one Fraction
+            vec = [Fraction(a, row[col]) if a else zero for a in row]
             for c, red in self._reduced.items():
                 f = vec[c]
                 if f:
@@ -188,15 +189,6 @@ def nullspace(rows):
             vec[p] = -row[free]
         out.append(tuple(vec))
     return tuple(out)
-
-
-def inverse(rows):
-    """Inverse of an invertible square matrix, from the rref of [A | I]."""
-    n = len(rows)
-    space = _span([tuple(row) + unit for row, unit in zip(rows, _unit_rows(n))])
-    if sorted(space._pivots) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in space.rref())
 
 
 def chain_basis(chain, width):

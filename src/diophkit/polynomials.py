@@ -86,10 +86,6 @@ class HomogeneousForm:
     def one(cls, nvars):
         return cls(nvars, 0, {(0,) * nvars: Fraction(1)})
 
-    @classmethod
-    def from_string(cls, text, nvars=None):
-        return parse_form(text, nvars=nvars)
-
     @property
     def is_zero(self):
         return not self.terms
@@ -97,9 +93,6 @@ class HomogeneousForm:
     @property
     def is_monomial(self):
         return len(self.terms) == 1
-
-    def support(self):
-        return tuple(sorted(self.terms))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))

@@ -342,10 +342,16 @@ def h0_terms(model, A, D, N):
 
 def beta_surface_truncated(model, A, D, N):
     """Truncated expansion sum_m h^0(N A - m D) / (N h^0(N A)), exact."""
+    return _beta_surface_terms(model, A, D, N)[0]
+
+
+def _beta_surface_terms(model, A, D, N):
+    """(``beta_surface_truncated``, ``h0_terms``), each count made once."""
     denom = N * model.zariski_h0(N * A)
     if denom == 0:
         raise UnsupportedClassError("reference class has no sections")
-    return Fraction(sum(h0_terms(model, A, D, N)), denom)
+    terms = h0_terms(model, A, D, N)
+    return Fraction(sum(terms), denom), terms
 
 
 def compare_beta_seshadri(model, A, D, r, n, N=None):

@@ -112,6 +112,20 @@ class TestSubcommands:
         assert code == 0
         assert out.splitlines()[0] == "beta_trunc = 1/3 (0.333333333333)"
 
+    def test_beta_surface_counts_each_section_once(self, capsys, monkeypatch):
+        # h^0(6 A) once, then h^0(6 A - m D) for m = 1..19, the last zero
+        from diophkit.surface import SurfaceModel
+
+        calls = []
+        count = SurfaceModel.zariski_h0
+        monkeypatch.setattr(SurfaceModel, "zariski_h0",
+                            lambda self, D: calls.append(D) or count(self, D))
+        code, out, _ = run(capsys, "beta-surface", "--A", "4H - E1 - E2 - E3",
+                           "--D", "H - E1", "--N", "6")
+        assert code == 0
+        assert len(calls) == 20
+        assert len(set(map(str, calls))) == 20
+
     def test_seshadri_certificates(self, capsys):
         code, out, _ = run(capsys, "seshadri", "--A", "4H - E1 - E2 - E3",
                            "--D", "H - E1")
@@ -183,11 +197,13 @@ class TestExitCodes:
     # P^1 (the space inferred from x0, x1): the ideal sheaf is O_X, no term
     # vanishes, and beta is not finite
     @pytest.mark.parametrize("argv", [
-        ["--space", "P2", "--ideal", "x0,x1,x2", "--N", "3"],
-        ["--ideal", "x0,x1", "--N", "3"],
-    ], ids=["P2", "inferred-P1"])
+        ["beta", "--space", "P2", "--ideal", "x0,x1,x2", "--N", "3"],
+        ["beta", "--ideal", "x0,x1", "--N", "3"],
+        ["concavity-test", "--space", "P2", "--ideals", "x0,x1,x2;x0",
+         "--betas", "1/3,1", "--weights", "3/2,1/2", "--N", "3"],
+    ], ids=["P2", "inferred-P1", "concavity-test"])
     def test_empty_subscheme_is_one(self, capsys, argv):
-        code, out, err = run(capsys, "beta", *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == ("error: subscheme 'Y1' is empty, so no term vanishes "

@@ -228,6 +228,14 @@ class TestConcavityBound:
         with pytest.raises(ValueError):
             concavity_bound([LINE_P2], (Fraction(1, 3),), (1,), 5)
 
+    def test_empty_subscheme_raises(self):
+        # the coordinate lines of P^2 meet nowhere: the ideal sheaf is O_X,
+        # so no term vanishes and the bound's sum is not finite
+        empty = sub("E", ["x0", "x1", "x2"], 3)
+        with pytest.raises(ValueError, match="'E' is empty"):
+            concavity_bound([empty, LINE_P2], (Fraction(1, 3), 1),
+                            (Fraction(3, 2), Fraction(1, 2)), 3)
+
     def test_degenerate_weight_gives_equality(self):
         # t = e_1 / beta_1 collapses the bound to the scaling identity
         beta = Fraction(2, 3)

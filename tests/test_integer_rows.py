@@ -22,13 +22,15 @@ from diophkit.beta import ideal_power_terms
 from diophkit.cli import _parse_subschemes
 from diophkit.filtration import (
     _Monomials,
+    _generic_mu,
     _monomial_images,
     _piece_rows,
     build_profile,
     common_adapted_basis,
+    mu_value,
 )
-from diophkit.graded import Subscheme, normalize
-from diophkit.polynomials import HomogeneousForm, monomial_exponents
+from diophkit.graded import Subscheme, coordinate_groups, normalize
+from diophkit.polynomials import HomogeneousForm, monomial_exponents, parse_form
 from sweep_oracle import sweep_profile
 from test_golden import CASES as GOLDEN_CASES
 
@@ -91,7 +93,8 @@ def test_histogram_equals_sweep(name, with_bases):
 def test_linear_cases_change_coordinates():
     for name in ("p2_lines", "p2_lines_zero_weight", "p3_line_and_plane",
                  "p3_point_ties"):
-        assert normalize(NORMALIZED[name][0])[1] is not None, name
+        Ys = NORMALIZED[name][0]
+        assert coordinate_groups(Ys) is None and normalize(Ys) is not None, name
 
 
 def test_triangle_has_an_empty_level_zero():
@@ -227,13 +230,18 @@ def test_profile_paths_use_no_fraction_route(monkeypatch):
                 build_profile(conic_and_line, weights(1, "1/2"), 4, True)]
     pair = (build_profile(lines, t, 3, True), build_profile(lines, t2, 3, True))
     want_pair = common_adapted_basis(*pair)
+    coordinate = [sub("a", ["x0^2"], 3), sub("b", ["x1"], 3)]
+    forms = [parse_form(f, nvars=3) for f in
+             ("x0^2*x1^2 + x0*x1*x2^2", "x0^4 - 3*x1^2*x2^2", "x2^4", "x0^3*x1")]
+    mu_cases = [(s, Ys, w) for s in forms
+                for Ys, w in ((lines, t), (coordinate, weights(1, "1/2")))]
+    want_mu = [_generic_mu(s, Ys, w) for s, Ys, w in mu_cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fraction route ran on a profile path")
 
     monkeypatch.setattr(HomogeneousForm, "__mul__", forbidden)
     monkeypatch.setattr(HomogeneousForm, "substitute", forbidden)
-    monkeypatch.setattr(linalg, "inverse", forbidden)
     # the images under y = A x are memoized; build them again under the guard
     filtration._monomial_images.cache_clear()
     got = [build_profile(lines, t, 4, True),
@@ -244,3 +252,4 @@ def test_profile_paths_use_no_fraction_route(monkeypatch):
     got_pair = common_adapted_basis(*pair)
     assert [(v.elements, v.mu_values) for v in got_pair] == \
         [(v.elements, v.mu_values) for v in want_pair]
+    assert [mu_value(s, Ys, w) for s, Ys, w in mu_cases] == want_mu

@@ -1,7 +1,7 @@
 """Fraction-free ranks, kernels, and bases adapted to one or two chains.
 
-Ranks, reduced echelon bases, span tests, kernels and inverses all come
-from ``RowSpace``; they are checked against the Bareiss and Gauss-Jordan
+Ranks, reduced echelon bases, span tests and kernels all come from
+``RowSpace``; they are checked against the Bareiss and Gauss-Jordan
 eliminations of ``elimination_oracle``, which share no code with it.
 """
 
@@ -19,7 +19,6 @@ from diophkit.linalg import (
     adapted_cells,
     chain_basis,
     in_span,
-    inverse,
     nullspace,
     rank,
     rref,
@@ -62,19 +61,6 @@ def adapted(vectors, chain):
     as its dimension; with independent vectors, those span it."""
     return all(sum(in_span(v, level) for v in vectors) == len(level)
                for level in chain)
-
-
-class TestInverse:
-    def test_product_is_identity(self):
-        A = frac_rows([[1, 2, 0], [0, 1, Fraction(1, 2)], [3, 0, 1]])
-        B = inverse(A)
-        for i in range(3):
-            for j in range(3):
-                assert sum(A[i][k] * B[k][j] for k in range(3)) == int(i == j)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            inverse(frac_rows([[1, 2], [2, 4]]))
 
 
 class TestRank:
@@ -207,7 +193,6 @@ class TestAgainstOracle:
         assert rref([]) == oracle.rref([]) == ()
         assert rank([(0, 0, 0)]) == 0 and rref([(0, 0, 0)]) == ()
         assert in_span((0, 0), ()) and not in_span((0, 1), ())
-        assert inverse([]) == oracle.inverse([]) == ()
         with pytest.raises(ValueError):
             nullspace([])
 
@@ -236,17 +221,6 @@ class TestAgainstOracle:
     @given(matrices(min_rows=1))
     def test_nullspace(self, rows):
         assert nullspace(rows) == oracle.nullspace(rows)
-
-    @given(st.integers(1, 4).flatmap(
-        lambda n: matrices(width=n, min_rows=n, max_rows=n)))
-    def test_inverse(self, rows):
-        try:
-            expected = oracle.inverse(rows)
-        except ValueError:
-            with pytest.raises(ValueError):
-                inverse(rows)
-        else:
-            assert inverse(rows) == expected
 
 
 class TestFlags:
