@@ -89,11 +89,11 @@ def _cell(v):
     return v
 
 
-def _emit(fmt, data, table=None, text=None, header=None):
+def _emit(fmt, data, table=None, text=None):
     """Write one result to stdout.  json dumps `data` (Fractions as strings);
-    csv writes `table`, else `data`: a dict or a list of dicts whose keys are
-    the header (`header` names the columns when there are no rows); text
-    prints the `text` lines, or the csv when there are none."""
+    csv writes `table`, else `data`: a dict or a nonempty list of dicts
+    whose keys are the header; text prints the `text` lines, or the csv
+    when there are none."""
     if fmt == "json":
         import json
         print(json.dumps(data, indent=2, default=str))
@@ -103,7 +103,7 @@ def _emit(fmt, data, table=None, text=None, header=None):
         if isinstance(rows, dict):
             rows = [rows]
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(list(rows[0]) if rows else header)
+        writer.writerow(list(rows[0]))
         writer.writerows([_cell(v) for v in row.values()] for row in rows)
     else:
         for line in text:
@@ -312,8 +312,16 @@ def _run_scan(args):
     if args.output == "json":
         _emit("json", report.to_json())
     elif args.output == "csv":
+        import csv
         rows = report.violations if report.rows is None else report.rows
-        _emit("csv", [vars(r) for r in rows], header=_SCAN_COLUMNS)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_SCAN_COLUMNS)
+        # the cells _cell would give, without a dict per row
+        writer.writerows((r.point, r.height_norm,
+                          ";".join(["%.12g" % m for m in r.proximities]),
+                          "%.12g" % r.lhs_log, "%.12g" % r.rhs_log,
+                          "" if r.ratio is None else "%.12g" % r.ratio,
+                          int(r.violated)) for r in rows)
     else:
         _emit("text", None, text=_scan_lines(report))
     return 3 if report.violations else 0
@@ -371,18 +379,17 @@ class _Parser(argparse.ArgumentParser):
                 glued.append(arg)
         return super().parse_known_args(glued, namespace)
 
+    # a root parser narrowed to one subcommand reports its errors through
+    # the full parser, whose usage line names every subcommand
+    narrowed = False
 
-def build_parser():
-    parser = _Parser(
-        prog="diophkit",
-        description="Exact invariants of polarized subschemes: expansion "
-                    "coefficients, filtrations, surface intersection theory, "
-                    "heights, and inequality scans.")
-    parser.add_argument("--output", choices=["text", "csv", "json"],
-                        default="text", help="output format (default text)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    def error(self, message):
+        if self.narrowed:
+            build_parser().error(message)
+        super().error(message)
 
-    p = sub.add_parser("beta", help="truncated expansion coefficient on P^n")
+
+def _beta_args(p):
     _space_arg(p)
     p.add_argument("--ideal", required=True,
                    help="comma-separated generators, e.g. 'x0,x1'")
@@ -392,89 +399,131 @@ def build_parser():
     p.add_argument("--n-max", type=int, help="emit a convergence table instead")
     p.add_argument("--crosscheck", action="store_true",
                    help="compare against blow-up section counts (plane point)")
-    p.set_defaults(func=_run_beta)
 
-    p = sub.add_parser("beta-surface",
-                       help="truncated expansion value from surface classes")
+
+def _beta_surface_args(p):
     p.add_argument("--A", required=True, help="reference class, e.g. '4H - E1 - E2 - E3'")
     p.add_argument("--D", required=True, help="divisor class, e.g. 'H - E1'")
     p.add_argument("--k", type=int, help="number of blown-up points (else inferred)")
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=_run_beta_surface)
 
-    p = sub.add_parser("seshadri", help="nef threshold with certificates")
+
+def _seshadri_args(p):
     p.add_argument("--A", required=True)
     p.add_argument("--D", required=True)
     p.add_argument("--k", type=int)
-    p.set_defaults(func=_run_seshadri)
 
-    p = sub.add_parser("filtration", help="jump profile of the weighted filtration")
+
+def _filtration_args(p):
     _space_arg(p)
     p.add_argument("--ideals", required=True,
                    help="subschemes split by ';', generators by ',': 'x0;x1,x2'")
     p.add_argument("--weights", type=_rat_list, required=True,
                    help="comma-separated rational weights")
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=_run_filtration)
 
-    p = sub.add_parser("adapted-basis",
-                       help="basis adapted to one or two weighted filtrations")
+
+def _adapted_basis_args(p):
     _space_arg(p)
     p.add_argument("--ideals", required=True)
     p.add_argument("--weights", type=_rat_list, required=True)
     p.add_argument("--weights2", type=_rat_list,
                    help="second weight vector for a common adapted basis")
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=_run_adapted_basis)
 
-    p = sub.add_parser("weil", help="local values of a subscheme at a point")
+
+def _weil_args(p):
     _space_arg(p)
     p.add_argument("--ideal", required=True)
     p.add_argument("--point", required=True, help="colon-separated, e.g. 2:3:1")
     p.add_argument("--place", help="single place: a prime or 'inf'")
     p.add_argument("--places", help="comma list like 'inf,2,3'")
-    p.set_defaults(func=_run_weil)
 
-    p = sub.add_parser("height", help="logarithmic height of a rational point")
+
+def _height_args(p):
     p.add_argument("--point", required=True)
-    p.set_defaults(func=_run_height)
 
-    p = sub.add_parser("scan", help="test the weighted inequality on sample points")
+
+def _scan_args(p):
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--four-lines", action="store_true",
                    help="use the built-in four-line configuration")
     p.add_argument("--bound", type=int, required=True,
                    help="coordinate bound for the sample")
     p.add_argument("--keep-rows", action="store_true")
-    p.set_defaults(func=_run_scan)
 
-    p = sub.add_parser("example5",
-                       help="closed-form vs Seshadri table for weighted lines")
+
+def _example5_args(p):
     p.add_argument("--l-max", type=int, required=True)
-    p.set_defaults(func=_run_example5)
 
-    p = sub.add_parser("check-position", help="codimension test for intersections")
+
+def _check_position_args(p):
     _space_arg(p)
     p.add_argument("--ideals", required=True)
-    p.set_defaults(func=_run_check_position)
 
-    p = sub.add_parser("concavity-test",
-                       help="both sides of the filtration lower bound")
+
+def _concavity_test_args(p):
     _space_arg(p)
     p.add_argument("--ideals", required=True)
     p.add_argument("--betas", type=_rat_list, required=True)
     p.add_argument("--weights", type=_rat_list, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=_run_concavity_test)
 
-    for child in sub.choices.values():
-        _common_args(child)
+
+# name: (help, arguments, runner), in the order the usage line lists them
+_COMMANDS = {
+    "beta": ("truncated expansion coefficient on P^n", _beta_args, _run_beta),
+    "beta-surface": ("truncated expansion value from surface classes",
+                     _beta_surface_args, _run_beta_surface),
+    "seshadri": ("nef threshold with certificates", _seshadri_args,
+                 _run_seshadri),
+    "filtration": ("jump profile of the weighted filtration",
+                   _filtration_args, _run_filtration),
+    "adapted-basis": ("basis adapted to one or two weighted filtrations",
+                      _adapted_basis_args, _run_adapted_basis),
+    "weil": ("local values of a subscheme at a point", _weil_args, _run_weil),
+    "height": ("logarithmic height of a rational point", _height_args,
+               _run_height),
+    "scan": ("test the weighted inequality on sample points", _scan_args,
+             _run_scan),
+    "example5": ("closed-form vs Seshadri table for weighted lines",
+                 _example5_args, _run_example5),
+    "check-position": ("codimension test for intersections",
+                       _check_position_args, _run_check_position),
+    "concavity-test": ("both sides of the filtration lower bound",
+                       _concavity_test_args, _run_concavity_test),
+}
+
+
+def build_parser(command=None):
+    """The full parser, or given a subcommand name one that knows only
+    that subcommand: it parses an argv starting with that name the same
+    way, and reports its own errors through the full parser."""
+    parser = _Parser(
+        prog="diophkit",
+        description="Exact invariants of polarized subschemes: expansion "
+                    "coefficients, filtrations, surface intersection theory, "
+                    "heights, and inequality scans.")
+    parser.add_argument("--output", choices=["text", "csv", "json"],
+                        default="text", help="output format (default text)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_args, run) in _COMMANDS.items():
+        if command is None or command == name:
+            p = sub.add_parser(name, help=text)
+            add_args(p)
+            p.set_defaults(func=run)
+            _common_args(p)
+    parser.narrowed = command is not None
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # an argv that starts with a subcommand needs only that subcommand's
+    # parser; any other shape (a root option first, -h, no or an unknown
+    # command) gets the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

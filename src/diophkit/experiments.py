@@ -14,10 +14,13 @@ the exceptional closed subset in the inequality.
 
 The decision is made in ints.  The generators g of each Y_i are compiled
 once over their least common denominator c, as g = G / c with every G
-integral.  These G, then those of every exclusion, form one flat list, so
-at a point x of height H one pass gives every G(x), and the support and
-exclusion tests read index spans of it.  Over the g with G(x) != 0, the
-product over S of the local norms of Y_i is
+integral.  These G, then those of every exclusion, form one flat list.
+The sample is walked a line at a time: fixing every coordinate but the
+last, t, makes each G a polynomial in t whose integer coefficients are
+computed once per line, and Horner's rule over the line's t gives every
+G(x) there.  The support and exclusion tests read index spans of the
+values at x.  Over the g with G(x) != 0, the product over S of the local
+norms of Y_i is
 
     Q_i = min_g c H^deg g / |G(x)|  *  prod_{p in S} p^(min_g ord_p G(x) - ord_p c).
 
@@ -204,23 +207,27 @@ def _check_sample(n, bound):
         raise ValueError("coordinate bound must be a positive integer")
 
 
-def _iter_points(n, bound):
-    """The points of sample_points, produced lazily in the same order.
+def _lines(n, bound):
+    """The sample a line at a time, in lexicographic order.
 
-    A canonical tuple is some zeros, a positive lead, then anything;
-    walking the number of leading zeros downwards and the lead upwards is
-    the lexicographic order and never builds a tuple that is rejected for
-    its sign.
+    Yields (prefix, ts): the sample points are prefix + (t,) for t in ts.
+    A canonical tuple is some zeros, a positive lead, then anything; the
+    prefix is the zeros, the lead and the middle coordinates.  Walking the
+    number of leading zeros downwards and the lead upwards is the
+    lexicographic order and never builds a tuple that is rejected for its
+    sign.  The point 0:...:0:1, whose lead is the last coordinate, is a
+    line of length one.
     """
-    rest = range(-bound, bound + 1)
+    full = range(-bound, bound + 1)
     gcd = math.gcd
-    for zeros in range(n, -1, -1):
-        prefix = (0,) * zeros
+    yield (0,) * n, (1,)
+    for zeros in range(n - 1, -1, -1):
         for lead in range(1, bound + 1):
-            head = prefix + (lead,)
-            for tail in itertools.product(rest, repeat=n - zeros):
-                if gcd(lead, *tail) == 1:
-                    yield head + tail
+            head = (0,) * zeros + (lead,)
+            for middle in itertools.product(full, repeat=n - 1 - zeros):
+                g = gcd(lead, *middle)
+                yield head + middle, (full if g == 1 else
+                                      [t for t in full if gcd(g, t) == 1])
 
 
 def sample_points(n, bound):
@@ -231,34 +238,25 @@ def sample_points(n, bound):
     entry, so each point appears once.
     """
     _check_sample(n, bound)
-    return list(_iter_points(n, bound))
+    return [prefix + (t,) for prefix, ts in _lines(n, bound) for t in ts]
 
 
 def _integral(forms):
     """Forms g_j as ([terms of G_j], c) with g_j = G_j / c, each G_j
     integral and c > 0 their least common denominator.
 
-    Each term of G_j is (coefficient, variable indices), one index per
-    unit of exponent, so evaluating a term is a run of integer products.
+    Each term of G_j is (coefficient, indices, k) and stands for the
+    coefficient times the coordinates at indices (one index per unit of
+    exponent) times t^k, t the last coordinate; on a line, where every
+    other coordinate is fixed, it adds a run of integer products to the
+    coefficient of t^k.
     """
     c = math.lcm(*(v.denominator for g in forms for v in g.terms.values()))
     return [tuple((v.numerator * (c // v.denominator),
-                   tuple(i for i, e in enumerate(exps) for _ in range(e)))
+                   tuple(i for i, e in enumerate(exps[:-1]) for _ in range(e)),
+                   exps[-1])
                   for exps, v in sorted(g.terms.items()))
             for g in forms], c
-
-
-def _evaluate_all(forms, x):
-    """G(x) for every integral form G, in order."""
-    out = []
-    for terms in forms:
-        total = 0
-        for coeff, factors in terms:
-            for i in factors:
-                coeff *= x[i]
-            total += coeff
-        out.append(total)
-    return out
 
 
 def _s_free(v, rad):
@@ -281,12 +279,12 @@ class _Kernel:
     """A configuration compiled once for integer scanning (see the module
     docstring).
 
-    forms lists the integral terms of every generator of every Y_i, then of
-    every exclusion, so one _evaluate_all call gives every G(x); supports
-    and exclusions are index spans into that list.  Each Y_i also gets a
-    plan (start, stop, degrees, c', memo, d beta_i, float beta_i), where
-    memo maps (H, |G(x)|) to the factors of a hyperplane and is None for
-    every other Y_i.
+    forms lists the integral terms and degree of every generator of every
+    Y_i, then of every exclusion, so one line call gives every G(x) on a
+    line; supports and exclusions are index spans into that list.  Each
+    Y_i also gets a plan (start, stop, degrees, c', memo, d beta_i, float
+    beta_i), where memo maps (H, |G(x)|) to the factors of a hyperplane
+    and is None for every other Y_i.
     """
 
     def __init__(self, config, exps):
@@ -305,8 +303,34 @@ class _Kernel:
         """Append the integral forms of generators; their span and c."""
         start = len(self.forms)
         terms, c = _integral(generators)
-        self.forms.extend(terms)
+        self.forms.extend((t, g.degree) for t, g in zip(terms, generators))
         return start, len(self.forms), c
+
+    def line(self, prefix, ts):
+        """Every G at prefix + (t,), one tuple of values per t in ts.
+
+        On the line each G is a polynomial in t: its coefficients are
+        computed once, then Horner's rule runs over all of ts at once."""
+        cols = []
+        for terms, deg in self.forms:
+            coeffs = [0] * (deg + 1)
+            for coeff, factors, k in terms:
+                for i in factors:
+                    coeff *= prefix[i]
+                coeffs[k] += coeff
+            while len(coeffs) > 1 and not coeffs[-1]:
+                coeffs.pop()
+            a = coeffs.pop()
+            if coeffs:
+                b = coeffs.pop()
+                col = [a * t + b for t in ts]
+                while coeffs:
+                    b = coeffs.pop()
+                    col = [v * t + b for v, t in zip(col, ts)]
+            else:
+                col = [a] * len(ts)
+            cols.append(col)
+        return zip(*cols)
 
     def norm(self, start, stop, degs, c, vals, H):
         """The product over all places of the local norms of one Y_i, as
@@ -322,12 +346,13 @@ class _Kernel:
         return c * num, den // g * _s_free(g, self.rad)
 
 
-def _explicit_points(points, nvars):
+def _explicit_lines(points, nvars):
+    """Each explicit point, canonicalized, as a line of length one."""
     for pt in points:
         P = pt if isinstance(pt, ProjectivePoint) else ProjectivePoint(pt)
         if P.nvars != nvars:
             raise ValueError("point %s does not live in P^%d" % (P, nvars - 1))
-        yield P.coords
+        yield P.coords[:-1], P.coords[-1:]
 
 
 def scan_inequality(config, bound=None, points=None, keep_rows=False):
@@ -341,9 +366,9 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
         if bound is None:
             raise ValueError("need a coordinate bound or explicit points")
         _check_sample(config.nvars - 1, bound)
-        points = _iter_points(config.nvars - 1, bound)
+        lines = _lines(config.nvars - 1, bound)
     else:
-        points = _explicit_points(points, config.nvars)
+        lines = _explicit_lines(points, config.nvars)
 
     # clear the denominators once: compare prod_i Q_i^(d beta_i) with
     # H^(d (1+eps)) in integers
@@ -354,7 +379,7 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     rhs_exp = int(d * one_plus_eps)
     rhs_scale = float(one_plus_eps)
     kernel = _Kernel(config, exps)
-    forms, plans, norm = kernel.forms, kernel.plans, kernel.norm
+    plans, norm = kernel.plans, kernel.norm
     # H^(d (1+eps)) and (1+eps) log H, once per height
     per_height = {}
 
@@ -364,60 +389,64 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     rows = [] if keep_rows else None
     best = None
     best_ratio = None
-    for coords in points:
-        total += 1
-        vals = _evaluate_all(forms, coords)
-        if 0 in vals:
-            if _vanishes(vals, kernel.supports):
-                skipped += 1
-                continue
-            if _vanishes(vals, kernel.exclusions):
-                excluded += 1
-                continue
-        evaluated += 1
-        H = max(map(abs, coords))
-        if H == 1:
-            zero_height += 1
-        lhs_num = lhs_den = 1
-        lhs_log = 0.0
-        proxim = []
-        for start, stop, degs, c, memo, e, lb in plans:
-            if memo is None:
-                num, den = norm(start, stop, degs, c, vals, H)
-                # int / int is correctly rounded, so this is float(Q) exactly
-                factors = num ** e, den ** e, math.log(num / den)
-            else:
-                key = (H, abs(vals[start]))
-                factors = memo.get(key)
-                if factors is None:
+    for prefix, ts in lines:
+        total += len(ts)
+        # the height of every point of the line is max(M, |t|)
+        M = max(map(abs, prefix), default=0)
+        head = "".join(str(c) + ":" for c in prefix)
+        for t, vals in zip(ts, kernel.line(prefix, ts)):
+            if 0 in vals:
+                if _vanishes(vals, kernel.supports):
+                    skipped += 1
+                    continue
+                if _vanishes(vals, kernel.exclusions):
+                    excluded += 1
+                    continue
+            evaluated += 1
+            H = max(M, abs(t))
+            if H == 1:
+                zero_height += 1
+            lhs_num = lhs_den = 1
+            lhs_log = 0.0
+            proxim = []
+            for start, stop, degs, c, memo, e, lb in plans:
+                if memo is None:
                     num, den = norm(start, stop, degs, c, vals, H)
-                    factors = memo[key] = num ** e, den ** e, math.log(num / den)
-            lhs_num *= factors[0]
-            lhs_den *= factors[1]
-            m = factors[2]
-            proxim.append(m)
-            lhs_log += lb * m
-        rhs = per_height.get(H)
-        if rhs is None:
-            rhs = per_height[H] = H ** rhs_exp, rhs_scale * math.log(H)
-        violated = lhs_num > rhs[0] * lhs_den
-        rhs_log = rhs[1]
-        ratio = lhs_log / rhs_log if H > 1 else None
-        track = violated or keep_rows or (ratio is not None and
-                                          (best_ratio is None or ratio > best_ratio))
-        if track:
-            row = ScanRow(":".join(map(str, coords)), H, tuple(proxim),
-                          lhs_log, rhs_log, ratio, violated)
-            if violated:
-                if H >= config.min_height_norm:
-                    violations.append(row)
+                    # int / int is correctly rounded, so this is float(Q) exactly
+                    factors = num ** e, den ** e, math.log(num / den)
                 else:
-                    low_hits += 1
-            if ratio is not None and (best_ratio is None or ratio > best_ratio):
-                best = row
-                best_ratio = ratio
-            if keep_rows:
-                rows.append(row)
+                    key = (H, abs(vals[start]))
+                    factors = memo.get(key)
+                    if factors is None:
+                        num, den = norm(start, stop, degs, c, vals, H)
+                        factors = memo[key] = (num ** e, den ** e,
+                                               math.log(num / den))
+                fn, fd, m = factors
+                lhs_num *= fn
+                lhs_den *= fd
+                proxim.append(m)
+                lhs_log += lb * m
+            rhs = per_height.get(H)
+            if rhs is None:
+                rhs = per_height[H] = H ** rhs_exp, rhs_scale * math.log(H)
+            violated = lhs_num > rhs[0] * lhs_den
+            rhs_log = rhs[1]
+            ratio = lhs_log / rhs_log if H > 1 else None
+            track = violated or keep_rows or (
+                ratio is not None and (best_ratio is None or ratio > best_ratio))
+            if track:
+                row = ScanRow(head + str(t), H, tuple(proxim),
+                              lhs_log, rhs_log, ratio, violated)
+                if violated:
+                    if H >= config.min_height_norm:
+                        violations.append(row)
+                    else:
+                        low_hits += 1
+                if ratio is not None and (best_ratio is None or ratio > best_ratio):
+                    best = row
+                    best_ratio = ratio
+                if keep_rows:
+                    rows.append(row)
     return ScanReport(total, skipped, excluded, evaluated, zero_height,
                       low_hits, tuple(violations), best,
                       None if rows is None else tuple(rows))

@@ -79,11 +79,26 @@ class InconsistentProfilesError(ProfileError):
 
 def _fraction_row(row):
     """The row as a tuple of Fractions, keeping the caller's Fraction entries
-    (and the row itself, when it already is such a tuple): a profile with
-    bases holds levels x width x dim entries, mostly shared between levels."""
+    (and the row itself, when it already is such a tuple)."""
     if type(row) is tuple and all(type(v) is Fraction for v in row):
         return row
     return tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+
+
+def _fraction_bases(levels):
+    """Every level's rows through _fraction_row.  A profile with bases holds
+    levels x width x dim entries, and deeper levels mostly reuse the row
+    objects of shallower ones, so each distinct row object is converted
+    once; seen keeps the row alive, so no other row can take its id."""
+    seen = {}
+
+    def convert(row):
+        hit = seen.get(id(row))
+        if hit is None:
+            hit = seen[id(row)] = row, _fraction_row(row)
+        return hit[1]
+
+    return tuple(tuple(map(convert, level)) for level in levels)
 
 
 class FiltrationProfile:
@@ -108,8 +123,7 @@ class FiltrationProfile:
             raise ProfileError("dimension at x = 0 must equal the ambient dimension")
         self.jumps = jumps
         if self.bases is not None:
-            bases = tuple(tuple(_fraction_row(row) for row in level)
-                          for level in self.bases)
+            bases = _fraction_bases(self.bases)
             if len(bases) != len(jumps):
                 raise ProfileError("one basis per jump required")
             if [len(level) for level in bases] != ds:

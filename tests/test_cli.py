@@ -1,10 +1,15 @@
 """End-to-end command line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diophkit import beta as beta_mod
+from diophkit import cli
 from diophkit.cli import fmt_rat, main
 from diophkit.experiments import InequalityConfig, ScanReport
 from diophkit.filtration import FiltrationProfile
@@ -259,3 +264,57 @@ class TestExitCodes:
     def test_clean_scan_is_zero(self, capsys):
         code, _, _ = run(capsys, "scan", "--four-lines", "--bound", "3")
         assert code == 0
+
+
+# main builds only the parser of the subcommand that argv starts with; the
+# full parser, with every subcommand, is the reference it must match
+FULL_PARSER = """
+import sys
+from diophkit import cli
+full = cli.build_parser
+cli.build_parser = lambda command=None: full()
+sys.exit(cli.main())
+"""
+MAIN = "import sys\nfrom diophkit import cli\nsys.exit(cli.main())\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(code, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="100")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestNarrowedParser:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_subcommand_help(self, capsys, monkeypatch, command):
+        outputs = []
+        for narrowed in (True, False):
+            if not narrowed:
+                full = cli.build_parser
+                monkeypatch.setattr(cli, "build_parser",
+                                    lambda command=None: full())
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-h"])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("usage: diophkit %s " % command)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nosuch"],
+        ["-h"],
+        ["--output", "xml", "beta", "--ideal", "x0", "--N", "2"],
+        ["beta", "--ideal", "x0", "--N", "2", "--bogus"],
+        ["beta", "--ideal", "x0", "--N", "x"],
+        ["--output", "json", "beta", "--ideal", "x0", "--N", "2"],
+        ["beta", "--ideal", "x0", "--N", "2", "--output", "json"],
+        ["seshadri", "--A", "H", "--D", "-E1"],
+    ], ids=["empty", "unknown", "help", "bad-root-option", "unrecognized",
+            "bad-value", "output-first", "output-last", "minus-class"])
+    def test_fresh_process_matches_full_parser(self, argv):
+        narrowed = fresh(MAIN, argv)
+        assert narrowed == fresh(FULL_PARSER, argv)
+        assert narrowed[0] in (0, 1, 2)

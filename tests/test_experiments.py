@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophkit.cli import main
 from diophkit.experiments import (
@@ -24,6 +26,7 @@ from diophkit.experiments import (
 )
 from diophkit.graded import Subscheme
 from diophkit.heights import PLACE_INF, PlaceSet, ProjectivePoint, weil_norm
+from diophkit.polynomials import HomogeneousForm, monomial_exponents
 
 
 def sub(label, gens, nvars):
@@ -359,6 +362,77 @@ class TestDifferentialOracle:
         kw, bound = DIFFERENTIAL_CASES["overweight"]
         report = scan_inequality(simple_config(**kw), bound=bound)
         assert report.violations and report.low_height_hits > 0
+
+
+# the scan walks the sample a line at a time, each form a polynomial in
+# the last coordinate t: forms free of t are constant on a line, pure
+# powers of t vanish only at t = 0, and P^1 has no middle coordinates
+@st.composite
+def line_forms(draw, nvars):
+    degree = draw(st.integers(1, 3))
+    exps = monomial_exponents(degree, nvars)
+    shape = draw(st.sampled_from(["any", "free of t", "power of t"]))
+    if shape == "free of t":
+        exps = [e for e in exps if e[-1] == 0]
+    elif shape == "power of t":
+        exps = [e for e in exps if e[-1] == degree]
+    support = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3,
+                            unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=3).filter(bool)
+    return HomogeneousForm(nvars, degree,
+                           {e: draw(coeffs) for e in support})
+
+
+@st.composite
+def line_configs(draw):
+    nvars = draw(st.integers(2, 4))
+
+    def subschemes(label, count):
+        return tuple(Subscheme("%s%d" % (label, i),
+                               draw(st.lists(line_forms(nvars), min_size=1,
+                                             max_size=2)))
+                     for i in range(count))
+
+    subs = subschemes("Y", draw(st.integers(1, 3)))
+    betas = draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=2,
+                                       max_denominator=4),
+                          min_size=len(subs), max_size=len(subs)))
+    return InequalityConfig(
+        subschemes=subs, betas=betas,
+        places=PlaceSet.from_string(draw(st.sampled_from(
+            ["inf", "inf,2", "inf,2,3", "inf,3,5,7"]))),
+        epsilon=draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2), 1])),
+        exclusions=subschemes("Z", draw(st.integers(0, 2))),
+        min_height_norm=draw(st.sampled_from([1, 3, 10])))
+
+
+class TestLineWalk:
+    # from bound 6 on, a lead such as 6 has middles sharing only some of
+    # its primes with it
+    @pytest.mark.parametrize("n,bound", [(n, b) for n in (1, 2, 3)
+                                         for b in (1, 2, 3, 4, 5)]
+                             + [(2, 7), (3, 6)])
+    def test_sample_matches_the_box(self, n, bound):
+        pts = sample_points(n, bound)
+        assert pts == reference_points(n, bound)
+        # 0:...:0:1 is a line of length one, and the first point
+        assert pts[0] == (0,) * n + (1,)
+
+    # the Fraction scanner takes about 3 s for P^3 at bound 5, so P^3
+    # stops at bound 3
+    @settings(max_examples=40)
+    @given(cfg=line_configs(), data=st.data())
+    def test_scan_matches_fraction_scanner(self, cfg, data):
+        n = cfg.nvars - 1
+        bound = data.draw(st.integers(1, 5 if n < 3 else 3), label="bound")
+        want = reference_scan(cfg, reference_points(n, bound),
+                              keep_rows=True).to_json()
+        assert scan_inequality(cfg, bound=bound,
+                               keep_rows=True).to_json() == want
+        # without rows the report is the same, less its rows
+        del want["rows"]
+        assert scan_inequality(cfg, bound=bound).to_json() == want
 
 
 class TestFourLinesScan:
