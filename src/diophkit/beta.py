@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .filtration import _power_terms
 from .graded import _linear_rows, dim_full
+from .polynomials import _is_count
 
 __all__ = [
     "BetaReport",
@@ -51,9 +52,9 @@ class ConvergenceRow:
 
 
 def _validate_level(d, N):
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+    if not _is_count(d, 1):
         raise ValueError("polarization degree must be a positive integer")
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+    if not _is_count(N, 1):
         raise ValueError("level N must be a positive integer")
 
 
@@ -94,7 +95,7 @@ def beta_blowup_crosscheck(Y, d, N):
 
 
 def beta_convergence(Y, d, N_max):
-    if isinstance(N_max, bool) or not isinstance(N_max, int) or N_max < 1:
+    if not _is_count(N_max, 1):
         raise ValueError("N_max must be a positive integer")
     rows = []
     running = None

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 # each subcommand imports the modules it runs, so a process loads only those
-from .graded import Subscheme, check_general_position
+from .graded import _parse_family, check_general_position
 
 _SPACES = {"P1": 2, "P2": 3, "P3": 4}
 
@@ -47,18 +47,8 @@ def _parse_subschemes(text, nvars=None):
     blocks = [b for b in text.split(";") if b.strip()]
     if not blocks:
         raise ValueError("no generators given")
-    drafts = [Subscheme.from_strings("Y%d" % (i + 1),
-                                     [g for g in b.split(",") if g.strip()],
-                                     nvars=nvars)
-              for i, b in enumerate(blocks)]
-    if nvars is None:
-        width = max(Y.nvars for Y in drafts)
-        drafts = [Y if Y.nvars == width
-                  else Subscheme.from_strings(Y.label,
-                                              [g.to_string() for g in Y.generators],
-                                              nvars=width)
-                  for Y in drafts]
-    return drafts
+    return _parse_family([("Y%d" % (i + 1), [g for g in b.split(",") if g.strip()])
+                          for i, b in enumerate(blocks)], nvars)
 
 
 def _space_arg(parser):

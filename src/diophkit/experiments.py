@@ -57,8 +57,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .graded import Subscheme, common_support_dim
+from .graded import Subscheme, _family, common_support_dim
 from .heights import PlaceSet, ProjectivePoint
+from .polynomials import _is_count
 
 __all__ = [
     "ConfigError",
@@ -86,11 +87,10 @@ class InequalityConfig:
 
     def __init__(self, subschemes, betas, places, epsilon, exclusions=(),
                  min_height_norm=min_height_norm):
-        subs = tuple(subschemes)
-        if not subs:
-            raise ConfigError("need at least one subscheme")
-        if len({Y.nvars for Y in subs}) != 1:
-            raise ConfigError("subschemes must share one ambient space")
+        try:
+            subs, places = tuple(_family(subschemes)), PlaceSet(places)
+        except ValueError as exc:  # the family check, or a place set without inf
+            raise ConfigError(str(exc)) from None
         betas = tuple(betas)
         if any(isinstance(v, bool) for v in betas + (epsilon,)):
             raise ConfigError("weights and epsilon must be numbers, not booleans")
@@ -103,8 +103,7 @@ class InequalityConfig:
         excl = tuple(exclusions)
         if any(Z.nvars != subs[0].nvars for Z in excl):
             raise ConfigError("exclusions must live in the same space")
-        if (isinstance(min_height_norm, bool)
-                or not isinstance(min_height_norm, int) or min_height_norm < 1):
+        if not _is_count(min_height_norm, 1):
             raise ConfigError("min_height_norm must be a positive integer")
         self.subschemes, self.betas, self.places = subs, betas, places
         self.epsilon, self.exclusions = eps, excl
@@ -126,13 +125,29 @@ class InequalityConfig:
 
     @classmethod
     def from_json(cls, data):
+        """The configuration that to_json wrote.  A missing key, or a value
+        of the wrong shape, raises ConfigError naming the key."""
+        if not isinstance(data, dict):
+            raise ConfigError("a configuration is a JSON object, not %s"
+                              % type(data).__name__)
+
+        def read(key, parse):
+            if key not in data:
+                raise ConfigError("configuration has no %r key" % key)
+            try:
+                return parse(data[key])
+            except (TypeError, AttributeError, KeyError) as exc:
+                raise ConfigError("bad %r in configuration: %s" % (key, exc)) from None
+
+        def subschemes(items):
+            return tuple(Subscheme.from_json(d) for d in items)
+
         return cls(
-            subschemes=tuple(Subscheme.from_json(d) for d in data["subschemes"]),
-            betas=tuple(Fraction(b) for b in data["betas"]),
-            places=PlaceSet.from_string(",".join(data["places"])),
-            epsilon=Fraction(data["epsilon"]),
-            exclusions=tuple(Subscheme.from_json(d)
-                             for d in data.get("exclusions", [])),
+            subschemes=read("subschemes", subschemes),
+            betas=read("betas", lambda bs: tuple(Fraction(b) for b in bs)),
+            places=read("places", lambda ps: PlaceSet.from_string(",".join(ps))),
+            epsilon=read("epsilon", Fraction),
+            exclusions=read("exclusions", subschemes) if "exclusions" in data else (),
             min_height_norm=data.get("min_height_norm", cls.min_height_norm),
         )
 
@@ -201,9 +216,9 @@ class ScanReport:
 
 
 def _check_sample(n, bound):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_count(n, 1):
         raise ValueError("projective dimension must be a positive integer")
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+    if not _is_count(bound, 1):
         raise ValueError("coordinate bound must be a positive integer")
 
 
@@ -523,7 +538,7 @@ def four_lines_table(l_max):
     from .surface import (compare_beta_seshadri, strict_transform_line,
                           three_point_blowup, weighted_lines_class)
 
-    if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 1:
+    if not _is_count(l_max, 1):
         raise ValueError("l_max must be a positive integer")
     model = three_point_blowup()
     D = strict_transform_line(1)

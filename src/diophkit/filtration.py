@@ -50,7 +50,8 @@ from .graded import (
     order_vector,
     terms_until_zero,
 )
-from .polynomials import FormError, HomogeneousForm, monomial_exponents
+from .polynomials import (FormError, HomogeneousForm, _is_count, _to_forms, _to_rows,
+                          monomial_exponents)
 
 __all__ = [
     "ProfileError",
@@ -166,7 +167,7 @@ class AdaptedBasis:
 
 def _validate_inputs(Ys, t, N):
     Ys, t = _validate_family(Ys, t)
-    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+    if not _is_count(N):
         raise ValueError("twist degree must be a nonnegative integer")
     return Ys, t
 
@@ -465,8 +466,7 @@ def _generic_mu(s, Ys, t):
 
 def _walk_mu(s, spaces):
     """The first value of a downward walk whose filtration piece holds s."""
-    columns = {e: i for i, e in enumerate(monomial_exponents(s.degree, s.nvars))}
-    vec = s.coeff_vector(columns)
+    vec = _to_rows([s], s.nvars, s.degree)[0]
     for x, space in spaces:
         if vec in space:
             return x
@@ -494,23 +494,14 @@ def scale_check(Ys, t, u, N):
     return left, right
 
 
-def _forms_from_rows(rows, nvars, degree):
-    columns = monomial_exponents(degree, nvars)
-    out = []
-    for row in rows:
-        terms = {columns[j]: c for j, c in enumerate(row) if c}
-        out.append(HomogeneousForm(nvars, degree, terms))
-    return tuple(out)
-
-
 def adapted_basis(profile):
     """Greedy basis adapted to one profile: walking the levels deepest first,
     each row that is new to the deeper levels, with its level's jump as mu."""
     if profile.bases is None:
         raise ProfileError("profile was built without bases")
     kept = linalg.chain_basis(profile.bases, profile.ambient_dim)
-    basis = AdaptedBasis(_forms_from_rows([row for _, row in kept], profile.nvars,
-                                          profile.degree),
+    basis = AdaptedBasis(_to_forms([row for _, row in kept], profile.nvars,
+                                   profile.degree),
                          tuple(profile.jumps[k][0] for k, _ in kept))
     if not is_adapted(basis, profile):
         raise ProfileError("internal error: greedy basis failed verification")
@@ -522,9 +513,7 @@ def is_adapted(basis, profile):
     elements have mu >= x, and the elements are independent."""
     if len(basis.elements) != profile.ambient_dim:
         return False
-    columns = {e: i for i, e in enumerate(monomial_exponents(profile.degree,
-                                                             profile.nvars))}
-    rows = [f.coeff_vector(columns) for f in basis.elements]
+    rows = _to_rows(basis.elements, profile.nvars, profile.degree)
     if linalg.rank(rows) != profile.ambient_dim:
         return False
     for x, d in profile.jumps:
@@ -551,7 +540,7 @@ def common_adapted_basis(first, second):
         # the last level still holding the flag member of dimension dim
         return max(x for x, d in profile.jumps if d >= dim)
 
-    forms = _forms_from_rows([vec for _, _, vec in cells], first.nvars, first.degree)
+    forms = _to_forms([vec for _, _, vec in cells], first.nvars, first.degree)
     view_f = AdaptedBasis(forms, tuple(mu_of(first, a) for a, _, _ in cells))
     view_g = AdaptedBasis(forms, tuple(mu_of(second, b) for _, b, _ in cells))
     if not (is_adapted(view_f, first) and is_adapted(view_g, second)):
@@ -586,19 +575,12 @@ class BoundReport:
 
 
 def _hypotheses_met(Ys):
-    """Common support nonempty and the concatenated linear generators are
-    independent (a regular sequence near the common support)."""
-    try:
-        d = common_support_dim(Ys)
-    except CatalogError:
+    """Every generator linear, and all of them independent (a regular
+    sequence) with a nonempty common support: fewer than the variables."""
+    gens = [g for Y in Ys for g in Y.generators]
+    if any(g.degree != 1 for g in gens):
         return False
-    if d is None:
-        return False
-    if any(g.degree != 1 for Y in Ys for g in Y.generators):
-        return False
-    rows = _linear_rows([g for Y in Ys for g in Y.generators])
-    total = sum(len(Y.generators) for Y in Ys)
-    return linalg.rank(rows) == total
+    return len(gens) < Ys[0].nvars and linalg.rank(_linear_rows(gens)) == len(gens)
 
 
 def concavity_bound(Ys, betas, t, N):

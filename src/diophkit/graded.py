@@ -34,12 +34,15 @@ exact elimination of generating rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
-from .polynomials import FormError, HomogeneousForm, monomial_exponents, parse_form
+from .polynomials import (FormError, HomogeneousForm, _to_forms, _to_rows,
+                          monomial_exponents, parse_form)
 from .staircase import threshold_set, validate_weights
 
 __all__ = [
@@ -97,12 +100,7 @@ class Subscheme:
 
     @classmethod
     def from_strings(cls, label, gens, nvars=None):
-        forms = [parse_form(g, nvars=nvars) for g in gens]
-        if nvars is None and forms:
-            width = max(f.nvars for f in forms)
-            forms = [f if f.nvars == width else parse_form(g, nvars=width)
-                     for f, g in zip(forms, gens)]
-        return cls(label, tuple(forms))
+        return _parse_family([(label, gens)], nvars)[0]
 
     def to_json(self):
         return {"label": self.label, "nvars": self.nvars,
@@ -116,6 +114,26 @@ class Subscheme:
 
     def vanishes_at(self, coords):
         return all(g.evaluate(coords) == 0 for g in self.generators)
+
+
+def _widen(forms, width):
+    """The forms in ``width`` variables; the added ones occur in no term."""
+    return tuple(HomogeneousForm(width, f.degree, {e + (0,) * (width - f.nvars): c
+                                                   for e, c in f.terms.items()})
+                 for f in forms)
+
+
+def _parse_family(blocks, nvars=None):
+    """Subschemes from (label, generator strings) pairs, all in nvars
+    variables, or when nvars is None in the fewest that hold every
+    generator.  Each block is parsed and checked before the next one."""
+    family = []
+    for label, gens in blocks:
+        forms = [parse_form(g, nvars=nvars) for g in gens]
+        width = max([f.nvars for f in forms], default=1)
+        family.append(Subscheme(label, _widen(forms, width)))
+    width = max(Y.nvars for Y in family)
+    return [Subscheme(Y.label, _widen(Y.generators, width)) for Y in family]
 
 
 def dim_full(D, n):
@@ -147,9 +165,7 @@ def span_dim(forms):
     live = [f for f in forms if not f.is_zero]
     if not live:
         return 0
-    nvars, degree = _common_shape(live)
-    columns = {e: i for i, e in enumerate(monomial_exponents(degree, nvars))}
-    return linalg.rank([f.coeff_vector(columns) for f in live])
+    return linalg.rank(_to_rows(live, *_common_shape(live)))
 
 
 def span_piece(forms, nvars, degree):
@@ -161,47 +177,29 @@ def span_piece(forms, nvars, degree):
     shape = _common_shape(live)
     if shape != (nvars, degree):
         raise FormError("family does not match the requested graded piece")
-    columns = monomial_exponents(degree, nvars)
-    index = {e: i for i, e in enumerate(columns)}
-    basis_rows = linalg.rref([f.coeff_vector(index) for f in live])
-    return tuple(HomogeneousForm(nvars, degree,
-                                 {columns[j]: c for j, c in enumerate(row) if c})
-                 for row in basis_rows)
+    return _to_forms(linalg.rref(_to_rows(live, nvars, degree)), nvars, degree)
 
 
 def _power_products(Y, m, cache=None):
-    """All products of m generators of Y (with repetition)."""
-    if m == 0:
-        return [HomogeneousForm.one(Y.nvars)]
+    """All products of m generators of Y (with repetition); for m = 0 the
+    empty product 1."""
     key = (id(Y), m)
     if cache is not None and key in cache:
         return cache[key]
-    out = []
-    for combo in itertools.combinations_with_replacement(Y.generators, m):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = prod * g
-        out.append(prod)
+    one = HomogeneousForm.one(Y.nvars)
+    out = [functools.reduce(operator.mul, combo, one)
+           for combo in itertools.combinations_with_replacement(Y.generators, m)]
     if cache is not None:
         cache[key] = out
     return out
 
 
 def ideal_power_gens(Y, m, D):
-    """Spanning family of the degree-D piece of I_Y^m."""
+    """Spanning family of the degree-D piece of I_Y^m: Y's filtration family at m."""
     if m < 0:
         raise ValueError("power must be nonnegative")
-    nvars = Y.nvars
-    if m == 0:
-        return [HomogeneousForm.monomial(e) for e in monomial_exponents(D, nvars)]
-    out = []
-    for prod in _power_products(Y, m):
-        gap = D - prod.degree
-        if gap < 0:
-            continue
-        for e in monomial_exponents(gap, nvars):
-            out.append(prod * HomogeneousForm.monomial(e))
-    return out
+    # a power is an integer: a fractional m raises TypeError, not rounds up
+    return filtration_ideal_gens([Y], (1,), operator.index(m) if m else m, D)
 
 
 def coordinate_groups(Ys):
@@ -296,14 +294,20 @@ def graded_dim_ideal_power(Y, m, D):
     return build_profile([Y], (1,), D).dim_at(m)
 
 
-def _validate_family(Ys, t):
-    """The subschemes as a list sharing one ambient space, and their weights
-    as Fractions (``validate_weights``), one per subscheme."""
+def _family(Ys):
+    """The subschemes as a nonempty list sharing one ambient space."""
     Ys = list(Ys)
     if not Ys:
         raise ValueError("need at least one subscheme")
     if len({Y.nvars for Y in Ys}) != 1:
         raise ValueError("subschemes must share one ambient space")
+    return Ys
+
+
+def _validate_family(Ys, t):
+    """The subschemes through _family, and their weights as Fractions
+    (``validate_weights``), one per subscheme."""
+    Ys = _family(Ys)
     t = validate_weights(t)
     if len(t) != len(Ys):
         raise ValueError("one weight per subscheme required")
@@ -320,9 +324,7 @@ def filtration_ideal_gens(Ys, t, x, D):
     for b in threshold_set(t, x):
         factor_lists = [_power_products(Y, bi, cache) for Y, bi in zip(Ys, b)]
         for combo in itertools.product(*factor_lists):
-            prod = combo[0]
-            for f in combo[1:]:
-                prod = prod * f
+            prod = functools.reduce(operator.mul, combo)
             gap = D - prod.degree
             if gap < 0:
                 continue
@@ -354,22 +356,14 @@ def graded_dim_filtration_ideal(Ys, t, x, D):
 
 
 def _linear_rows(forms):
-    rows = []
-    for f in forms:
-        row = [Fraction(0)] * f.nvars
-        for exps, coeff in f.terms.items():
-            j = next(i for i, e in enumerate(exps) if e)
-            row[j] = coeff
-        rows.append(tuple(row))
-    return rows
+    """Each linear form as its row of coefficients of x_0 .. x_n (the
+    monomial order lists x_n first)."""
+    return [row[::-1] for row in _to_rows(forms, forms[0].nvars, 1)]
 
 
 def _linear_forms(rows):
     """Row k as the linear form sum_j rows[k][j] x_j; inverse of _linear_rows."""
-    width = len(rows[0])
-    return [HomogeneousForm(width, 1, {tuple(int(i == j) for i in range(width)): c
-                                       for j, c in enumerate(row) if c})
-            for row in rows]
+    return _to_forms([row[::-1] for row in rows], len(rows[0]), 1)
 
 
 def _restrict(form, basis_vectors):
@@ -384,11 +378,7 @@ def common_support_dim(Ys):
     are linear plus at most one effective nonlinear hypersurface; anything
     else raises CatalogError.
     """
-    Ys = list(Ys)
-    if not Ys:
-        raise ValueError("need at least one subscheme")
-    if len({Y.nvars for Y in Ys}) != 1:
-        raise ValueError("subschemes must share one ambient space")
+    Ys = _family(Ys)
     nvars = Ys[0].nvars
     linear = []
     nonlinear = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomials import HomogeneousForm
+from .polynomials import _is_count
 
 __all__ = [
     "PlaceError",
@@ -189,7 +189,7 @@ class ProjectivePoint:
 
 
 def ord_p(q, p):
-    if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
+    if not _is_count(p, 2) or not _is_prime(p):
         raise ValueError("ord_p needs a prime p, got %r" % (p,))
     return _ord(q, p)
 

@@ -29,11 +29,16 @@ class ParseError(FormError):
     pass
 
 
+def _is_count(value, least=0):
+    """Whether value is an int, not a bool, and at least ``least``."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= least
+
+
 def monomial_exponents(degree, nvars):
     """All exponent tuples of the given total degree, sorted lexicographically."""
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+    if not _is_count(degree):
         raise ValueError("degree must be a nonnegative integer")
-    if isinstance(nvars, bool) or not isinstance(nvars, int) or nvars < 1:
+    if not _is_count(nvars, 1):
         raise ValueError("need at least one variable")
 
     def rec(remaining, slots):
@@ -47,15 +52,30 @@ def monomial_exponents(degree, nvars):
     return sorted(rec(degree, nvars))
 
 
+def _to_rows(forms, nvars, degree):
+    """The coefficient rows of degree-``degree`` forms in nvars variables,
+    one column per monomial in the order of ``monomial_exponents``."""
+    index = {e: i for i, e in enumerate(monomial_exponents(degree, nvars))}
+    return [f.coeff_vector(index) for f in forms]
+
+
+def _to_forms(rows, nvars, degree):
+    """The forms with the given coefficient rows; inverse of _to_rows."""
+    columns = monomial_exponents(degree, nvars)
+    return tuple(HomogeneousForm(nvars, degree,
+                                 {columns[j]: c for j, c in enumerate(row) if c})
+                 for row in rows)
+
+
 class HomogeneousForm:
     """A homogeneous polynomial over Q, stored sparsely."""
 
     __slots__ = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        if isinstance(nvars, bool) or not isinstance(nvars, int) or nvars < 1:
+        if not _is_count(nvars, 1):
             raise FormError("need at least one variable")
-        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        if not _is_count(degree):
             raise FormError("degree must be a nonnegative integer")
         clean = {}
         for exps, coeff in terms.items():
@@ -137,7 +157,7 @@ class HomogeneousForm:
         return HomogeneousForm(self.nvars, self.degree + other.degree, out)
 
     def __pow__(self, k):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        if not _is_count(k):
             raise FormError("exponent must be a nonnegative integer")
         result = HomogeneousForm.one(self.nvars)
         for _ in range(k):

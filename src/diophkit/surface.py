@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 
 from .graded import terms_until_zero
+from .polynomials import _is_count
 
 __all__ = [
     "SurfaceError",
@@ -210,7 +211,7 @@ class SurfaceModel:
     """Blow-up of the plane in k general points, 0 <= k <= 3."""
 
     def __init__(self, k):
-        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= MAX_BLOWUPS:
+        if not _is_count(k) or k > MAX_BLOWUPS:
             raise UnsupportedClassError("k must be an integer in 0..%d" % MAX_BLOWUPS)
         self.k = k
         self.H = PicardClass(1, (Fraction(0),) * k)
@@ -327,7 +328,7 @@ def beta_closed_form(model, A, D):
 
 def h0_terms(model, A, D, N):
     """Section counts h^0(N*A - m*D) for m = 1, 2, ... up to the first zero."""
-    if isinstance(N, bool) or not isinstance(N, int) or N <= 0:
+    if not _is_count(N, 1):
         raise ValueError("N must be a positive integer")
     # the rays of the nef cone for k <= 3; when D.P > 0 for one of them,
     # (N A - m D).P < 0 for m large, so a zero term comes
@@ -377,7 +378,7 @@ def three_point_blowup():
 def weighted_lines_class(l):
     """l*D1 + l*D2 + l*D3 + D4 for four general lines, three blown-up
     points P_i in L_i: equals (3l+1)H - l(E1+E2+E3)."""
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+    if not _is_count(l, 1):
         raise ValueError("weight must be a positive integer")
     return PicardClass(3 * l + 1, (Fraction(-l),) * 3)
 

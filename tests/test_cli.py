@@ -225,6 +225,27 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: a subscheme needs at least one generator\n"
 
+    # a malformed configuration file is one error line, not a traceback
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda data: {k: v for k, v in data.items() if k != "betas"},
+         "configuration has no 'betas' key"),
+        (lambda data: dict(data, subschemes=5),
+         "bad 'subschemes' in configuration: 'int' object is not iterable"),
+        (lambda data: [data], "a configuration is a JSON object, not list"),
+    ], ids=["missing-key", "number-for-list", "top-level-list"])
+    def test_malformed_config_is_one(self, tmp_path, mangle, message):
+        data = InequalityConfig(
+            subschemes=(Subscheme.from_strings("H", ["x0"], nvars=2),),
+            betas=("1/3",), places=PlaceSet.from_string("inf,2"),
+            epsilon="1/2").to_json()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(mangle(data)))
+        code, out, err = fresh(MAIN, ["scan", "--config", str(path),
+                                      "--bound", "2"])
+        assert code == 1
+        assert out == b""
+        assert err.decode() == "error: %s\n" % message
+
     def test_support_hit_is_one(self, capsys):
         code, _, err = run(capsys, "weil", "--ideal", "x0",
                            "--point", "0:1", "--place", "inf")

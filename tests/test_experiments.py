@@ -25,7 +25,7 @@ from diophkit.experiments import (
     sigma_select,
 )
 from diophkit.graded import Subscheme
-from diophkit.heights import PLACE_INF, PlaceSet, ProjectivePoint, weil_norm
+from diophkit.heights import PLACE_INF, Place, PlaceSet, ProjectivePoint, weil_norm
 from diophkit.polynomials import HomogeneousForm, monomial_exponents
 
 
@@ -110,6 +110,19 @@ class TestConfigValidation:
                 subschemes=(sub("A", ["x0"], 2), sub("B", ["x0"], 3)),
                 betas=(1, 1), places=PlaceSet.from_string("inf"),
                 epsilon=1)
+        # a place set without inf, as Places or as bare primes
+        with pytest.raises(ConfigError, match="infinite place"):
+            simple_config(places=(Place(2),))
+        with pytest.raises(ConfigError, match="infinite place"):
+            simple_config(places=[2, 3])
+
+    def test_places_are_a_place_set(self):
+        cfg = simple_config(places=[3, None, 2])
+        assert cfg.places == PlaceSet.from_string("inf,2,3")
+        assert cfg.to_json()["places"] == ["inf", "2", "3"]
+        assert scan_inequality(cfg, bound=3).to_json() == \
+            scan_inequality(simple_config(places=PlaceSet.from_string("inf,2,3")),
+                            bound=3).to_json()
 
     def test_rejects_booleans(self):
         with pytest.raises(ConfigError):

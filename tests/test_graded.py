@@ -15,6 +15,7 @@ from diophkit.filtration import build_profile
 from diophkit.graded import (
     CatalogError,
     Subscheme,
+    _parse_family,
     check_general_position,
     common_support_dim,
     coordinate_groups,
@@ -99,6 +100,10 @@ class TestIdealPowerDims:
         Y = sub("pt", ["x0", "x1"], 3)
         gens = ideal_power_gens(Y, 2, 3)
         assert span_dim(gens) == 7
+
+    def test_gens_below_degree_zero_are_empty(self):
+        Y = sub("pt", ["x0", "x1"], 3)
+        assert [ideal_power_gens(Y, m, -1) for m in range(3)] == [[], [], []]
 
     def test_conic_powers(self):
         C = sub("conic", ["x0*x2 - x1^2"], 3)
@@ -298,6 +303,13 @@ class TestSubschemeBasics:
         Y = sub("L", ["x0"], 4)
         back = Subscheme.from_json(Y.to_json())
         assert back.nvars == 4 and back == Y
+
+    def test_width_is_the_widest_generator(self):
+        """Parsed without a width, a subscheme, or a family of them, lives
+        in the fewest variables that hold every generator."""
+        assert Subscheme.from_strings("Y", ["x0", "x2^2"]) == sub("Y", ["x0", "x2^2"], 3)
+        family = _parse_family([("A", ["x1 - 3/2*x0"]), ("B", ["x0", "x3"])])
+        assert family == [sub("A", ["x1 - 3/2*x0"], 4), sub("B", ["x0", "x3"], 4)]
 
     def test_rejects_zero_generator(self):
         with pytest.raises(ValueError):

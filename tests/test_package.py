@@ -131,6 +131,18 @@ class TestPublicNames:
                         callers.add(path.name)
         assert callers == {"filtration.py"}
 
+    def test_only_polynomials_orders_columns(self):
+        """Forms become coefficient rows, and rows forms, in one column
+        order, so only the polynomials module reads a form's coefficients
+        off against a column index."""
+        callers = set()
+        for path in (SRC / "diophkit").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "attr", None) == "coeff_vector":
+                    callers.add(path.name)
+        assert callers == {"polynomials.py"}
+
 
 # standard modules a command line should load only when it needs them
 WATCHED = ("csv", "json", "dataclasses", "inspect")

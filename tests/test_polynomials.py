@@ -178,7 +178,7 @@ class TestValidation:
 
 def _count_calls():
     """One call per place that checks a count, taking the count as v."""
-    from diophkit import beta, filtration, graded, surface
+    from diophkit import beta, experiments, filtration, graded, heights, surface
 
     Y = graded.Subscheme.from_strings("L", ["x0"], nvars=3)
     model = surface.three_point_blowup()
@@ -196,6 +196,11 @@ def _count_calls():
         "surface-k": lambda v: surface.SurfaceModel(v),
         "h0-level": lambda v: surface.h0_terms(model, A, D, v),
         "lines-weight": lambda v: surface.weighted_lines_class(v),
+        "config-floor": lambda v: experiments.InequalityConfig(
+            [Y], [1], heights.PlaceSet([None]), 1, min_height_norm=v),
+        "sample-dimension": lambda v: experiments.sample_points(v, 2),
+        "sample-bound": lambda v: experiments.sample_points(2, v),
+        "table-weight": lambda v: experiments.four_lines_table(v),
     }
 
 
