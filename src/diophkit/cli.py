@@ -268,6 +268,16 @@ _SCAN_COLUMNS = ("point", "height_norm", "proximities", "lhs_log", "rhs_log",
                  "ratio", "violated")
 
 
+class _Formatted(dict):
+    """float -> "%.12g" % float, each distinct value formatted once.  No
+    scan value is -0.0 (the logs are of positive rationals, and their
+    sums start at +0.0), so floats that compare equal print the same."""
+
+    def __missing__(self, x):
+        text = self[x] = "%.12g" % x
+        return text
+
+
 def _scan_lines(report):
     text = ["points    = %d" % report.total,
             "skipped   = %d (on a subscheme support)" % report.skipped,
@@ -302,16 +312,19 @@ def _run_scan(args):
     if args.output == "json":
         _emit("json", report.to_json())
     elif args.output == "csv":
-        import csv
         rows = report.violations if report.rows is None else report.rows
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_SCAN_COLUMNS)
-        # the cells _cell would give, without a dict per row
-        writer.writerows((r.point, r.height_norm,
-                          ";".join(["%.12g" % m for m in r.proximities]),
-                          "%.12g" % r.lhs_log, "%.12g" % r.rhs_log,
-                          "" if r.ratio is None else "%.12g" % r.ratio,
-                          int(r.violated)) for r in rows)
+        # a point is ints joined by colons and every other cell a number,
+        # so no cell holds a comma, quote or newline and csv.writer would
+        # quote nothing: these are its bytes, one write per row
+        cell = _Formatted()
+        write = sys.stdout.write
+        write(",".join(_SCAN_COLUMNS) + "\n")
+        for r in rows:
+            write("%s,%d,%s,%s,%s,%s,%d\n"
+                  % (r.point, r.height_norm, ";".join(map(cell.__getitem__,
+                                                          r.proximities)),
+                     cell[r.lhs_log], cell[r.rhs_log],
+                     "" if r.ratio is None else cell[r.ratio], r.violated))
     else:
         _emit("text", None, text=_scan_lines(report))
     return 3 if report.violations else 0

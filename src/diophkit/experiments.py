@@ -39,12 +39,31 @@ violates the inequality exactly when
 
     prod_i num_i^(d beta_i)  >  H^(d (1 + epsilon)) prod_i den_i^(d beta_i).
 
-A hyperplane's factors num_i^(d beta_i), den_i^(d beta_i) and log Q_i
-depend only on (H, |G(x)|), so they are memoized by that pair.  Since
-|G(x)| <= ||G||_1 H, the memo has O(||G||_1 bound^2) entries, while the
-sample grows like bound^n; higher degrees are not memoized, as their
-values spread over ||G||_1 bound^deg.  H^(d (1 + epsilon)) and
-(1 + epsilon) log H are computed once per height.
+Whole heights are decided at once where they can be.  Let D_i be the
+largest degree of a generator of Y_i.  Since num_i <= c' H^D_i and
+den_i >= 1, Q_i <= c'_i H^D_i, so
+
+    prod_i num_i^(d beta_i)  <=  c_prod H^deg_exp  prod_i den_i^(d beta_i)
+
+with c_prod = prod_i c'_i^(d beta_i) and deg_exp = sum_i d beta_i D_i.  A
+height H with c_prod H^deg_exp <= H^(d (1 + epsilon)) holds no violated
+point; this one integer comparison is made when H is first met, and on
+such a certified height the scan computes only the logs.  Any other
+height takes the exact comparison above.  With delta = sum_i beta_i D_i
+- 1 - epsilon, the certified heights are those from
+H0 = c_prod^(1 / (d |delta|)) on when delta < 0, all or none when
+delta = 0 (as c_prod = 1 or not), and at most H = 1 when delta > 0.
+H^(d (1 + epsilon)) and (1 + epsilon) log H are computed once per height
+too.
+
+A hyperplane's num_i and den_i depend only on H and |G(x)|, so each
+height keeps one memo per hyperplane, keyed by G(x) and filled for
+-G(x) at the same time: log Q_i on a certified height, and
+num_i^(d beta_i), den_i^(d beta_i) and log Q_i on any other.  Since
+|G(x)| <= ||G||_1 H, a height's memo has O(||G||_1 H) entries, while the
+sample grows like bound^n.  Higher degrees are not memoized, as their
+values spread over ||G||_1 bound^deg; a memo keyed by the tuple of values
+for every subscheme measured slower on the benchmark's configurations.
 
 Floats appear only in the reported logs; log(num / den) is the same
 double for every representation of the same rational, since int division
@@ -80,6 +99,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(v):
+    """A weight or epsilon as a Fraction; True is an int, not a number."""
+    if isinstance(v, bool):
+        raise ConfigError("weights and epsilon must be numbers, not booleans")
+    return Fraction(v)
+
+
 class InequalityConfig:
     # violations below this multiplicative height are still counted, but
     # separately; log 10 is the default floor the report binds to
@@ -91,13 +117,10 @@ class InequalityConfig:
             subs, places = tuple(_family(subschemes)), PlaceSet(places)
         except ValueError as exc:  # the family check, or a place set without inf
             raise ConfigError(str(exc)) from None
-        betas = tuple(betas)
-        if any(isinstance(v, bool) for v in betas + (epsilon,)):
-            raise ConfigError("weights and epsilon must be numbers, not booleans")
-        betas = tuple(Fraction(b) for b in betas)
+        betas = tuple(map(_number, betas))
         if len(betas) != len(subs) or any(b <= 0 for b in betas):
             raise ConfigError("need one positive weight per subscheme")
-        eps = Fraction(epsilon)
+        eps = _number(epsilon)
         if eps <= 0:
             raise ConfigError("epsilon must be positive")
         excl = tuple(exclusions)
@@ -144,9 +167,9 @@ class InequalityConfig:
 
         return cls(
             subschemes=read("subschemes", subschemes),
-            betas=read("betas", lambda bs: tuple(Fraction(b) for b in bs)),
+            betas=read("betas", lambda bs: tuple(map(_number, bs))),
             places=read("places", lambda ps: PlaceSet.from_string(",".join(ps))),
-            epsilon=read("epsilon", Fraction),
+            epsilon=read("epsilon", _number),
             exclusions=read("exclusions", subschemes) if "exclusions" in data else (),
             min_height_norm=data.get("min_height_norm", cls.min_height_norm),
         )
@@ -297,9 +320,9 @@ class _Kernel:
     forms lists the integral terms and degree of every generator of every
     Y_i, then of every exclusion, so one line call gives every G(x) on a
     line; supports and exclusions are index spans into that list.  Each
-    Y_i also gets a plan (start, stop, degrees, c', memo, d beta_i, float
-    beta_i), where memo maps (H, |G(x)|) to the factors of a hyperplane
-    and is None for every other Y_i.
+    Y_i also gets a plan (start, stop, degrees, c', hyperplane, d beta_i,
+    float beta_i), where hyperplane says whether Y_i is cut out by one
+    linear form, so that a scan memoizes it per height.
     """
 
     def __init__(self, config, exps):
@@ -309,7 +332,7 @@ class _Kernel:
             start, stop, c = self._compile(Y.generators)
             degs = tuple(g.degree for g in Y.generators)
             self.plans.append((start, stop, degs, _s_free(c, self.rad),
-                               {} if degs == (1,) else None, e, float(b)))
+                               degs == (1,), e, float(b)))
         self.supports = [plan[:2] for plan in self.plans]
         self.exclusions = [self._compile(Z.generators)[:2]
                            for Z in config.exclusions]
@@ -394,10 +417,21 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     rhs_exp = int(d * one_plus_eps)
     rhs_scale = float(one_plus_eps)
     kernel = _Kernel(config, exps)
-    plans, norm = kernel.plans, kernel.norm
-    # H^(d (1+eps)) and (1+eps) log H, once per height
-    per_height = {}
+    norm, log = kernel.norm, math.log
+    # Q_i <= c'_i H^(max deg Y_i), so prod_i Q_i^(d beta_i) <= c_prod H^deg_exp;
+    # at a height where that is at most H^(d (1+eps)) no point is violated
+    c_prod = math.prod(c ** e for _, _, _, c, _, e, _ in kernel.plans)
+    deg_exp = sum(e * max(degs) for _, _, degs, _, _, e, _ in kernel.plans)
 
+    def level(H):
+        """What a height decides once: whether it is certified, H^(d (1+eps)),
+        (1+eps) log H, and the plans with a fresh memo per hyperplane."""
+        rhs_pow = H ** rhs_exp
+        return (c_prod * H ** deg_exp <= rhs_pow, rhs_pow, rhs_scale * log(H),
+                [plan[:4] + ({} if plan[4] else None,) + plan[5:]
+                 for plan in kernel.plans])
+
+    levels = {}
     total = skipped = excluded = evaluated = zero_height = 0
     violations = []
     low_hits = 0
@@ -418,34 +452,51 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                     excluded += 1
                     continue
             evaluated += 1
-            H = max(M, abs(t))
+            H = M if -M <= t <= M else abs(t)
             if H == 1:
                 zero_height += 1
-            lhs_num = lhs_den = 1
+            lev = levels.get(H)
+            if lev is None:
+                lev = levels[H] = level(H)
+            certified, rhs_pow, rhs_log, plans = lev
             lhs_log = 0.0
             proxim = []
-            for start, stop, degs, c, memo, e, lb in plans:
-                if memo is None:
-                    num, den = norm(start, stop, degs, c, vals, H)
-                    # int / int is correctly rounded, so this is float(Q) exactly
-                    factors = num ** e, den ** e, math.log(num / den)
-                else:
-                    key = (H, abs(vals[start]))
-                    factors = memo.get(key)
-                    if factors is None:
+            if certified:
+                # only the logs are needed; a hyperplane's depends on G(x)
+                # alone, and on -G(x) as on G(x)
+                for start, stop, degs, c, memo, e, lb in plans:
+                    if memo is None:
                         num, den = norm(start, stop, degs, c, vals, H)
-                        factors = memo[key] = (num ** e, den ** e,
-                                               math.log(num / den))
-                fn, fd, m = factors
-                lhs_num *= fn
-                lhs_den *= fd
-                proxim.append(m)
-                lhs_log += lb * m
-            rhs = per_height.get(H)
-            if rhs is None:
-                rhs = per_height[H] = H ** rhs_exp, rhs_scale * math.log(H)
-            violated = lhs_num > rhs[0] * lhs_den
-            rhs_log = rhs[1]
+                        # int / int is correctly rounded: this is log of float(Q)
+                        m = log(num / den)
+                    else:
+                        v = vals[start]
+                        m = memo.get(v)
+                        if m is None:
+                            num, den = norm(start, stop, degs, c, vals, H)
+                            m = memo[v] = memo[-v] = log(num / den)
+                    proxim.append(m)
+                    lhs_log += lb * m
+                violated = False
+            else:
+                lhs_num = lhs_den = 1
+                for start, stop, degs, c, memo, e, lb in plans:
+                    if memo is None:
+                        num, den = norm(start, stop, degs, c, vals, H)
+                        factors = num ** e, den ** e, log(num / den)
+                    else:
+                        v = vals[start]
+                        factors = memo.get(v)
+                        if factors is None:
+                            num, den = norm(start, stop, degs, c, vals, H)
+                            factors = memo[v] = memo[-v] = (
+                                num ** e, den ** e, log(num / den))
+                    fn, fd, m = factors
+                    lhs_num *= fn
+                    lhs_den *= fd
+                    proxim.append(m)
+                    lhs_log += lb * m
+                violated = lhs_num > rhs_pow * lhs_den
             ratio = lhs_log / rhs_log if H > 1 else None
             track = violated or keep_rows or (
                 ratio is not None and (best_ratio is None or ratio > best_ratio))

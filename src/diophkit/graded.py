@@ -427,9 +427,7 @@ def check_general_position(Ys):
     infinity.  Returns the first violating subset (0-based, by size then
     lexicographic order) as witness.
     """
-    Ys = list(Ys)
-    if not Ys:
-        raise ValueError("need at least one subscheme")
+    Ys = _family(Ys)
     n = Ys[0].n
     codims = [_subscheme_codim(Y) for Y in Ys]
     for size in range(1, len(Ys) + 1):

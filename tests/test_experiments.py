@@ -135,6 +135,12 @@ class TestConfigValidation:
         data["min_height_norm"] = True
         with pytest.raises(ConfigError):
             InequalityConfig.from_json(data)
+        # JSON true is not read as the weight or slack 1
+        for key, value in (("betas", [True]), ("epsilon", True)):
+            data = simple_config().to_json()
+            data[key] = value
+            with pytest.raises(ConfigError, match="not booleans"):
+                InequalityConfig.from_json(data)
 
     def test_json_round_trip(self):
         cfg = four_lines_config()
@@ -377,6 +383,84 @@ class TestDifferentialOracle:
         assert report.violations and report.low_height_hits > 0
 
 
+def height_exponents(cfg):
+    """(c_prod, deg_exp, rhs_exp) of the scan's per-height certificate:
+    a height H is certified when c_prod H^deg_exp <= H^rhs_exp."""
+    one_plus_eps = 1 + cfg.epsilon
+    d = math.lcm(one_plus_eps.denominator, *(b.denominator for b in cfg.betas))
+    c_prod, deg_exp = 1, 0
+    for Y, b in zip(cfg.subschemes, cfg.betas):
+        coeffs = [v for g in Y.generators for v in g.terms.values()]
+        c = math.lcm(*(v.denominator for v in coeffs))
+        for v in cfg.places:
+            if not v.is_infinite:
+                while c % v.p == 0:
+                    c //= v.p
+        c_prod *= c ** int(d * b)
+        deg_exp += int(d * b) * max(g.degree for g in Y.generators)
+    return c_prod, deg_exp, int(d * one_plus_eps)
+
+
+class TestHeightCertificate:
+    """A height H where c_prod H^deg_exp <= H^(d (1+eps)) is decided once,
+    without comparing products; every other height takes the exact path."""
+
+    def check(self, cfg, bound):
+        for keep_rows in (False, True):
+            got = scan_inequality(cfg, bound=bound, keep_rows=keep_rows)
+            want = reference_scan(cfg, reference_points(cfg.nvars - 1, bound),
+                                  keep_rows=keep_rows)
+            assert got.to_json() == want.to_json()
+        return got
+
+    def test_low_heights_exact_high_heights_certified(self):
+        # c' = 2 for the first line, since 2 is not in S; delta = 7/6 - 3/2 < 0
+        cfg = simple_config(
+            subschemes=(sub("A", ["1/2*x0 + x1"], 3), sub("B", ["x2"], 3),
+                        sub("C", ["x0 - x1 + x2"], 3)),
+            betas=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
+            places=PlaceSet.from_string("inf,3"), min_height_norm=1)
+        c_prod, deg_exp, rhs_exp = height_exponents(cfg)
+        assert (c_prod, deg_exp, rhs_exp) == (8, 7, 9)
+        certified = [H for H in range(1, 7) if c_prod * H ** deg_exp <= H ** rhs_exp]
+        assert certified == [3, 4, 5, 6]
+        report = self.check(cfg, 6)
+        assert report.violations
+        assert {r.height_norm for r in report.violations} <= {1, 2}
+        assert max(r.height_norm for r in report.rows) == 6
+
+    def test_positive_delta_takes_the_exact_path(self):
+        # sum_i beta_i deg Y_i = 4/3 > 1 + 1/4: only H = 1 is certified
+        cfg = four_lines_config(epsilon=Fraction(1, 4), min_height_norm=1)
+        c_prod, deg_exp, rhs_exp = height_exponents(cfg)
+        assert deg_exp > rhs_exp and c_prod == 1
+        report = self.check(cfg, 9)
+        assert len(report.violations) > 100
+
+    def test_bound_uses_the_largest_generator_degree(self):
+        # on x0 = x2 the linear generator vanishes and the quadric decides,
+        # so Q reaches H^2 / |x1^2 - x2^2|': at 1:2:1, Q^2 = 16 > 2^3
+        cfg = simple_config(subschemes=(sub("Y", ["x0 - x2", "x1^2 - x2^2"], 3),),
+                            betas=(Fraction(1),),
+                            places=PlaceSet.from_string("inf,3,5"),
+                            min_height_norm=1)
+        assert height_exponents(cfg) == (1, 4, 3)
+        report = self.check(cfg, 6)
+        assert "1:2:1" in [r.point for r in report.violations]
+
+    @pytest.mark.parametrize("beta", [Fraction(1), Fraction(2)])
+    def test_hyperplane_values_of_both_signs(self, beta):
+        # at H = 5, x0 - 2*x1 is 1 at 5:2:t and -1 at 3:2:5; beta = 1 is
+        # certified at every height, beta = 2 at none above 1
+        cfg = simple_config(subschemes=(sub("L", ["x0 - 2*x1"], 3),),
+                            betas=(beta,), min_height_norm=1)
+        H = 5
+        values = {p[0] - 2 * p[1] for p in reference_points(2, H)
+                  if max(map(abs, p)) == H}
+        assert {1, -1} <= values
+        report = self.check(cfg, H)
+        assert bool(report.violations) == (beta == 2)
+
 # the scan walks the sample a line at a time, each form a polynomial in
 # the last coordinate t: forms free of t are constant on a line, pure
 # powers of t vanish only at t = 0, and P^1 has no middle coordinates
@@ -415,7 +499,8 @@ def line_configs(draw):
         subschemes=subs, betas=betas,
         places=PlaceSet.from_string(draw(st.sampled_from(
             ["inf", "inf,2", "inf,2,3", "inf,3,5,7"]))),
-        epsilon=draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2), 1])),
+        epsilon=draw(st.fractions(min_value=Fraction(1, 10), max_value=2,
+                                  max_denominator=10)),
         exclusions=subschemes("Z", draw(st.integers(0, 2))),
         min_height_norm=draw(st.sampled_from([1, 3, 10])))
 

@@ -297,6 +297,13 @@ class TestGeneralPosition:
         Ys = [sub("a", ["x0"], 3), sub("b", ["x1"], 3)]
         assert check_general_position(Ys).ok
 
+    def test_rejects_mixed_ambient_spaces(self):
+        Ys = [sub("a", ["x0"], 2), sub("b", ["x0"], 3)]
+        with pytest.raises(ValueError, match="share one ambient space"):
+            check_general_position(Ys)
+        with pytest.raises(ValueError, match="at least one subscheme"):
+            check_general_position([])
+
 
 class TestSubschemeBasics:
     def test_json_round_trip_preserves_ambient(self):

@@ -213,6 +213,12 @@ class TestImportSets:
         assert "experiments" in modules
         assert not modules & {"beta", "filtration", "surface"}
 
+    def test_scan_rows_render_without_writers(self):
+        code, modules = run_cli("scan", "--four-lines", "--bound", "3",
+                                "--keep-rows", "--output", "csv")
+        assert code == 0
+        assert not modules & {"csv", "json"}
+
     # each output format loads only its own writer
     @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", {"json"}),
                                              ("csv", {"csv"})])
