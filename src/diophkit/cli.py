@@ -536,5 +536,17 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
+def run():
+    """Process entry of ``python -m diophkit``, ``python -m diophkit.cli``
+    and the ``diophkit`` script.  What is alive here came from ``site`` and
+    the imports and lives until exit, so one ``gc.freeze`` spares the
+    collector walking it again at shutdown.  main does not freeze: tests
+    and library callers run it inside their own processes."""
+    import gc
+
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -39,11 +39,9 @@ from fractions import Fraction
 
 from . import linalg
 from .graded import (
-    CatalogError,
     _linear_forms,
     _linear_rows,
     _validate_family,
-    common_support_dim,
     complete_intersection_degrees,
     dim_full,
     normalize,
@@ -549,16 +547,26 @@ def common_adapted_basis(first, second):
     return view_f, view_g
 
 
+def _is_empty(Y):
+    """Whether Y has no point over the algebraic closure, decided exactly.
+
+    Forms of positive degree that number at most n always meet in P^n.
+    Otherwise let d_1 >= d_2 >= ... be the generator degrees: an empty Y
+    has (I_Y)_D = S_D at D = d_1 + ... + d_{n+1} - n (the Macaulay bound,
+    Lazard 1983), and an ideal holding every form of some degree has no
+    zero, so one rank at D decides."""
+    degrees = sorted((g.degree for g in Y.generators), reverse=True)
+    if len(degrees) <= Y.n:
+        return False
+    D = sum(degrees[:Y.n + 1]) - Y.n
+    return build_profile([Y], (1,), D).dim_at(1) == dim_full(D, Y.n)
+
+
 def _power_terms(Y, N):
     """h^0 of the powers I_Y^m in degree N, m = 1.. first zero, all read
     off the profile of Y with weight 1.  An empty Y has the ideal sheaf
-    O_X, so no term vanishes: that raises ValueError.  A support outside
-    ``common_support_dim``'s catalog is not checked."""
-    try:
-        empty = common_support_dim([Y]) is None
-    except CatalogError:
-        empty = False
-    if empty:
+    O_X, so no term vanishes: that raises ValueError."""
+    if _is_empty(Y):
         raise ValueError("subscheme %r is empty, so no term vanishes and beta "
                          "is not finite" % Y.label)
     return terms_until_zero(build_profile([Y], (1,), N).dim_at)

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diophkit.beta import (
     beta_blowup_crosscheck,
@@ -14,17 +16,37 @@ from diophkit.beta import (
     ideal_power_terms,
 )
 from diophkit.cli import main
+from diophkit.filtration import _is_empty
 from diophkit.graded import (
+    CatalogError,
     Subscheme,
+    common_support_dim,
     dim_full,
     ideal_power_gens,
     span_dim,
     terms_until_zero,
 )
+from diophkit.polynomials import HomogeneousForm, monomial_exponents
 
 
 def sub(label, gens, nvars):
     return Subscheme.from_strings(label, gens, nvars=nvars)
+
+
+@st.composite
+def subschemes(draw):
+    """Up to n + 2 linear forms and quadrics in P^n, n <= 3, with small
+    sparse integer coefficients: empty and nonempty inputs both occur."""
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for degree in draw(st.lists(st.sampled_from([1, 1, 2]), min_size=1,
+                                max_size=nvars + 1)):
+        exps = list(monomial_exponents(degree, nvars))
+        coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                               min_size=len(exps), max_size=len(exps)))
+        assume(any(coeffs))
+        gens.append(HomogeneousForm(nvars, degree, dict(zip(exps, coeffs))))
+    return Subscheme("Y", gens)
 
 
 def divisor_oracle(e, n, N):
@@ -132,6 +154,8 @@ class TestIdealPowerTerms:
         (["x0", "x1"], 2),                         # two points of P^1
         (["x0 + x1", "x1 + x2", "x0 + x2"], 3),    # independent tilted lines
         (["x0", "x1", "x2^2 + x0*x1"], 3),         # a point off a conic
+        (["x0^2", "x1^2", "x2^2"], 3),             # outside the support catalog
+        (["x0^2 + x1^2", "x1^2 + x2^2", "x0*x2"], 3),
     ])
     def test_empty_subscheme_has_no_finite_beta(self, gens, nvars):
         with pytest.raises(ValueError, match="'E' is empty"):
@@ -140,11 +164,33 @@ class TestIdealPowerTerms:
             beta_convergence(sub("E", gens, nvars), 1, 2)
 
     def test_support_outside_the_catalog_keeps_its_terms(self):
-        # two effective conics: common_support_dim cannot decide, so the
-        # terms are counted as before
+        # two effective conics that common_support_dim cannot decide: the
+        # Macaulay bound needs three generators in P^2, so two conics are
+        # nonempty without a rank, and the terms are counted as before
         Y = sub("Q", ["x0^2 + x1^2", "x1*x2 + x0^2"], 3)
         assert ideal_power_terms(Y, 4) == terms_until_zero(
             lambda m: span_dim(ideal_power_gens(Y, m, 4)))
+
+    @pytest.mark.parametrize("gens,nvars", [
+        (["x0^2 + x1^2 - x2^2", "x0*x1 - x2^2"], 3),  # two conics
+        (["x0*x1", "x0*x2", "x1*x2"], 3),             # three coordinate points
+        (["x0^2", "x1^2", "x0*x2", "x1*x2"], 3),      # a fat point
+        (["x0^2 + x1*x2", "x1^2 + x2*x3", "x2^2 - x0*x3", "x0*x1"], 4),  # 0:0:0:1
+    ])
+    def test_nonempty_outside_the_catalog(self, gens, nvars):
+        Y = sub("Y", gens, nvars)
+        with pytest.raises(CatalogError):
+            common_support_dim([Y])
+        assert not _is_empty(Y)
+
+    @settings(max_examples=80)
+    @given(subschemes())
+    def test_emptiness_matches_the_support_catalog(self, Y):
+        try:
+            dim = common_support_dim([Y])
+        except CatalogError:
+            assume(False)
+        assert _is_empty(Y) == (dim is None)
 
 
 class TestBlowupCrosscheck:

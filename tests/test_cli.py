@@ -1,7 +1,10 @@
 """End-to-end command line checks through main(argv)."""
 
+import gc
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -192,6 +195,19 @@ class TestSubcommands:
         assert "bound holds: True" in out
 
 
+def overweight_scan(tmp_path):
+    """A scan whose hyperplane weight 5 breaks the inequality: exit 3."""
+    config = InequalityConfig(
+        subschemes=(Subscheme.from_strings("H", ["x0"], nvars=2),),
+        betas=("5",),
+        places=PlaceSet.from_string("inf,2,3,5"),
+        epsilon="1/2",
+    )
+    path = tmp_path / "overweight.json"
+    path.write_text(json.dumps(config.to_json()))
+    return ["scan", "--config", str(path), "--bound", "12"]
+
+
 class TestExitCodes:
     def test_runtime_error_is_one(self, capsys):
         code, out, err = run(capsys, "beta", "--ideal", "x0")
@@ -199,14 +215,21 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     # three coordinate lines of P^2 meet nowhere, and so do two points of
-    # P^1 (the space inferred from x0, x1): the ideal sheaf is O_X, no term
-    # vanishes, and beta is not finite
+    # P^1 (the space inferred from x0, x1), three coordinate conics and
+    # two conics with a line pair through none of their points: the ideal
+    # sheaf is O_X, no term vanishes, and beta is not finite
     @pytest.mark.parametrize("argv", [
         ["beta", "--space", "P2", "--ideal", "x0,x1,x2", "--N", "3"],
         ["beta", "--ideal", "x0,x1", "--N", "3"],
         ["concavity-test", "--space", "P2", "--ideals", "x0,x1,x2;x0",
          "--betas", "1/3,1", "--weights", "3/2,1/2", "--N", "3"],
-    ], ids=["P2", "inferred-P1", "concavity-test"])
+        ["beta", "--space", "P2", "--ideal", "x0^2,x1^2,x2^2", "--N", "4"],
+        ["beta", "--space", "P2", "--ideal", "x0^2+x1^2,x1^2+x2^2,x0*x2",
+         "--N", "4"],
+        ["concavity-test", "--space", "P2", "--ideals", "x0^2,x1^2,x2^2;x0",
+         "--betas", "1/3,1", "--weights", "3/2,1/2", "--N", "4"],
+    ], ids=["P2", "inferred-P1", "concavity-test", "conics", "conics-tilted",
+            "concavity-test-conics"])
     def test_empty_subscheme_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -269,16 +292,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_violations_are_three(self, capsys, tmp_path):
-        config = InequalityConfig(
-            subschemes=(Subscheme.from_strings("H", ["x0"], nvars=2),),
-            betas=("5",),
-            places=PlaceSet.from_string("inf,2,3,5"),
-            epsilon="1/2",
-        )
-        path = tmp_path / "overweight.json"
-        path.write_text(json.dumps(config.to_json()))
-        code, out, _ = run(capsys, "scan", "--config", str(path),
-                           "--bound", "12")
+        code, out, _ = run(capsys, *overweight_scan(tmp_path))
         assert code == 3
         assert "VIOLATION" in out
 
@@ -339,3 +353,75 @@ class TestNarrowedParser:
         narrowed = fresh(MAIN, argv)
         assert narrowed == fresh(FULL_PARSER, argv)
         assert narrowed[0] in (0, 1, 2)
+
+
+def in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv) in this process, usage
+    errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# runs a module as ``python -m`` does, printing a line on each gc.freeze
+FREEZE_PROBE = """
+import gc, runpy, sys
+freeze = gc.freeze
+def counted():
+    print("freeze")
+    freeze()
+gc.freeze = counted
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessEntry:
+    """``python -m diophkit`` and the installed script run cli.run, which
+    freezes the startup heap and exits with main's code; main itself
+    leaves the collector of its caller's process alone."""
+
+    @pytest.mark.parametrize("expected,argv", [
+        (0, lambda tmp_path: ["scan", "--four-lines", "--bound", "3"]),
+        (1, lambda tmp_path: ["beta", "--space", "P2", "--ideal",
+                              "x0^2,x1^2,x2^2", "--N", "4"]),
+        (2, lambda tmp_path: ["beta", "--ideal", "x0", "--N", "x"]),
+        (3, overweight_scan),
+    ], ids=["clean", "runtime-error", "usage-error", "violations"])
+    @pytest.mark.parametrize("module", ["diophkit", "diophkit.cli"])
+    def test_module_matches_main(self, capsys, monkeypatch, tmp_path,
+                                 module, expected, argv):
+        argv = argv(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="100")
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              env=env, capture_output=True, text=True)
+        monkeypatch.setenv("COLUMNS", "100")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            in_process(capsys, argv)
+        assert proc.returncode == expected
+
+    @pytest.mark.parametrize("module", ["diophkit", "diophkit.cli"])
+    def test_module_freezes_once_before_main(self, module):
+        assert fresh(FREEZE_PROBE, [module, "height", "--point", "2:3"]) == \
+            (0, b"freeze\npoint = 2:3\nheight_norm = 3\n"
+                b"height = 1.09861228867\n", b"")
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["beta", "--space", "P2", "--ideal", "x0", "--N", "3"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+
+    def test_script_is_the_module_entry(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["diophkit"]
+        module, name = target.split(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda: calls.append(True))
+        runpy.run_module("diophkit", run_name="__main__")
+        assert calls == [True]
