@@ -498,9 +498,8 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                     lhs_log += lb * m
                 violated = lhs_num > rhs_pow * lhs_den
             ratio = lhs_log / rhs_log if H > 1 else None
-            track = violated or keep_rows or (
-                ratio is not None and (best_ratio is None or ratio > best_ratio))
-            if track:
+            better = ratio is not None and (best_ratio is None or ratio > best_ratio)
+            if violated or keep_rows or better:
                 row = ScanRow(head + str(t), H, tuple(proxim),
                               lhs_log, rhs_log, ratio, violated)
                 if violated:
@@ -508,7 +507,7 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
                         violations.append(row)
                     else:
                         low_hits += 1
-                if ratio is not None and (best_ratio is None or ratio > best_ratio):
+                if better:
                     best = row
                     best_ratio = ratio
                 if keep_rows:

@@ -7,16 +7,16 @@ F(t) is the quantity the concavity bound controls.  Dimensions are exact
 and jump values are Fractions throughout.
 
 Profiles without bases are counted where they can be: on inputs that
-``graded.normalize`` accepts the dimensions are running sums of one
-histogram of integer monomial levels, and one complete intersection (the
-generators a regular sequence with nonempty support,
+``graded.normalize`` accepts the dimensions are running sums of the level
+histogram (``_levels``) of the monomials, and one complete intersection
+(the generators a regular sequence with nonempty support,
 ``complete_intersection_degrees``) is a sum of binomials.  Every other
 profile, and every mu value, is read off one downward walk of (x, row
-space) pairs (``_walk``) in which each value adds only its own rows: the
-images of its monomials under the change of coordinates for normalized
-inputs, the generating rows of its own products for the rest.  The rank
-after a value is the dimension there.  Ideal powers are the case of one
-subscheme with weight 1.
+space) pairs (``_walk``): each value adds only its own rows, from one of
+two sources, the images of its monomials under the change of coordinates
+for normalized inputs and the products of its b's for the rest, and the
+walk stops once the rank is full.  The rank after a value is the
+dimension there.  Ideal powers are the case of one subscheme with weight 1.
 
 Rows are integers end to end.  A generator has its denominators cleared
 once, products are integer polynomials on packed exponents
@@ -170,24 +170,24 @@ def _validate_inputs(Ys, t, N):
     return Ys, t
 
 
-def _integer_weights(t):
-    """(L, T) with L the least common denominator of the weights and
-    T_i = L t_i, so that t.b = T.b / L with T.b an integer."""
+def _levels(t, pairs):
+    """(x, items) for the values x = t.v of (v, item) pairs, descending, with
+    their items in order; 0 is always a value.  The weights are scaled once
+    by their least common denominator L, so each x is an integer over L."""
     L = math.lcm(*[w.denominator for w in t])
-    return L, [w.numerator * (L // w.denominator) for w in t]
+    T = [w.numerator * (L // w.denominator) for w in t]
+    buckets = {0: []}
+    for v, item in pairs:
+        buckets.setdefault(sum(w * a for w, a in zip(T, v)), []).append(item)
+    return [(Fraction(k, L), buckets[k]) for k in sorted(buckets, reverse=True)]
 
 
-def _order_levels(Ys, t, N):
-    """The values t.b, descending, each with its b, over the b with
-    sum_i b_i mindeg(Y_i) <= N; for any other b the product of the
-    powers I_i^{b_i} has no degree-N part."""
-    mins = [min(g.degree for g in Y.generators) for Y in Ys]
-    L, T = _integer_weights(t)
-    levels = {}
-    for b in itertools.product(*[range(N // m + 1) for m in mins]):
-        if sum(bi * m for bi, m in zip(b, mins)) <= N:
-            levels.setdefault(sum(w * bi for w, bi in zip(T, b)), []).append(b)
-    return [(Fraction(v, L), levels[v]) for v in sorted(levels, reverse=True)]
+def _monomial_levels(norm, t, N):
+    """The levels t.o(e) of the degree-N monomials e, items their column
+    indices, for ``norm = (groups, A)`` from ``normalize``."""
+    groups, A = norm
+    return _levels(t, ((order_vector(e, groups), i)
+                       for i, e in enumerate(monomial_exponents(N, len(A)))))
 
 
 def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
@@ -288,33 +288,20 @@ def build_profile(Ys, t, N, with_bases=False):
     """Exact jump profile of the weighted filtration on degree-N forms."""
     Ys, t = _validate_inputs(Ys, t, N)
     nvars = Ys[0].nvars
-    if with_bases:
-        return _walk_profile(_walk(Ys, t, N), nvars, N, True)
     norm = normalize(Ys)
-    if norm is not None:
-        # the dimension at a level is the number of monomials at or above it
-        L, buckets = _level_buckets(norm[0], t, N, nvars)
-        levels = sorted(buckets, reverse=True)
-        dims = itertools.accumulate(len(buckets[v]) for v in levels)
-        pairs = [(Fraction(v, L), d) for v, d in zip(levels, dims)]
-        return _profile_from_pairs(pairs[::-1], nvars, N, pairs[-1][1])
-    if len(Ys) == 1:
-        degrees = complete_intersection_degrees(Ys[0])
-        if degrees is not None:
-            return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
-    return _generic_profile(Ys, t, N)
-
-
-def _level_buckets(groups, t, N, nvars):
-    """(L, buckets): the histogram of the integer levels L t.o(e) of the
-    degree-N monomials e, as buckets of monomial indices in column order.
-    Level 0 is always a key, possibly with an empty bucket."""
-    L, T = _integer_weights(t)
-    buckets = {0: []}
-    for i, e in enumerate(monomial_exponents(N, nvars)):
-        level = sum(w * o for w, o in zip(T, order_vector(e, groups)))
-        buckets.setdefault(level, []).append(i)
-    return L, buckets
+    if norm is None:
+        if len(Ys) == 1 and not with_bases:
+            degrees = complete_intersection_degrees(Ys[0])
+            if degrees is not None:
+                return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
+        return _generic_profile(Ys, t, N, with_bases)
+    if with_bases:
+        return _walk_profile(_image_walk(norm, t, N), nvars, N, True)
+    # the dimension at a level is the number of monomials at or above it
+    levels = _monomial_levels(norm, t, N)
+    dims = itertools.accumulate(len(items) for _, items in levels)
+    pairs = [(x, d) for (x, _), d in zip(levels, dims)]
+    return _profile_from_pairs(pairs[::-1], nvars, N, pairs[-1][1])
 
 
 def _complete_intersection_profile(degrees, n, w, N):
@@ -382,51 +369,42 @@ def _piece_rows(gens, b, monos, cache):
             yield monos.row(prod, shift)
 
 
-def _level_spaces(Ys, t, N):
-    """Walk the values x > 0 of ``_order_levels`` downwards, yielding
-    (x, space) with ``space`` spanning the filtration piece at x.  The piece
-    at x is the sum of the pieces of the b with t.b >= x, so each value only
-    adds its own b's rows.  Stops once the piece is the whole space."""
+def _walk(levels, rows, width):
+    """Walk the values x > 0 of ``levels`` downwards, yielding (x, space)
+    with ``space`` spanning the filtration piece at x: the sum of the
+    pieces at the values >= x, so each value adds only ``rows(item)`` for
+    its own items.  Stops once the piece is the whole space."""
+    space = linalg.RowSpace(width)
+    for x, items in levels:
+        if x == 0 or space.rank == width:
+            return
+        for row in itertools.chain.from_iterable(map(rows, items)):
+            if space.add(row) and space.rank == width:
+                break
+        yield x, space
+
+
+def _product_walk(Ys, t, N):
+    """The walk over the values t.b, each adding the rows of its own
+    products, over the b with sum_i b_i mindeg(Y_i) <= N: for any other b
+    the product of the powers I_i^{b_i} has no degree-N part."""
+    mins = [min(g.degree for g in Y.generators) for Y in Ys]
+    box = [b for b in itertools.product(*[range(N // m + 1) for m in mins])
+           if sum(bi * m for bi, m in zip(b, mins)) <= N]
     monos = _Monomials(N, Ys[0].nvars)
     gens = [[(g.degree, monos.form(g)) for g in Y.generators] for Y in Ys]
-    space = linalg.RowSpace(monos.width)
     cache = {}
-    for x, bs in _order_levels(Ys, t, N):
-        if x == 0:
-            return
-        for row in (row for b in bs for row in _piece_rows(gens, b, monos, cache)):
-            if space.rank == space.width:
-                break
-            space.add(row)
-        yield x, space
-        if space.rank == space.width:
-            return
+    return _walk(_levels(t, zip(box, box)),
+                 lambda b: _piece_rows(gens, b, monos, cache), monos.width)
 
 
-def _image_spaces(groups, A, t, N):
-    """The walk of ``_level_spaces`` for inputs ``normalize`` accepts.  In
-    the variables y = A x the piece at x is spanned by the y^e whose level
-    t.o(e) is at least x, so each level of the histogram adds the images of
-    its own monomials."""
-    L, buckets = _level_buckets(groups, t, N, len(A))
-    images = _monomial_images(A, N)
-    space = linalg.RowSpace(len(images))
-    for v in sorted(buckets, reverse=True):
-        if v == 0:
-            return
-        for i in buckets[v]:
-            space.add(images[i])
-        yield Fraction(v, L), space
-
-
-def _walk(Ys, t, N):
-    """The downward walk of (x, space) pairs over the values x > 0, with
-    ``space`` spanning the filtration piece at x: monomial images for the
-    inputs ``normalize`` accepts, generator products for the rest."""
-    norm = normalize(Ys)
-    if norm is None:
-        return _level_spaces(Ys, t, N)
-    return _image_spaces(*norm, t, N)
+def _image_walk(norm, t, N):
+    """The walk for ``norm = (groups, A)`` from ``normalize``: in y = A x the
+    piece at x is spanned by the y^e at level t.o(e) >= x, so each value
+    adds the images of its own monomials.  These are independent, so the
+    full-rank stop fires only once all of them are in."""
+    images = _monomial_images(norm[1], N)
+    return _walk(_monomial_levels(norm, t, N), lambda i: (images[i],), len(images))
 
 
 def _walk_profile(spaces, nvars, N, with_bases):
@@ -444,7 +422,7 @@ def _walk_profile(spaces, nvars, N, with_bases):
 def _generic_profile(Ys, t, N, with_bases=False):
     """The profile from the product-row walk, for subschemes that
     ``normalize`` rejects, and the oracle of those it accepts."""
-    return _walk_profile(_level_spaces(Ys, t, N), Ys[0].nvars, N, with_bases)
+    return _walk_profile(_product_walk(Ys, t, N), Ys[0].nvars, N, with_bases)
 
 
 def mu_value(s, Ys, t):
@@ -454,12 +432,15 @@ def mu_value(s, Ys, t):
     Ys, t = _validate_inputs(Ys, t, s.degree)
     if s.nvars != Ys[0].nvars:
         raise FormError("form and subschemes live in different ambient spaces")
-    return _walk_mu(s, _walk(Ys, t, s.degree))
+    norm = normalize(Ys)
+    if norm is None:
+        return _generic_mu(s, Ys, t)
+    return _walk_mu(s, _image_walk(norm, t, s.degree))
 
 
 def _generic_mu(s, Ys, t):
     """mu from the product-row walk."""
-    return _walk_mu(s, _level_spaces(Ys, t, s.degree))
+    return _walk_mu(s, _product_walk(Ys, t, s.degree))
 
 
 def _walk_mu(s, spaces):

@@ -205,7 +205,7 @@ class HomogeneousForm:
             vec[column_index[e]] = c
         return tuple(vec)
 
-    def to_string(self, var="x"):
+    def to_string(self):
         if self.is_zero:
             return "0"
         pieces = []
@@ -214,9 +214,9 @@ class HomogeneousForm:
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
-                    factors.append(f"{var}{i}")
+                    factors.append(f"x{i}")
                 elif e > 1:
-                    factors.append(f"{var}{i}^{e}")
+                    factors.append(f"x{i}^{e}")
             body = "*".join(factors)
             mag = abs(coeff)
             if not body:

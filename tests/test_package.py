@@ -131,6 +131,17 @@ class TestPublicNames:
                         callers.add(path.name)
         assert callers == {"filtration.py"}
 
+    def test_one_filtration_walk_builds_row_spaces(self):
+        """Both row sources feed one downward walk, so exactly one function
+        in the filtration module constructs a linalg.RowSpace."""
+        tree = ast.parse((SRC / "diophkit" / "filtration.py").read_text())
+        builders = {func.name for func in ast.walk(tree)
+                    if isinstance(func, ast.FunctionDef)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "RowSpace"}
+        assert len(builders) == 1
+
     def test_only_polynomials_orders_columns(self):
         """Forms become coefficient rows, and rows forms, in one column
         order, so only the polynomials module reads a form's coefficients
