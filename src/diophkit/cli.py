@@ -5,11 +5,15 @@ like 3/2.  Output is text by default, or machine-readable with
 --output csv / --output json; identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 runtime error, 2 usage error, 3 scan
 found violations above the height floor.
+
+A plain command line (a subcommand, then exact long flags of it, each
+once, with values argparse would read the same way) is matched against a
+record of that subcommand's add_argument calls, so it runs without
+argparse; every other one goes to the argparse parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from fractions import Fraction
@@ -18,12 +22,15 @@ from fractions import Fraction
 from .graded import _parse_family, check_general_position
 
 _SPACES = {"P1": 2, "P2": 3, "P3": 4}
+_OUTPUTS = ("text", "csv", "json")
 
 
 def _rat(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse
+
         raise argparse.ArgumentTypeError("expected a rational like 3 or 5/7, got %r"
                                          % text)
 
@@ -54,13 +61,6 @@ def _parse_subschemes(text, nvars=None):
 def _space_arg(parser):
     parser.add_argument("--space", choices=sorted(_SPACES),
                         help="ambient projective space (else inferred from variables)")
-
-
-def _common_args(parser):
-    # mirrored on each subparser so the flag parses in either position;
-    # SUPPRESS keeps the root default from being clobbered
-    parser.add_argument("--output", choices=["text", "csv", "json"],
-                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 def _nvars_from(args):
@@ -108,6 +108,8 @@ def _run_beta(args):
         raise ValueError("beta takes a single subscheme")
     Y = Ys[0]
     if args.n_max is not None:
+        if args.N is not None or args.crosscheck:
+            raise ValueError("--n-max takes neither --N nor --crosscheck")
         rows = [vars(r) for r in beta.beta_convergence(Y, args.degree, args.n_max)]
         _emit(args.output, rows,
               text=["N=%-3d value = %-22s min_so_far = %s"
@@ -231,6 +233,8 @@ def _run_weil(args):
     if len(Ys) != 1:
         raise ValueError("weil takes a single subscheme")
     Y = Ys[0]
+    if args.places and args.place:
+        raise ValueError("need --place or --places, not both")
     if args.places:
         places = list(heights.PlaceSet.from_string(args.places))
     elif args.place:
@@ -297,6 +301,8 @@ def _scan_lines(report):
 def _run_scan(args):
     from . import experiments
 
+    if args.config and args.four_lines:
+        raise ValueError("need --config FILE or --four-lines, not both")
     if args.config:
         import json
         with open(args.config) as fh:
@@ -367,29 +373,42 @@ def _run_concavity_test(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse takes a value that starts with a minus sign, and is not a
-    number, for an option; so a surface class such as -E1 is glued to its
-    option (--D -E1 becomes --D=-E1) before parsing."""
+_Parser = None
 
-    def parse_known_args(self, args=None, namespace=None):
-        glued = []
-        for arg in sys.argv[1:] if args is None else args:
-            if glued and glued[-1] in ("--A", "--D") and arg.startswith("-") \
-                    and not arg.startswith("--"):
-                glued[-1] += "=" + arg
-            else:
-                glued.append(arg)
-        return super().parse_known_args(glued, namespace)
 
-    # a root parser narrowed to one subcommand reports its errors through
-    # the full parser, whose usage line names every subcommand
-    narrowed = False
+def _parser_class():
+    """The argparse parser class, defined on first use: a plain command
+    line never imports argparse."""
+    global _Parser
+    if _Parser is None:
+        import argparse
 
-    def error(self, message):
-        if self.narrowed:
-            build_parser().error(message)
-        super().error(message)
+        class Parser(argparse.ArgumentParser):
+            """argparse takes a value that starts with a minus sign, and is
+            not a number, for an option; so a surface class such as -E1 is
+            glued to its option (--D -E1 becomes --D=-E1) before parsing."""
+
+            def parse_known_args(self, args=None, namespace=None):
+                glued = []
+                for arg in sys.argv[1:] if args is None else args:
+                    if glued and glued[-1] in ("--A", "--D") \
+                            and arg.startswith("-") and not arg.startswith("--"):
+                        glued[-1] += "=" + arg
+                    else:
+                        glued.append(arg)
+                return super().parse_known_args(glued, namespace)
+
+            # a root parser narrowed to one subcommand reports its errors
+            # through the full parser, whose usage line names every subcommand
+            narrowed = False
+
+            def error(self, message):
+                if self.narrowed:
+                    build_parser().error(message)
+                super().error(message)
+
+        _Parser = Parser
+    return _Parser
 
 
 def _beta_args(p):
@@ -502,31 +521,111 @@ def build_parser(command=None):
     """The full parser, or given a subcommand name one that knows only
     that subcommand: it parses an argv starting with that name the same
     way, and reports its own errors through the full parser."""
-    parser = _Parser(
+    import argparse
+
+    parser = _parser_class()(
         prog="diophkit",
         description="Exact invariants of polarized subschemes: expansion "
                     "coefficients, filtrations, surface intersection theory, "
                     "heights, and inequality scans.")
-    parser.add_argument("--output", choices=["text", "csv", "json"],
-                        default="text", help="output format (default text)")
+    parser.add_argument("--output", choices=_OUTPUTS, default="text",
+                        help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_args, run) in _COMMANDS.items():
         if command is None or command == name:
             p = sub.add_parser(name, help=text)
             add_args(p)
             p.set_defaults(func=run)
-            _common_args(p)
+            # mirrored on each subparser so the flag parses in either
+            # position; SUPPRESS keeps the root default from being clobbered
+            p.add_argument("--output", choices=_OUTPUTS,
+                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     parser.narrowed = command is not None
     return parser
 
 
+class _Spec:
+    """A subcommand's add_argument calls, recorded by running its `_*_args`
+    function on this stand-in for a parser: each flag's dest, type and
+    choices, the store_true switches, the required flags, and the
+    namespace argparse starts from.  It takes only the one name and the
+    keywords that those functions use, so a call it cannot read raises
+    TypeError for every command line of that subcommand."""
+
+    def __init__(self, command):
+        self.flags = {"--output": ("output", None, _OUTPUTS)}
+        self.switches, self.required = {}, set()
+        self.defaults = {"output": "text", "command": command,
+                         "func": _COMMANDS[command][2]}
+        _COMMANDS[command][1](self)
+
+    def add_argument(self, flag, *, action=None, type=None, choices=None,
+                     required=False, default=None, help=None):
+        dest = flag.lstrip("-").replace("-", "_")
+        if action == "store_true":
+            self.switches[flag] = dest
+            default = False
+        elif action is None:
+            self.flags[flag] = dest, type, choices
+        else:
+            raise TypeError("no plain form for action %r" % action)
+        if required:
+            self.required.add(flag)
+        self.defaults[dest] = default
+
+
+class _Args:
+    """The namespace of a plain command line."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def _plain_args(argv):
+    """What build_parser().parse_args(argv) returns, for a plain argv: a
+    subcommand followed by exact long flags of it, each given once, no
+    value starting with a minus sign, each value accepted by its flag's
+    type and choices, and every required flag present.  None for any
+    other argv, which argparse parses (or rejects) instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    spec = _Spec(argv[0])
+    values, given = dict(spec.defaults), set()
+    rest = iter(argv[1:])
+    for flag in rest:
+        if flag in given:
+            return None
+        given.add(flag)
+        if flag in spec.switches:
+            values[spec.switches[flag]] = True
+            continue
+        value = next(rest, "-")
+        if flag not in spec.flags or value.startswith("-"):
+            return None
+        dest, convert, choices = spec.flags[flag]
+        if convert is not None:
+            # whatever the type raises, argparse reports it its own way
+            try:
+                value = convert(value)
+            except Exception:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not spec.required <= given:
+        return None
+    return _Args(values)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # an argv that starts with a subcommand needs only that subcommand's
-    # parser; any other shape (a root option first, -h, no or an unknown
-    # command) gets the full one
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        # an argv that starts with a subcommand needs only that
+        # subcommand's parser; any other shape (a root option first, -h,
+        # no or an unknown command) gets the full one
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

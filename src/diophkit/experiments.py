@@ -56,14 +56,17 @@ delta = 0 (as c_prod = 1 or not), and at most H = 1 when delta > 0.
 H^(d (1 + epsilon)) and (1 + epsilon) log H are computed once per height
 too.
 
-A hyperplane's num_i and den_i depend only on H and |G(x)|, so each
-height keeps one memo per hyperplane, keyed by G(x) and filled for
--G(x) at the same time: log Q_i on a certified height, and
-num_i^(d beta_i), den_i^(d beta_i) and log Q_i on any other.  Since
-|G(x)| <= ||G||_1 H, a height's memo has O(||G||_1 H) entries, while the
-sample grows like bound^n.  Higher degrees are not memoized, as their
-values spread over ||G||_1 bound^deg; a memo keyed by the tuple of values
-for every subscheme measured slower on the benchmark's configurations.
+num_i and den_i depend only on H and the values G(x) of the generators
+of Y_i, so a height can keep one memo per Y_i, keyed by those values: log
+Q_i on a certified height, and num_i^(d beta_i), den_i^(d beta_i) and
+log Q_i on any other.  Since |G(x)| <= ||G||_1 H^(deg G), a height has
+O(H^(sum of the degrees)) keys of Y_i against about H^n points of P^n, so
+the memo pays where that sum is below n, and Y_i is memoized exactly
+then, or when it is one linear form.  One generator is keyed by G(x) and
+filled for -G(x) at the same time (its norms depend on |G(x)|), several
+by the tuple of their values.  A memo gains at most one entry per
+evaluated point of its height (two with the negation), so it needs no
+cap.
 
 Floats appear only in the reported logs; log(num / den) is the same
 double for every representation of the same rational, since int division
@@ -320,19 +323,24 @@ class _Kernel:
     forms lists the integral terms and degree of every generator of every
     Y_i, then of every exclusion, so one line call gives every G(x) on a
     line; supports and exclusions are index spans into that list.  Each
-    Y_i also gets a plan (start, stop, degrees, c', hyperplane, d beta_i,
-    float beta_i), where hyperplane says whether Y_i is cut out by one
-    linear form, so that a scan memoizes it per height.
+    Y_i also gets a plan (start, stop, degrees, c', key, d beta_i, float
+    beta_i), where key is what a scan memoizes Y_i by per height: None
+    for no memo, else the index of its one generator's value or the slice
+    of its generators' values (see the module docstring for the rule).
     """
 
     def __init__(self, config, exps):
         self.rad = math.prod(v.p for v in config.places if not v.is_infinite)
         self.forms, self.plans = [], []
+        n = config.nvars - 1
         for Y, e, b in zip(config.subschemes, exps, config.betas):
             start, stop, c = self._compile(Y.generators)
             degs = tuple(g.degree for g in Y.generators)
+            key = None
+            if degs == (1,) or sum(degs) < n:
+                key = start if len(degs) == 1 else slice(start, stop)
             self.plans.append((start, stop, degs, _s_free(c, self.rad),
-                               degs == (1,), e, float(b)))
+                               key, e, float(b)))
         self.supports = [plan[:2] for plan in self.plans]
         self.exclusions = [self._compile(Z.generators)[:2]
                            for Z in config.exclusions]
@@ -425,10 +433,11 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
 
     def level(H):
         """What a height decides once: whether it is certified, H^(d (1+eps)),
-        (1+eps) log H, and the plans with a fresh memo per hyperplane."""
+        (1+eps) log H, and the plans with a fresh memo (or None) before
+        their key."""
         rhs_pow = H ** rhs_exp
         return (c_prod * H ** deg_exp <= rhs_pow, rhs_pow, rhs_scale * log(H),
-                [plan[:4] + ({} if plan[4] else None,) + plan[5:]
+                [plan[:4] + (None if plan[4] is None else {},) + plan[4:]
                  for plan in kernel.plans])
 
     levels = {}
@@ -462,35 +471,39 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
             lhs_log = 0.0
             proxim = []
             if certified:
-                # only the logs are needed; a hyperplane's depends on G(x)
-                # alone, and on -G(x) as on G(x)
-                for start, stop, degs, c, memo, e, lb in plans:
+                # only the logs are needed; a memoized one depends on the
+                # key's values alone, and one generator's on |G(x)|
+                for start, stop, degs, c, memo, key, e, lb in plans:
                     if memo is None:
                         num, den = norm(start, stop, degs, c, vals, H)
                         # int / int is correctly rounded: this is log of float(Q)
                         m = log(num / den)
                     else:
-                        v = vals[start]
+                        v = vals[key]
                         m = memo.get(v)
                         if m is None:
                             num, den = norm(start, stop, degs, c, vals, H)
-                            m = memo[v] = memo[-v] = log(num / den)
+                            m = memo[v] = log(num / den)
+                            if key == start:
+                                memo[-v] = m
                     proxim.append(m)
                     lhs_log += lb * m
                 violated = False
             else:
                 lhs_num = lhs_den = 1
-                for start, stop, degs, c, memo, e, lb in plans:
+                for start, stop, degs, c, memo, key, e, lb in plans:
                     if memo is None:
                         num, den = norm(start, stop, degs, c, vals, H)
                         factors = num ** e, den ** e, log(num / den)
                     else:
-                        v = vals[start]
+                        v = vals[key]
                         factors = memo.get(v)
                         if factors is None:
                             num, den = norm(start, stop, degs, c, vals, H)
-                            factors = memo[v] = memo[-v] = (
+                            factors = memo[v] = (
                                 num ** e, den ** e, log(num / den))
+                            if key == start:
+                                memo[-v] = factors
                     fn, fd, m = factors
                     lhs_num *= fn
                     lhs_den *= fd

@@ -1,7 +1,9 @@
 """End-to-end command line checks through main(argv)."""
 
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import runpy
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophkit import beta as beta_mod
 from diophkit import cli
@@ -269,6 +273,29 @@ class TestExitCodes:
         assert out == b""
         assert err.decode() == "error: %s\n" % message
 
+    # a flag that another one would override is an error, not ignored;
+    # the runner checks it, so the argparse path (a glued --output=text)
+    # gives the same line
+    @pytest.mark.parametrize("argv,message", [
+        (lambda tmp_path: overweight_scan(tmp_path) + ["--four-lines"],
+         "need --config FILE or --four-lines, not both"),
+        (lambda tmp_path: ["beta", "--ideal", "x0,x1", "--n-max", "3",
+                           "--N", "2"],
+         "--n-max takes neither --N nor --crosscheck"),
+        (lambda tmp_path: ["beta", "--ideal", "x0,x1", "--n-max", "3",
+                           "--crosscheck"],
+         "--n-max takes neither --N nor --crosscheck"),
+        (lambda tmp_path: ["weil", "--ideal", "x0", "--point", "2:3",
+                           "--places", "inf,2", "--place", "3"],
+         "need --place or --places, not both"),
+    ], ids=["scan", "beta-N", "beta-crosscheck", "weil"])
+    @pytest.mark.parametrize("tail", [[], ["--output=text"]],
+                             ids=["plain", "argparse"])
+    def test_conflicting_flags_are_one(self, capsys, tmp_path, argv, message,
+                                       tail):
+        code, out, err = run(capsys, *argv(tmp_path), *tail)
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+
     def test_support_hit_is_one(self, capsys):
         code, _, err = run(capsys, "weil", "--ideal", "x0",
                            "--point", "0:1", "--place", "inf")
@@ -301,13 +328,15 @@ class TestExitCodes:
         assert code == 0
 
 
-# main builds only the parser of the subcommand that argv starts with; the
-# full parser, with every subcommand, is the reference it must match
+# main matches a plain argv without argparse, and builds only the parser of
+# the subcommand that any other argv starts with; the full parser, with every
+# subcommand and no matcher, is the reference both must match
 FULL_PARSER = """
 import sys
 from diophkit import cli
 full = cli.build_parser
 cli.build_parser = lambda command=None: full()
+cli._plain_args = lambda argv: None
 sys.exit(cli.main())
 """
 MAIN = "import sys\nfrom diophkit import cli\nsys.exit(cli.main())\n"
@@ -353,6 +382,128 @@ class TestNarrowedParser:
         narrowed = fresh(MAIN, argv)
         assert narrowed == fresh(FULL_PARSER, argv)
         assert narrowed[0] in (0, 1, 2)
+
+
+def argparse_result(argv):
+    """vars() of the full parser's namespace for argv, or None where it
+    exits (a usage error or help)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# candidate values of a flag by its type: plain ones, and ones that are
+# off the plain shape or that the type rejects
+VALUES = {
+    None: (["x0", "x0,x1", "x0 + x1;x1 - x2", "2:3", "inf,2", "4H - E1", ""],
+           ["-E1", "-x0", "--N", "-h"]),
+    int: (["0", "2", "7", " 3"], ["-1", "x", "1.5", "", "--"]),
+    cli._rat_list: (["1", "1,1/2", "1/3,1/2,1", "3/2,"],
+                    ["-1/2", "1/0", "a,1", ""]),
+}
+
+
+def mutate(argv, data):
+    """argv (a command and its flag groups) with at most one change that
+    takes it off the plain shape, or leaves it for argparse to reject."""
+    command, groups = argv[0], argv[1:]
+    kind = data.draw(st.sampled_from([
+        "none", "abbreviate", "glue", "repeat", "unknown", "help", "dashdash",
+        "drop", "root-output"]))
+    at = data.draw(st.integers(0, len(groups)))
+    if kind == "root-output":
+        return ["--output", data.draw(st.sampled_from(["csv", "xml"])),
+                command] + [w for g in groups for w in g]
+    if kind == "help":
+        groups.insert(at, ["-h"])
+    elif kind == "dashdash":
+        groups.insert(at, ["--"])
+    elif kind == "unknown":
+        groups.insert(at, data.draw(st.sampled_from([["--bogus"],
+                                                     ["--bogus", "1"]])))
+    elif groups and kind != "none":
+        i = at % len(groups)
+        flag = groups[i][0]
+        if kind == "abbreviate":
+            groups[i] = [flag[:data.draw(st.integers(2, len(flag) - 1))]] \
+                + groups[i][1:]
+        elif kind == "glue" and len(groups[i]) == 2:
+            groups[i] = [flag + "=" + groups[i][1]]
+        elif kind == "repeat":
+            groups.insert(at, list(groups[i]))
+        elif kind == "drop":
+            del groups[i]
+    return [command] + [w for g in groups for w in g]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and flags drawn from its recorded spec (every required
+    one, others at random, in any order; one value in four not plain or
+    rejected), then mutated."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._Spec(command)
+    groups = [[flag] for flag in sorted(spec.switches) if draw(st.booleans())]
+    for flag, (_, convert, choices) in sorted(spec.flags.items()):
+        if flag in spec.required or draw(st.booleans()):
+            good, bad = (list(choices), ["P9"]) if choices else VALUES[convert]
+            pool = bad if draw(st.integers(0, 3)) == 3 else good
+            groups.append([flag, draw(st.sampled_from(pool))])
+    groups = draw(st.permutations(groups))
+    return mutate([command] + groups, draw(st.data()))
+
+
+class TestPlainMatcher:
+    """The matcher answers None or exactly what the full argparse parser
+    returns; it never accepts an argv that argparse rejects."""
+
+    @settings(max_examples=400)
+    @given(command_lines())
+    def test_matches_argparse(self, argv):
+        got = cli._plain_args(argv)
+        if got is not None:
+            assert vars(got) == argparse_result(argv)
+
+    # one plain argv per subcommand, every flag type among them
+    @pytest.mark.parametrize("argv", [
+        ["beta", "--space", "P2", "--ideal", "x0,x1", "--N", "3",
+         "--crosscheck", "--output", "json"],
+        ["beta", "--n-max", "3", "--ideal", "x0", "--degree", "2"],
+        ["beta-surface", "--A", "4H - E1", "--D", "H - E1", "--N", "2"],
+        ["seshadri", "--A", "2H", "--D", "H - E1", "--k", "2"],
+        ["filtration", "--ideals", "x0;x1", "--weights", "1,1/2", "--N", "3"],
+        ["adapted-basis", "--ideals", "x0;x1", "--weights", "1,1",
+         "--weights2", "2,1", "--N", "2", "--space", "P1"],
+        ["weil", "--ideal", "x0", "--point", "2:3", "--places", "inf,2"],
+        ["height", "--point", "2:3", "--output", "csv"],
+        ["scan", "--keep-rows", "--four-lines", "--bound", "3"],
+        ["scan", "--config", "plane.json", "--bound", "3"],
+        ["example5", "--l-max", "2"],
+        ["check-position", "--ideals", "x0;x1"],
+        ["concavity-test", "--ideals", "x0", "--betas", "1/3", "--weights",
+         "3", "--N", "5"],
+    ])
+    def test_plain_argv_is_matched(self, argv):
+        got = cli._plain_args(argv)
+        assert got is not None
+        assert vars(got) == argparse_result(argv)
+
+    # argparse reads each of these, and the matcher leaves them to it
+    @pytest.mark.parametrize("argv", [
+        ["--output", "csv", "height", "--point", "2:3"],
+        ["height", "--poin", "2:3"],
+        ["height", "--point=2:3"],
+        ["height", "--point", "1:2", "--point", "2:3"],
+        ["seshadri", "--A", "2H", "--D", "-E1"],
+        ["beta", "--ideal", "x0", "--N", "-1"],
+    ], ids=["root-output", "abbreviated", "glued", "repeated", "minus-class",
+            "minus-number"])
+    def test_other_shapes_go_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+        assert argparse_result(argv) is not None
 
 
 def in_process(capsys, argv):

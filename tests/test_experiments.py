@@ -23,6 +23,7 @@ from diophkit.experiments import (
     sample_points,
     scan_inequality,
     sigma_select,
+    _Kernel,
 )
 from diophkit.graded import Subscheme
 from diophkit.heights import PLACE_INF, Place, PlaceSet, ProjectivePoint, weil_norm
@@ -347,6 +348,15 @@ DIFFERENTIAL_CASES = {
                     sub("P", ["x0 - 2/7*x2", "x1 + 1/3*x2"], 3)),
         betas=(Fraction(2, 3), Fraction(1, 2)),
         places=PlaceSet.from_string("inf,2,3")), 6),
+    # memoized beyond hyperplanes: degrees 2 and 1 + 1 stay below n = 3,
+    # and the two-form line is keyed by the tuple of its values; c' = 5
+    # for the quadric certifies H = 3 but not H <= 2, so both paths memoize
+    "quadric_line_p3": (dict(
+        subschemes=(sub("Q", ["x0*x3 - 3/2*x1*x2 + 1/5*x2^2"], 4),
+                    sub("L", ["x0 - 1/3*x3", "1/2*x1 + x2"], 4),
+                    sub("A", ["x0 + x1 - 2*x2 + x3"], 4)),
+        betas=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
+        places=PlaceSet.from_string("inf,2,3"), epsilon=Fraction(1)), 3),
     # violations on both sides of the height floor
     "overweight": (dict(
         subschemes=(sub("L", ["x0 - 3/2*x1"], 2),),
@@ -376,6 +386,19 @@ class TestDifferentialOracle:
         got = scan_inequality(cfg, points=points, keep_rows=keep_rows)
         want = reference_scan(cfg, points, keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("name,memoized", [
+        ("fractional", [False, True]),
+        ("multi_generator", [False, False, True]),
+        ("quadric_line_p3", [True, True, True]),
+    ])
+    def test_memo_rule(self, name, memoized):
+        """A Y_i is memoized per height when it is one linear form or the
+        degrees of its generators sum below n: not the conic or the point
+        of P^2, but the quadric, the line and the plane of P^3."""
+        cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
+        kernel = _Kernel(cfg, [1] * len(cfg.subschemes))
+        assert [plan[4] is not None for plan in kernel.plans] == memoized
 
     def test_overweight_case_splits_at_the_floor(self):
         kw, bound = DIFFERENTIAL_CASES["overweight"]

@@ -156,14 +156,19 @@ class TestPublicNames:
 
 
 # standard modules a command line should load only when it needs them
-WATCHED = ("csv", "json", "dataclasses", "inspect")
+WATCHED = ("csv", "json", "dataclasses", "inspect", "argparse", "gettext",
+           "locale")
 
 # lists sys.modules before importing json itself, so a run that never
-# needed json or csv shows neither
+# needed json or csv shows neither; help and usage errors exit through
+# SystemExit and are listed too
 PROBE = """
 import sys
 from diophkit.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.flush()
 names = sorted(m for m in sys.modules
                if m.startswith("diophkit.") or m in %r)
@@ -261,6 +266,12 @@ COMMAND_LINES = {
 }
 
 
+# the same with a seshadri class that does not start with a minus sign,
+# so that every line is plain
+PLAIN_LINES = dict(COMMAND_LINES,
+                   seshadri=["seshadri", "--A", "2H", "--D", "H - E1"])
+
+
 class TestNoDataclasses:
     @pytest.mark.parametrize("name", sorted(COMMAND_LINES))
     def test_command_line(self, name):
@@ -275,4 +286,39 @@ class TestNoDataclasses:
                 "names = sorted(m for m in sys.modules if m in %r)\n"
                 "import json\n"
                 "print(json.dumps([0, names]), file=sys.stderr)" % (WATCHED,))
-        assert loaded_by(code) == (0, set())
+        _, modules = loaded_by(code)
+        assert not modules & {"dataclasses", "inspect"}
+        assert "argparse" in modules
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+class TestNoArgparse:
+    """A plain command line is matched without argparse, which gettext and
+    locale come with; help, usage errors and every other shape use it."""
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_LINES))
+    def test_plain_command_line(self, name):
+        code, modules = run_cli(*PLAIN_LINES[name])
+        assert code == 0
+        assert not modules & ARGPARSE
+
+    def test_scan_config(self, tmp_path):
+        from diophkit.experiments import four_lines_config
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(four_lines_config().to_json()))
+        code, modules = run_cli("scan", "--config", str(path), "--bound", "2")
+        assert code == 0
+        assert not modules & ARGPARSE
+
+    @pytest.mark.parametrize("expected,argv", [
+        (0, ["height", "-h"]),
+        (2, ["height", "--point", "2:3", "--bogus"]),
+        (0, ["seshadri", "--A", "2H", "--D", "-E1"]),
+    ], ids=["help", "usage-error", "minus-class"])
+    def test_other_shapes_load_argparse(self, expected, argv):
+        code, modules = run_cli(*argv)
+        assert code == expected
+        assert "argparse" in modules
