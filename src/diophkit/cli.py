@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 # each subcommand imports the modules it runs, so a process loads only those
 from .graded import _parse_family, check_general_position
@@ -574,13 +575,6 @@ class _Spec:
         self.defaults[dest] = default
 
 
-class _Args:
-    """The namespace of a plain command line."""
-
-    def __init__(self, values):
-        self.__dict__.update(values)
-
-
 def _plain_args(argv):
     """What build_parser().parse_args(argv) returns, for a plain argv: a
     subcommand followed by exact long flags of it, each given once, no
@@ -614,7 +608,7 @@ def _plain_args(argv):
         values[dest] = value
     if not spec.required <= given:
         return None
-    return _Args(values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None):
