@@ -9,12 +9,16 @@ found violations above the height floor.
 A plain command line (a subcommand, then exact long flags of it, each
 once, with values argparse would read the same way) is matched against a
 record of that subcommand's add_argument calls, so it runs without
-argparse; every other one goes to the argparse parser.
+argparse; every other one goes to the argparse parser.  json output is
+written by _json, which gives json.dumps's bytes without the json module.
+A process started at run() ends with os._exit once its output is
+flushed, so it skips the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -80,14 +84,81 @@ def _cell(v):
     return v
 
 
+class _Escapes(dict):
+    """Code point -> the text json.dumps writes for it inside a string
+    (ensure_ascii): printable ASCII stands for itself, every other
+    character is a \\u escape, one beyond the BMP a surrogate pair of
+    them; each computed once."""
+
+    def __missing__(self, n):
+        if 0x20 <= n < 0x7f:
+            text = chr(n)
+        elif n < 0x10000:
+            text = "\\u%04x" % n
+        else:
+            text = "\\u%04x\\u%04x" % (0xd800 | (n - 0x10000) >> 10,
+                                       0xdc00 | (n - 0x10000) & 0x3ff)
+        self[n] = text
+        return text
+
+
+_ESCAPES = _Escapes({ord("\\"): "\\\\", ord('"'): '\\"', 8: "\\b", 9: "\\t",
+                     10: "\\n", 12: "\\f", 13: "\\r"})
+
+
+# float.__repr__ of the floats json writes as constants
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(v, newline="\n"):
+    """json.dumps(v, indent=2, default=str), without the json module: dicts
+    (keys str, int, float, bool or None) and lists or tuples are laid out
+    as json lays them out, str escaped as by ensure_ascii, None, bools,
+    ints and floats (NaN and +-Infinity included) written as json writes
+    them, and any other value as its str()."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _JSON_CONSTANTS.get(text, text)
+    if isinstance(v, str):
+        return '"%s"' % v.translate(_ESCAPES)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = newline + "  "
+    if isinstance(v, (list, tuple)):
+        items = [_json(x, inner) for x in v]
+        ends = "[]"
+    elif isinstance(v, dict):
+        items = [(_json(k) if isinstance(k, str) else _json_key(k)) + ": "
+                 + _json(x, inner) for k, x in v.items()]
+        ends = "{}"
+    else:
+        return _json(str(v))
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+
+
+def _json_key(k):
+    """A dict key that is not a str, quoted as json writes it as a value."""
+    if not isinstance(k, (int, float)) and k is not None:
+        raise TypeError("keys must be str, int, float, bool or None, not %s"
+                        % type(k).__name__)
+    return _json(_json(k))
+
+
 def _emit(fmt, data, table=None, text=None):
-    """Write one result to stdout.  json dumps `data` (Fractions as strings);
+    """Write one result to stdout.  json writes `data` (Fractions as strings);
     csv writes `table`, else `data`: a dict or a nonempty list of dicts
     whose keys are the header; text prints the `text` lines, or the csv
     when there are none."""
     if fmt == "json":
-        import json
-        print(json.dumps(data, indent=2, default=str))
+        print(_json(data))
     elif fmt == "csv" or text is None:
         import csv
         rows = data if table is None else table
@@ -578,9 +649,10 @@ class _Spec:
 def _plain_args(argv):
     """What build_parser().parse_args(argv) returns, for a plain argv: a
     subcommand followed by exact long flags of it, each given once, no
-    value starting with a minus sign, each value accepted by its flag's
-    type and choices, and every required flag present.  None for any
-    other argv, which argparse parses (or rejects) instead."""
+    value starting with a minus sign unless it is a single one and the
+    value holds a space (as in -x0 + x1,x2), each value accepted by its
+    flag's type and choices, and every required flag present.  None for
+    any other argv, which argparse parses (or rejects) instead."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     spec = _Spec(argv[0])
@@ -594,7 +666,11 @@ def _plain_args(argv):
             values[spec.switches[flag]] = True
             continue
         value = next(rest, "-")
-        if flag not in spec.flags or value.startswith("-"):
+        # argparse takes an argument that starts with a minus sign for an
+        # option, unless it starts with just one, holds a space and no
+        # option prefixes it (-h is the one single-dash option)
+        if flag not in spec.flags or value.startswith("-") and (
+                " " not in value or value.startswith(("--", "-h"))):
             return None
         dest, convert, choices = spec.flags[flag]
         if convert is not None:
@@ -631,14 +707,22 @@ def main(argv=None):
 
 def run():
     """Process entry of ``python -m diophkit``, ``python -m diophkit.cli``
-    and the ``diophkit`` script.  What is alive here came from ``site`` and
-    the imports and lives until exit, so one ``gc.freeze`` spares the
-    collector walking it again at shutdown.  main does not freeze: tests
-    and library callers run it inside their own processes."""
-    import gc
-
-    gc.freeze()
-    sys.exit(main())
+    and the ``diophkit`` script.  Once main returns, stdout and stderr are
+    flushed and the process ends with ``os._exit`` and main's code,
+    skipping the interpreter's teardown: nothing diophkit holds needs
+    finalizing (it registers no atexit handler, starts no thread and
+    leaves no file open but the std streams).  A flush that fails on a
+    closed pipe exits 1 without a word, as main does for a broken pipe.
+    Help and usage errors leave through argparse's SystemExit and the
+    normal teardown.  main itself returns: tests and library callers run
+    it inside their own processes."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -5,14 +5,16 @@ import gc
 import importlib
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diophkit import beta as beta_mod
@@ -395,14 +397,19 @@ def argparse_result(argv):
             return None
 
 
-# candidate values of a flag by its type: plain ones, and ones that are
-# off the plain shape or that the type rejects
+# candidate values of a flag by its type: plain ones (a single leading minus
+# sign is plain in a value that holds a space), and ones that are off the
+# plain shape or that the type rejects
 VALUES = {
-    None: (["x0", "x0,x1", "x0 + x1;x1 - x2", "2:3", "inf,2", "4H - E1", ""],
-           ["-E1", "-x0", "--N", "-h"]),
-    int: (["0", "2", "7", " 3"], ["-1", "x", "1.5", "", "--"]),
-    cli._rat_list: (["1", "1,1/2", "1/3,1/2,1", "3/2,"],
-                    ["-1/2", "1/0", "a,1", ""]),
+    None: (["x0", "x0,x1", "x0 + x1;x1 - x2", "2:3", "inf,2", "4H - E1", "",
+            "-x0 + x1,x2", "-2*x0 + x2 + x3,x0 + x1", "- x0", "-E1 + H",
+            "x0=x1", "-x0 = x1 + x2"],
+           ["-E1", "-x0", "--N", "-h", "-h x0", "-hx0 + x1", "-h=x0 + x1",
+            "--x", "--x0 + x1", "--x=x0 + x1", "-x0=x1", "-3", "-"]),
+    int: (["0", "2", "7", " 3", "-3 "], ["-1", "-3", "x", "1.5", "", "--",
+                                         "-h 3", "--3 "]),
+    cli._rat_list: (["1", "1,1/2", "1/3,1/2,1", "3/2,", "-1/2, 1"],
+                    ["-1/2", "-1/2,1", "1/0", "a,1", "", "-h 1"]),
 }
 
 
@@ -485,6 +492,10 @@ class TestPlainMatcher:
         ["check-position", "--ideals", "x0;x1"],
         ["concavity-test", "--ideals", "x0", "--betas", "1/3", "--weights",
          "3", "--N", "5"],
+        ["beta", "--space", "P3", "--ideal", "-2*x0 + x2 + x3,x0 + x1",
+         "--n-max", "3"],
+        ["filtration", "--ideals", "-x0 + x1;x1 - x2", "--weights", "-1/2, 1",
+         "--N", "-2 "],
     ])
     def test_plain_argv_is_matched(self, argv):
         got = cli._plain_args(argv)
@@ -499,11 +510,46 @@ class TestPlainMatcher:
         ["height", "--point", "1:2", "--point", "2:3"],
         ["seshadri", "--A", "2H", "--D", "-E1"],
         ["beta", "--ideal", "x0", "--N", "-1"],
+        ["beta", "--ideal", "--x0 + x1", "--N", "2"],
     ], ids=["root-output", "abbreviated", "glued", "repeated", "minus-class",
-            "minus-number"])
+            "minus-number", "double-minus"])
     def test_other_shapes_go_to_argparse(self, argv):
         assert cli._plain_args(argv) is None
         assert argparse_result(argv) is not None
+
+
+# every shape --output json writes: str with any code point (lone surrogates
+# included), ints, floats with their specials, bools, None and Fractions,
+# nested in lists, tuples and dicts whose keys take every type json allows
+TEXT = st.text(st.characters(exclude_categories=()))
+JSON_KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    st.one_of(TEXT, st.integers(-10 ** 80, 10 ** 80), st.floats(), st.booleans(),
+              st.none(), st.fractions()),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    """--output json is written by cli._json, which must give the bytes of
+    json.dumps(value, indent=2, default=str)."""
+
+    @settings(max_examples=400)
+    @given(JSON_VALUES)
+    @example("\x00\x1f \x7f\"\\/\b\f\n\r\t\u00e9\u20ac\U0001f600\ud800\udfff")
+    @example([0.0, -0.0, 1e300, math.inf, -math.inf, math.nan, 10 ** 60])
+    @example({"": {}, 1: [], 1.5: (), False: None, None: True, math.nan: 0,
+              -math.inf: "x"})
+    def test_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, default=str)
+
+    def test_rejects_the_keys_json_rejects(self):
+        for bad in ({(1, 2): 0}, {Fraction(1, 2): 0}):
+            with pytest.raises(TypeError):
+                json.dumps(bad, indent=2, default=str)
+            with pytest.raises(TypeError):
+                cli._json(bad)
 
 
 def in_process(capsys, argv):
@@ -517,22 +563,25 @@ def in_process(capsys, argv):
     return code, captured.out, captured.err
 
 
-# runs a module as ``python -m`` does, printing a line on each gc.freeze
-FREEZE_PROBE = """
-import gc, runpy, sys
-freeze = gc.freeze
-def counted():
-    print("freeze")
-    freeze()
-gc.freeze = counted
-runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
-"""
+# more than the 8 KiB stdout buffer, so output is written during main and
+# the rest flushed by cli.run before it ends the process
+LONG_OUTPUT = ["scan", "--four-lines", "--bound", "10", "--keep-rows", "--output",
+               "csv"]
+
+
+def buffered_env():
+    """This environment with src/ on the path and stdout block-buffered, as
+    it is by default (PYTHONUNBUFFERED would make every print a write)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 class TestProcessEntry:
     """``python -m diophkit`` and the installed script run cli.run, which
-    freezes the startup heap and exits with main's code; main itself
-    leaves the collector of its caller's process alone."""
+    flushes stdout and stderr and ends the process with main's code,
+    without the interpreter's teardown; main itself returns, and leaves
+    the collector of its caller's process alone."""
 
     @pytest.mark.parametrize("expected,argv", [
         (0, lambda tmp_path: ["scan", "--four-lines", "--bound", "3"]),
@@ -553,11 +602,28 @@ class TestProcessEntry:
             in_process(capsys, argv)
         assert proc.returncode == expected
 
-    @pytest.mark.parametrize("module", ["diophkit", "diophkit.cli"])
-    def test_module_freezes_once_before_main(self, module):
-        assert fresh(FREEZE_PROBE, [module, "height", "--point", "2:3"]) == \
-            (0, b"freeze\npoint = 2:3\nheight_norm = 3\n"
-                b"height = 1.09861228867\n", b"")
+    def test_output_beyond_the_buffer_matches_main(self, capsys):
+        proc = subprocess.run([sys.executable, "-m", "diophkit", *LONG_OUTPUT],
+                              env=buffered_env(), capture_output=True)
+        assert len(proc.stdout) > 8192
+        code, out, err = in_process(capsys, LONG_OUTPUT)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, out.encode(), err.encode())
+
+    # a closed pipe fails the flush in cli.run, or (long output) a write in
+    # main first
+    @pytest.mark.parametrize("argv", [["height", "--point", "2:3"], LONG_OUTPUT],
+                             ids=["short", "long"])
+    def test_closed_pipe_exits_one_silently(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "diophkit", *argv],
+                                  env=buffered_env(), stdout=write,
+                                  stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_main_leaves_the_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()

@@ -235,13 +235,20 @@ class TestImportSets:
         assert code == 0
         assert not modules & {"csv", "json"}
 
-    # each output format loads only its own writer
-    @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", {"json"}),
+    # csv output loads its writer; json output is written by cli._json
+    @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", set()),
                                              ("csv", {"csv"})])
     def test_output_writers(self, fmt, writers):
         code, modules = run_cli("height", "--point", "2:3", "--output", fmt)
         assert code == 0
         assert modules & {"csv", "json"} == writers
+
+    def test_json_filtration_loads_neither_json_nor_argparse(self):
+        code, modules = run_cli("filtration", *LINES, "--weights", "1,1/2,1/3",
+                                "--N", "2", "--output", "json")
+        assert code == 0
+        assert "filtration" in modules
+        assert not modules & {"json", "argparse"}
 
 
 # one command line per subcommand and mode; the records they build are plain
@@ -267,9 +274,13 @@ COMMAND_LINES = {
 
 
 # the same with a seshadri class that does not start with a minus sign,
-# so that every line is plain
+# so that every line is plain, and a generator list that does: with a
+# space in it, argparse reads it as a value, and so does the matcher
 PLAIN_LINES = dict(COMMAND_LINES,
                    seshadri=["seshadri", "--A", "2H", "--D", "H - E1"])
+PLAIN_LINES["filtration-minus"] = [
+    "filtration", "--space", "P2", "--ideals", "-x0 + x1;x1 + x2;x0 + x2",
+    "--weights", "1,1/2,1/3", "--N", "2"]
 
 
 class TestNoDataclasses:
