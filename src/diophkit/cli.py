@@ -9,7 +9,8 @@ found violations above the height floor.
 A plain command line (a subcommand, then exact long flags of it, each
 once, with values argparse would read the same way) is matched against a
 record of that subcommand's add_argument calls, so it runs without
-argparse; every other one goes to the argparse parser.  json output is
+argparse; every other one (help, a usage error, any other shape) goes to
+the one argparse parser, build_parser(), of every subcommand.  json output is
 written by _json, which gives json.dumps's bytes without the json module.
 A process started at run() ends with os._exit once its output is
 flushed, so it skips the interpreter's teardown.
@@ -470,15 +471,6 @@ def _parser_class():
                         glued.append(arg)
                 return super().parse_known_args(glued, namespace)
 
-            # a root parser narrowed to one subcommand reports its errors
-            # through the full parser, whose usage line names every subcommand
-            narrowed = False
-
-            def error(self, message):
-                if self.narrowed:
-                    build_parser().error(message)
-                super().error(message)
-
         _Parser = Parser
     return _Parser
 
@@ -589,10 +581,9 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The full parser, or given a subcommand name one that knows only
-    that subcommand: it parses an argv starting with that name the same
-    way, and reports its own errors through the full parser."""
+def build_parser():
+    """The argparse parser of every subcommand: the one grammar, which
+    _plain_args only shortcuts."""
     import argparse
 
     parser = _parser_class()(
@@ -604,15 +595,13 @@ def build_parser(command=None):
                         help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_args, run) in _COMMANDS.items():
-        if command is None or command == name:
-            p = sub.add_parser(name, help=text)
-            add_args(p)
-            p.set_defaults(func=run)
-            # mirrored on each subparser so the flag parses in either
-            # position; SUPPRESS keeps the root default from being clobbered
-            p.add_argument("--output", choices=_OUTPUTS,
-                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    parser.narrowed = command is not None
+        p = sub.add_parser(name, help=text)
+        add_args(p)
+        p.set_defaults(func=run)
+        # mirrored on each subparser so the flag parses in either
+        # position; SUPPRESS keeps the root default from being clobbered
+        p.add_argument("--output", choices=_OUTPUTS,
+                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return parser
 
 
@@ -689,13 +678,7 @@ def _plain_args(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv)
-    if args is None:
-        # an argv that starts with a subcommand needs only that
-        # subcommand's parser; any other shape (a root option first, -h,
-        # no or an unknown command) gets the full one
-        command = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

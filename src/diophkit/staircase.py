@@ -10,6 +10,7 @@ stay exact.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -38,20 +39,14 @@ def validate_weights(t):
     return entries
 
 
-def _ceil_fraction(q):
-    return -((-q.numerator) // q.denominator)
-
-
 def threshold_set(t, x):
     """Minimal generators of {b in N^r : t.b >= x}, as a sorted tuple.
 
-    x = 0 gives the whole lattice, generated by the zero vector.  Entries
-    of t that are zero force the corresponding coordinate of every minimal
-    element to zero, so minimalization happens in the positive-weight
-    sub-lattice and is zero-padded afterwards.  Scanning the members by
-    increasing coordinate sum is enough to minimalize: any member strictly
-    below b has a smaller sum, so it was already considered, and if it was
-    itself discarded then whatever dominated it from below also sits below b.
+    x = 0 gives the whole lattice, generated by the zero vector.  A member
+    b is minimal when no b - e_i with b_i > 0 is a member, that is when
+    t.b - t_i < x for each such i.  Every minimal b lies in the box
+    b_i <= ceil(x / t_i), with b_i = 0 where t_i = 0 (a larger b_i leaves
+    b - e_i a member), and the box is enumerated in sorted order.
     """
     x = Fraction(x)
     if x < 0:
@@ -61,31 +56,18 @@ def threshold_set(t, x):
         raise ValueError("weight vector must have length >= 1")
     if any(w < 0 for w in entries):
         raise ValueError("weights must be nonnegative")
-    r = len(entries)
     if x == 0:
-        return ((0,) * r,)
+        return ((0,) * len(entries),)
     if all(w == 0 for w in entries):
         raise EmptyThresholdSetError("zero weights with positive threshold give an empty set")
 
-    pos = [i for i, w in enumerate(entries) if w > 0]
-    caps = [_ceil_fraction(x / entries[i]) for i in pos]
-    cells = 1
-    for c in caps:
-        cells *= c + 1
-    if cells > _MAX_BOX_CELLS:
+    caps = [math.ceil(x / w) if w else 0 for w in entries]
+    if math.prod(c + 1 for c in caps) > _MAX_BOX_CELLS:
         raise ValueError("threshold box too large for direct enumeration")
 
-    hits = [b for b in itertools.product(*[range(c + 1) for c in caps])
-            if sum(entries[i] * v for i, v in zip(pos, b)) >= x]
     mins = []
-    for b in sorted(hits, key=lambda v: (sum(v), v)):
-        if not any(all(a >= m for a, m in zip(b, low)) for low in mins):
+    for b in itertools.product(*[range(c + 1) for c in caps]):
+        total = sum(w * v for w, v in zip(entries, b))
+        if total >= x and all(total - w < x for w, v in zip(entries, b) if v):
             mins.append(b)
-
-    padded = []
-    for m in mins:
-        full = [0] * r
-        for i, v in zip(pos, m):
-            full[i] = v
-        padded.append(tuple(full))
-    return tuple(sorted(padded))
+    return tuple(mins)

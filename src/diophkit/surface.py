@@ -348,6 +348,8 @@ def beta_surface_truncated(model, A, D, N):
 
 def _beta_surface_terms(model, A, D, N):
     """(``beta_surface_truncated``, ``h0_terms``), each count made once."""
+    if not _is_count(N, 1):
+        raise ValueError("N must be a positive integer")
     denom = N * model.zariski_h0(N * A)
     if denom == 0:
         raise UnsupportedClassError("reference class has no sections")

@@ -11,7 +11,6 @@ import runpy
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +23,8 @@ from diophkit.experiments import InequalityConfig, ScanReport
 from diophkit.filtration import FiltrationProfile
 from diophkit.graded import Subscheme
 from diophkit.heights import PlaceSet
+
+from fresh_env import SRC, fresh_env
 
 
 def run(capsys, *argv):
@@ -254,6 +255,16 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: a subscheme needs at least one generator\n"
 
+    # a level below 1 gets the level error, not one about the reference
+    # class counted at that level
+    @pytest.mark.parametrize("level", [["--N", "0"], ["--N=-2"]],
+                             ids=["zero", "negative"])
+    def test_nonpositive_surface_level_is_one(self, capsys, level):
+        code, out, err = run(capsys, "beta-surface", "--A", "2H-E1", "--D",
+                             "H-E1", *level)
+        assert (code, out, err) == \
+            (1, "", "error: N must be a positive integer\n")
+
     # a malformed configuration file is one error line, not a traceback
     @pytest.mark.parametrize("mangle,message", [
         (lambda data: {k: v for k, v in data.items() if k != "betas"},
@@ -330,43 +341,32 @@ class TestExitCodes:
         assert code == 0
 
 
-# main matches a plain argv without argparse, and builds only the parser of
-# the subcommand that any other argv starts with; the full parser, with every
-# subcommand and no matcher, is the reference both must match
+# main matches a plain argv without argparse and hands every other argv to
+# build_parser(); that parser alone, with no matcher, is the reference
 FULL_PARSER = """
 import sys
 from diophkit import cli
-full = cli.build_parser
-cli.build_parser = lambda command=None: full()
 cli._plain_args = lambda argv: None
 sys.exit(cli.main())
 """
 MAIN = "import sys\nfrom diophkit import cli\nsys.exit(cli.main())\n"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fresh(code, argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="100")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=fresh_env(COLUMNS="100"), capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestNarrowedParser:
+    """The argvs that main leaves to build_parser()."""
+
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-    def test_subcommand_help(self, capsys, monkeypatch, command):
-        outputs = []
-        for narrowed in (True, False):
-            if not narrowed:
-                full = cli.build_parser
-                monkeypatch.setattr(cli, "build_parser",
-                                    lambda command=None: full())
-            with pytest.raises(SystemExit) as exc:
-                main([command, "-h"])
-            assert exc.value.code == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].out.startswith("usage: diophkit %s " % command)
+    def test_subcommand_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: diophkit %s " % command)
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -381,9 +381,9 @@ class TestNarrowedParser:
     ], ids=["empty", "unknown", "help", "bad-root-option", "unrecognized",
             "bad-value", "output-first", "output-last", "minus-class"])
     def test_fresh_process_matches_full_parser(self, argv):
-        narrowed = fresh(MAIN, argv)
-        assert narrowed == fresh(FULL_PARSER, argv)
-        assert narrowed[0] in (0, 1, 2)
+        result = fresh(MAIN, argv)
+        assert result == fresh(FULL_PARSER, argv)
+        assert result[0] in (0, 1, 2)
 
 
 def argparse_result(argv):
@@ -569,14 +569,6 @@ LONG_OUTPUT = ["scan", "--four-lines", "--bound", "10", "--keep-rows", "--output
                "csv"]
 
 
-def buffered_env():
-    """This environment with src/ on the path and stdout block-buffered, as
-    it is by default (PYTHONUNBUFFERED would make every print a write)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
-
-
 class TestProcessEntry:
     """``python -m diophkit`` and the installed script run cli.run, which
     flushes stdout and stderr and ends the process with main's code,
@@ -594,9 +586,9 @@ class TestProcessEntry:
     def test_module_matches_main(self, capsys, monkeypatch, tmp_path,
                                  module, expected, argv):
         argv = argv(tmp_path)
-        env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="100")
         proc = subprocess.run([sys.executable, "-m", module, *argv],
-                              env=env, capture_output=True, text=True)
+                              env=fresh_env(COLUMNS="100"),
+                              capture_output=True, text=True)
         monkeypatch.setenv("COLUMNS", "100")
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             in_process(capsys, argv)
@@ -604,7 +596,7 @@ class TestProcessEntry:
 
     def test_output_beyond_the_buffer_matches_main(self, capsys):
         proc = subprocess.run([sys.executable, "-m", "diophkit", *LONG_OUTPUT],
-                              env=buffered_env(), capture_output=True)
+                              env=fresh_env(), capture_output=True)
         assert len(proc.stdout) > 8192
         code, out, err = in_process(capsys, LONG_OUTPUT)
         assert (proc.returncode, proc.stdout, proc.stderr) == \
@@ -619,7 +611,7 @@ class TestProcessEntry:
         os.close(read)
         try:
             proc = subprocess.run([sys.executable, "-m", "diophkit", *argv],
-                                  env=buffered_env(), stdout=write,
+                                  env=fresh_env(), stdout=write,
                                   stderr=subprocess.PIPE)
         finally:
             os.close(write)

@@ -9,17 +9,14 @@ subcommand does not run must stay out of that process: these checks list
 import ast
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import diophkit
+from fresh_env import SRC, fresh_env
 from test_bench_contract import TARGETS
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every public name, grouped by the module that defines it
 EXPORTS = {
@@ -181,8 +178,7 @@ def loaded_by(code, *argv):
     """(exit code, short names of the diophkit modules loaded, plus the
     WATCHED modules where the probe lists them) of a fresh interpreter
     running `code` with the given arguments."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
                           capture_output=True, text=True, check=True)
     exit_code, names = json.loads(proc.stderr.splitlines()[-1])
     return exit_code, {name.split(".", 1)[-1] for name in names}

@@ -9,11 +9,9 @@ the special systems where naive conditions undercount.
 
 import itertools
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -33,6 +31,8 @@ from diophkit.surface import (
     three_point_blowup,
     weighted_lines_class,
 )
+
+from fresh_env import fresh_env
 
 
 def oracle_h0(a, mults):
@@ -258,6 +258,13 @@ class TestTruncatedBeta:
         for N, want in frozen.items():
             assert beta_surface_truncated(model, A, D, N) == want
 
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_level_below_one_is_refused(self, N):
+        model = SurfaceModel(1)
+        with pytest.raises(ValueError, match="^N must be a positive integer$"):
+            beta_surface_truncated(model, parse_class("2H - E1"),
+                                   parse_class("H - E1"), N)
+
     def test_terms_positive_and_truncated(self):
         model = three_point_blowup()
         terms = h0_terms(model, weighted_lines_class(1),
@@ -303,13 +310,9 @@ class TestComparison:
             assert rep.beta >= Fraction(3 * l, 4)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_cli(*argv):
     """The command line in a fresh interpreter, stopped after 60 s."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "diophkit", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "diophkit", *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
 
 
