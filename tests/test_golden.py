@@ -23,7 +23,10 @@ the minimum over generators, before one evaluation pass and the S-free
 norm of one generator replaced it; the four-line filtration at N = 8 and
 common basis at N = 4 were recorded from Fraction generator products,
 substituted monomial images and a Fraction inverse, before integer rows
-replaced them.  A
+replaced them; the help_*.txt files (every -h text and three usage runs,
+in a fresh interpreter at 100 columns) were recorded from the argparse
+parser built by one `_*_args` function per subcommand, before one table
+of flags replaced them.  A
 change that moves a single byte of these outputs changes behaviour, not
 just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
@@ -32,11 +35,14 @@ a deliberate, documented output change, e.g.
         > tests/golden/scan_four_lines_b10.json
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from diophkit.cli import main
+from fresh_env import fresh_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,3 +196,32 @@ def test_stdout_matches_golden(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == EXIT_CODES.get(name, 0)
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# help and usage-error text, each run in a fresh interpreter at 100 columns:
+# (file, argv, exit code, stream); the file holds that stream's bytes and
+# the other stream is empty.  `seshadri --A H --D -E1` is a usage check
+# too: the class -E1 must be read as a value, not as an option.
+SUBCOMMANDS = ["beta", "beta-surface", "seshadri", "filtration",
+               "adapted-basis", "weil", "height", "scan", "example5",
+               "check-position", "concavity-test"]
+HELP_CASES = [("help_root.txt", ["-h"], 0, "stdout")] + [
+    ("help_%s.txt" % name.replace("-", "_"), [name, "-h"], 0, "stdout")
+    for name in SUBCOMMANDS] + [
+    ("help_usage_empty.txt", [], 2, "stderr"),
+    ("help_usage_bad_value.txt", ["beta", "--ideal", "x0", "--N", "x"], 2,
+     "stderr"),
+    ("help_usage_minus_class.txt", ["seshadri", "--A", "H", "--D", "-E1"], 0,
+     "stdout"),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,stream", HELP_CASES,
+                         ids=[c[0] for c in HELP_CASES])
+def test_help_and_usage_match_golden(name, argv, code, stream):
+    proc = subprocess.run([sys.executable, "-m", "diophkit", *argv],
+                          env=fresh_env(COLUMNS="100"), capture_output=True)
+    got = {"stdout": proc.stdout, "stderr": proc.stderr}
+    assert proc.returncode == code
+    assert got.pop(stream) == (GOLDEN / name).read_bytes()
+    assert got.popitem()[1] == b""
