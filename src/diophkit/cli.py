@@ -6,11 +6,13 @@ like 3/2.  Output is text by default, or machine-readable with
 output.  Exit codes: 0 success, 1 runtime error, 2 usage error, 3 scan
 found violations above the height floor.
 
-A plain command line (a subcommand, then exact long flags of it, each
-once, with values argparse would read the same way) is matched against a
-record of that subcommand's add_argument calls, so it runs without
-argparse; every other one (help, a usage error, any other shape) goes to
-the one argparse parser, build_parser(), of every subcommand.  json output is
+Each subcommand's flags are declared once, as (flag, add_argument
+keywords) entries of the _COMMANDS table, which two readers share.  A
+plain command line (a subcommand, then exact long flags of it, each once,
+with values argparse would read the same way) is matched against those
+entries by _plain_args, so it runs without argparse; every other one
+(help, a usage error, any other shape) goes to build_parser(), the one
+argparse parser, which passes each entry to add_argument.  json output is
 written by _json, which gives json.dumps's bytes without the json module.
 A process started at run() ends with os._exit once its output is
 flushed, so it skips the interpreter's teardown.
@@ -62,11 +64,6 @@ def _parse_subschemes(text, nvars=None):
         raise ValueError("no generators given")
     return _parse_family([("Y%d" % (i + 1), [g for g in b.split(",") if g.strip()])
                           for i, b in enumerate(blocks)], nvars)
-
-
-def _space_arg(parser):
-    parser.add_argument("--space", choices=sorted(_SPACES),
-                        help="ambient projective space (else inferred from variables)")
 
 
 def _nvars_from(args):
@@ -384,10 +381,12 @@ def _run_scan(args):
         config = experiments.four_lines_config()
     else:
         raise ValueError("need --config FILE or --four-lines")
-    report = experiments.scan_inequality(config, bound=args.bound,
-                                         keep_rows=args.keep_rows)
     # each format builds only what it prints: csv one line per kept row
-    # (else per violation), json the whole report, text the summary
+    # (else per violation), json the whole report, text the summary, so
+    # text keeps no rows
+    report = experiments.scan_inequality(
+        config, bound=args.bound,
+        keep_rows=args.keep_rows and args.output != "text")
     if args.output == "json":
         _emit("json", report.to_json())
     elif args.output == "csv":
@@ -446,157 +445,115 @@ def _run_concavity_test(args):
     return 0
 
 
-_Parser = None
+# flags that several subcommands declare alike
+_SPACE = ("--space", dict(
+    choices=sorted(_SPACES),
+    help="ambient projective space (else inferred from variables)"))
+_N = ("--N", dict(type=int, required=True))
+_REQUIRED = dict(required=True)
+_RATS = dict(type=_rat_list, required=True)
 
-
-def _parser_class():
-    """The argparse parser class, defined on first use: a plain command
-    line never imports argparse."""
-    global _Parser
-    if _Parser is None:
-        import argparse
-
-        class Parser(argparse.ArgumentParser):
-            """argparse takes a value that starts with a minus sign, and is
-            not a number, for an option; so a surface class such as -E1 is
-            glued to its option (--D -E1 becomes --D=-E1) before parsing."""
-
-            def parse_known_args(self, args=None, namespace=None):
-                glued = []
-                for arg in sys.argv[1:] if args is None else args:
-                    if glued and glued[-1] in ("--A", "--D") \
-                            and arg.startswith("-") and not arg.startswith("--"):
-                        glued[-1] += "=" + arg
-                    else:
-                        glued.append(arg)
-                return super().parse_known_args(glued, namespace)
-
-        _Parser = Parser
-    return _Parser
-
-
-def _beta_args(p):
-    _space_arg(p)
-    p.add_argument("--ideal", required=True,
-                   help="comma-separated generators, e.g. 'x0,x1'")
-    p.add_argument("--degree", type=int, default=1,
-                   help="polarization degree d (default 1)")
-    p.add_argument("--N", type=int, help="truncation level")
-    p.add_argument("--n-max", type=int, help="emit a convergence table instead")
-    p.add_argument("--crosscheck", action="store_true",
-                   help="compare against blow-up section counts (plane point)")
-
-
-def _beta_surface_args(p):
-    p.add_argument("--A", required=True, help="reference class, e.g. '4H - E1 - E2 - E3'")
-    p.add_argument("--D", required=True, help="divisor class, e.g. 'H - E1'")
-    p.add_argument("--k", type=int, help="number of blown-up points (else inferred)")
-    p.add_argument("--N", type=int, required=True)
-
-
-def _seshadri_args(p):
-    p.add_argument("--A", required=True)
-    p.add_argument("--D", required=True)
-    p.add_argument("--k", type=int)
-
-
-def _filtration_args(p):
-    _space_arg(p)
-    p.add_argument("--ideals", required=True,
-                   help="subschemes split by ';', generators by ',': 'x0;x1,x2'")
-    p.add_argument("--weights", type=_rat_list, required=True,
-                   help="comma-separated rational weights")
-    p.add_argument("--N", type=int, required=True)
-
-
-def _adapted_basis_args(p):
-    _space_arg(p)
-    p.add_argument("--ideals", required=True)
-    p.add_argument("--weights", type=_rat_list, required=True)
-    p.add_argument("--weights2", type=_rat_list,
-                   help="second weight vector for a common adapted basis")
-    p.add_argument("--N", type=int, required=True)
-
-
-def _weil_args(p):
-    _space_arg(p)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--point", required=True, help="colon-separated, e.g. 2:3:1")
-    p.add_argument("--place", help="single place: a prime or 'inf'")
-    p.add_argument("--places", help="comma list like 'inf,2,3'")
-
-
-def _height_args(p):
-    p.add_argument("--point", required=True)
-
-
-def _scan_args(p):
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--four-lines", action="store_true",
-                   help="use the built-in four-line configuration")
-    p.add_argument("--bound", type=int, required=True,
-                   help="coordinate bound for the sample")
-    p.add_argument("--keep-rows", action="store_true")
-
-
-def _example5_args(p):
-    p.add_argument("--l-max", type=int, required=True)
-
-
-def _check_position_args(p):
-    _space_arg(p)
-    p.add_argument("--ideals", required=True)
-
-
-def _concavity_test_args(p):
-    _space_arg(p)
-    p.add_argument("--ideals", required=True)
-    p.add_argument("--betas", type=_rat_list, required=True)
-    p.add_argument("--weights", type=_rat_list, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-
-# name: (help, arguments, runner), in the order the usage line lists them
+# name: (help, runner, [(flag, add_argument keywords), ...]), in the order
+# the usage line lists them: the grammar that build_parser() and
+# _plain_args both read
 _COMMANDS = {
-    "beta": ("truncated expansion coefficient on P^n", _beta_args, _run_beta),
+    "beta": ("truncated expansion coefficient on P^n", _run_beta, [
+        _SPACE,
+        ("--ideal", dict(required=True,
+                         help="comma-separated generators, e.g. 'x0,x1'")),
+        ("--degree", dict(type=int, default=1,
+                          help="polarization degree d (default 1)")),
+        ("--N", dict(type=int, help="truncation level")),
+        ("--n-max", dict(type=int, help="emit a convergence table instead")),
+        ("--crosscheck", dict(
+            action="store_true",
+            help="compare against blow-up section counts (plane point)"))]),
     "beta-surface": ("truncated expansion value from surface classes",
-                     _beta_surface_args, _run_beta_surface),
-    "seshadri": ("nef threshold with certificates", _seshadri_args,
-                 _run_seshadri),
+                     _run_beta_surface, [
+        ("--A", dict(required=True,
+                     help="reference class, e.g. '4H - E1 - E2 - E3'")),
+        ("--D", dict(required=True, help="divisor class, e.g. 'H - E1'")),
+        ("--k", dict(type=int,
+                     help="number of blown-up points (else inferred)")),
+        _N]),
+    "seshadri": ("nef threshold with certificates", _run_seshadri, [
+        ("--A", _REQUIRED), ("--D", _REQUIRED), ("--k", dict(type=int))]),
     "filtration": ("jump profile of the weighted filtration",
-                   _filtration_args, _run_filtration),
+                   _run_filtration, [
+        _SPACE,
+        ("--ideals", dict(
+            required=True,
+            help="subschemes split by ';', generators by ',': 'x0;x1,x2'")),
+        ("--weights", dict(_RATS, help="comma-separated rational weights")),
+        _N]),
     "adapted-basis": ("basis adapted to one or two weighted filtrations",
-                      _adapted_basis_args, _run_adapted_basis),
-    "weil": ("local values of a subscheme at a point", _weil_args, _run_weil),
-    "height": ("logarithmic height of a rational point", _height_args,
-               _run_height),
-    "scan": ("test the weighted inequality on sample points", _scan_args,
-             _run_scan),
+                      _run_adapted_basis, [
+        _SPACE, ("--ideals", _REQUIRED), ("--weights", _RATS),
+        ("--weights2", dict(
+            type=_rat_list,
+            help="second weight vector for a common adapted basis")),
+        _N]),
+    "weil": ("local values of a subscheme at a point", _run_weil, [
+        _SPACE, ("--ideal", _REQUIRED),
+        ("--point", dict(required=True, help="colon-separated, e.g. 2:3:1")),
+        ("--place", dict(help="single place: a prime or 'inf'")),
+        ("--places", dict(help="comma list like 'inf,2,3'"))]),
+    "height": ("logarithmic height of a rational point", _run_height,
+               [("--point", _REQUIRED)]),
+    "scan": ("test the weighted inequality on sample points", _run_scan, [
+        ("--config", dict(help="JSON configuration file")),
+        ("--four-lines", dict(
+            action="store_true",
+            help="use the built-in four-line configuration")),
+        ("--bound", dict(type=int, required=True,
+                         help="coordinate bound for the sample")),
+        ("--keep-rows", dict(action="store_true"))]),
     "example5": ("closed-form vs Seshadri table for weighted lines",
-                 _example5_args, _run_example5),
+                 _run_example5, [("--l-max", dict(type=int, required=True))]),
     "check-position": ("codimension test for intersections",
-                       _check_position_args, _run_check_position),
+                       _run_check_position, [_SPACE, ("--ideals", _REQUIRED)]),
     "concavity-test": ("both sides of the filtration lower bound",
-                       _concavity_test_args, _run_concavity_test),
+                       _run_concavity_test, [
+        _SPACE, ("--ideals", _REQUIRED), ("--betas", _RATS),
+        ("--weights", _RATS), _N]),
 }
+
+# --output, which the root parser and every subcommand take
+_OUTPUT = dict(choices=_OUTPUTS, default="text",
+               help="output format (default text)")
 
 
 def build_parser():
-    """The argparse parser of every subcommand: the one grammar, which
-    _plain_args only shortcuts."""
+    """The argparse parser of every subcommand, built from _COMMANDS; a
+    plain command line never imports argparse."""
     import argparse
 
-    parser = _parser_class()(
+    class Parser(argparse.ArgumentParser):
+        """argparse takes a value that starts with a minus sign, and is not
+        a number, for an option; so a surface class such as -E1 is glued
+        to its option (--D -E1 becomes --D=-E1) before parsing."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            glued = []
+            for arg in sys.argv[1:] if args is None else args:
+                if glued and glued[-1] in ("--A", "--D") \
+                        and arg.startswith("-") and not arg.startswith("--"):
+                    glued[-1] += "=" + arg
+                else:
+                    glued.append(arg)
+            return super().parse_known_args(glued, namespace)
+
+    parser = Parser(
         prog="diophkit",
         description="Exact invariants of polarized subschemes: expansion "
                     "coefficients, filtrations, surface intersection theory, "
                     "heights, and inequality scans.")
-    parser.add_argument("--output", choices=_OUTPUTS, default="text",
-                        help="output format (default text)")
+    parser.add_argument("--output", **_OUTPUT)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_args, run) in _COMMANDS.items():
+    for name, (text, run, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        add_args(p)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=run)
         # mirrored on each subparser so the flag parses in either
         # position; SUPPRESS keeps the root default from being clobbered
@@ -605,73 +562,54 @@ def build_parser():
     return parser
 
 
-class _Spec:
-    """A subcommand's add_argument calls, recorded by running its `_*_args`
-    function on this stand-in for a parser: each flag's dest, type and
-    choices, the store_true switches, the required flags, and the
-    namespace argparse starts from.  It takes only the one name and the
-    keywords that those functions use, so a call it cannot read raises
-    TypeError for every command line of that subcommand."""
-
-    def __init__(self, command):
-        self.flags = {"--output": ("output", None, _OUTPUTS)}
-        self.switches, self.required = {}, set()
-        self.defaults = {"output": "text", "command": command,
-                         "func": _COMMANDS[command][2]}
-        _COMMANDS[command][1](self)
-
-    def add_argument(self, flag, *, action=None, type=None, choices=None,
-                     required=False, default=None, help=None):
-        dest = flag.lstrip("-").replace("-", "_")
-        if action == "store_true":
-            self.switches[flag] = dest
-            default = False
-        elif action is None:
-            self.flags[flag] = dest, type, choices
-        else:
-            raise TypeError("no plain form for action %r" % action)
-        if required:
-            self.required.add(flag)
-        self.defaults[dest] = default
-
-
 def _plain_args(argv):
     """What build_parser().parse_args(argv) returns, for a plain argv: a
     subcommand followed by exact long flags of it, each given once, no
     value starting with a minus sign unless it is a single one and the
     value holds a space (as in -x0 + x1,x2), each value accepted by its
     flag's type and choices, and every required flag present.  None for
-    any other argv, which argparse parses (or rejects) instead."""
+    any other argv, which argparse parses (or rejects) instead.  Each flag
+    is read off its _COMMANDS entry: an action is store_true, and its dest
+    is the flag without its dashes, - read as _."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    spec = _Spec(argv[0])
-    values, given = dict(spec.defaults), set()
+    _, run, arguments = _COMMANDS[argv[0]]
+    flags = {flag: (flag.lstrip("-").replace("-", "_"), keywords)
+             for flag, keywords in arguments + [("--output", _OUTPUT)]}
+    values = {dest: keywords.get("default", False if "action" in keywords
+                                 else None)
+              for dest, keywords in flags.values()}
+    values.update(command=argv[0], func=run)
+    given = set()
     rest = iter(argv[1:])
     for flag in rest:
-        if flag in given:
+        if flag in given or flag not in flags:
             return None
         given.add(flag)
-        if flag in spec.switches:
-            values[spec.switches[flag]] = True
+        dest, keywords = flags[flag]
+        if "action" in keywords:
+            values[dest] = True
             continue
         value = next(rest, "-")
         # argparse takes an argument that starts with a minus sign for an
         # option, unless it starts with just one, holds a space and no
         # option prefixes it (-h is the one single-dash option)
-        if flag not in spec.flags or value.startswith("-") and (
+        if value.startswith("-") and (
                 " " not in value or value.startswith(("--", "-h"))):
             return None
-        dest, convert, choices = spec.flags[flag]
+        convert = keywords.get("type")
         if convert is not None:
             # whatever the type raises, argparse reports it its own way
             try:
                 value = convert(value)
             except Exception:
                 return None
+        choices = keywords.get("choices")
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-    if not spec.required <= given:
+    if any(keywords.get("required") and flag not in given
+           for flag, (_, keywords) in flags.items()):
         return None
     return SimpleNamespace(**values)
 

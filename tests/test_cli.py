@@ -141,6 +141,29 @@ class TestSubcommands:
         assert len(calls) == 20
         assert len(set(map(str, calls))) == 20
 
+    # text prints no row, so only csv and json ask the scan to keep them
+    @pytest.mark.parametrize("fmt,keep", [("text", False), ("csv", True),
+                                          ("json", True)])
+    def test_scan_keeps_rows_only_to_print_them(self, capsys, monkeypatch,
+                                                fmt, keep):
+        from diophkit import experiments
+
+        asked = []
+        scan = experiments.scan_inequality
+
+        def spy(config, bound, keep_rows):
+            asked.append(keep_rows)
+            return scan(config, bound=bound, keep_rows=keep_rows)
+
+        monkeypatch.setattr(experiments, "scan_inequality", spy)
+        argv = ["scan", "--four-lines", "--bound", "3", "--output", fmt]
+        kept = run(capsys, *argv, "--keep-rows")
+        plain = run(capsys, *argv)
+        assert asked == [keep, False]
+        assert kept[0] == plain[0] == 0
+        if fmt == "text":
+            assert kept == plain
+
     def test_seshadri_certificates(self, capsys):
         code, out, _ = run(capsys, "seshadri", "--A", "4H - E1 - E2 - E3",
                            "--D", "H - E1")
@@ -358,7 +381,7 @@ def fresh(code, argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-class TestNarrowedParser:
+class TestFullParser:
     """The argvs that main leaves to build_parser()."""
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -448,15 +471,20 @@ def mutate(argv, data):
 
 @st.composite
 def command_lines(draw):
-    """A subcommand and flags drawn from its recorded spec (every required
-    one, others at random, in any order; one value in four not plain or
-    rejected), then mutated."""
+    """A subcommand and flags drawn from its _COMMANDS entry and --output
+    (every required one, others at random, in any order; one value in four
+    not plain or rejected), then mutated."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    spec = cli._Spec(command)
-    groups = [[flag] for flag in sorted(spec.switches) if draw(st.booleans())]
-    for flag, (_, convert, choices) in sorted(spec.flags.items()):
-        if flag in spec.required or draw(st.booleans()):
-            good, bad = (list(choices), ["P9"]) if choices else VALUES[convert]
+    flags = sorted(cli._COMMANDS[command][2] + [("--output", cli._OUTPUT)])
+    groups = [[flag] for flag, keywords in flags
+              if "action" in keywords and draw(st.booleans())]
+    for flag, keywords in flags:
+        if "action" in keywords:
+            continue
+        choices = keywords.get("choices")
+        if keywords.get("required") or draw(st.booleans()):
+            good, bad = (list(choices), ["P9"]) if choices \
+                else VALUES[keywords.get("type")]
             pool = bad if draw(st.integers(0, 3)) == 3 else good
             groups.append([flag, draw(st.sampled_from(pool))])
     groups = draw(st.permutations(groups))

@@ -139,6 +139,17 @@ class TestPublicNames:
                     and getattr(node.func, "attr", None) == "RowSpace"}
         assert len(builders) == 1
 
+    def test_only_build_parser_declares_flags(self):
+        """Every subcommand flag is one entry of cli._COMMANDS, which
+        build_parser() and the plain matcher both read, so add_argument is
+        called in the cli module only inside build_parser()."""
+        tree = ast.parse((SRC / "diophkit" / "cli.py").read_text())
+        owners = {getattr(top, "name", None) for top in tree.body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "add_argument"}
+        assert owners == {"build_parser"}
+
     def test_only_polynomials_orders_columns(self):
         """Forms become coefficient rows, and rows forms, in one column
         order, so only the polynomials module reads a form's coefficients
