@@ -16,11 +16,15 @@ The decision is made in ints.  The generators g of each Y_i are compiled
 once over their least common denominator c, as g = G / c with every G
 integral.  These G, then those of every exclusion, form one flat list.
 The sample is walked a line at a time: fixing every coordinate but the
-last, t, makes each G a polynomial in t whose integer coefficients are
-computed once per line, and Horner's rule over the line's t gives every
-G(x) there.  The support and exclusion tests read index spans of the
-values at x.  Over the g with G(x) != 0, the product over S of the local
-norms of Y_i is
+last, t, makes each G a polynomial in t.  Each scan writes the text of
+one function for its configuration and compiles it with exec: every loop
+over the forms and the Y_i below is unrolled, so a line computes each
+coefficient of each G in t as a straight-line integer expression of its
+fixed coordinates, and a point evaluates each G(x) by Horner's rule into
+a local and tests the supports and exclusions on those locals.  Only
+integers and indices are written into the text; the float weights are
+passed in as values.  Over the g with G(x) != 0, the product over S of
+the local norms of Y_i is
 
     Q_i = min_g c H^deg g / |G(x)|  *  prod_{p in S} p^(min_g ord_p G(x) - ord_p c).
 
@@ -53,8 +57,9 @@ height takes the exact comparison above.  With delta = sum_i beta_i D_i
 - 1 - epsilon, the certified heights are those from
 H0 = c_prod^(1 / (d |delta|)) on when delta < 0, all or none when
 delta = 0 (as c_prod = 1 or not), and at most H = 1 when delta > 0.
-H^(d (1 + epsilon)) and (1 + epsilon) log H are computed once per height
-too.
+H^(d (1 + epsilon)), (1 + epsilon) log H and c' H^deg g for every
+generator g of every Y_i are computed once per height too; the last are
+the numerators num_i.
 
 num_i and den_i depend only on H and the values G(x) of the generators
 of Y_i, so a height can keep one memo per Y_i, keyed by those values: log
@@ -106,7 +111,10 @@ def _number(v):
     """A weight or epsilon as a Fraction; True is an int, not a number."""
     if isinstance(v, bool):
         raise ConfigError("weights and epsilon must be numbers, not booleans")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ConfigError("%r has a zero denominator" % (v,)) from None
 
 
 class InequalityConfig:
@@ -162,7 +170,8 @@ class InequalityConfig:
                 raise ConfigError("configuration has no %r key" % key)
             try:
                 return parse(data[key])
-            except (TypeError, AttributeError, KeyError) as exc:
+            except (TypeError, AttributeError, KeyError, ValueError,
+                    ArithmeticError) as exc:
                 raise ConfigError("bad %r in configuration: %s" % (key, exc)) from None
 
         def subschemes(items):
@@ -311,30 +320,25 @@ def _s_free(v, rad):
     return v
 
 
-def _vanishes(vals, spans):
-    """Whether every value of some span is zero: x lies on that locus."""
-    return any(not any(vals[a:b]) for a, b in spans)
-
-
 class _Kernel:
     """A configuration compiled once for integer scanning (see the module
     docstring).
 
     forms lists the integral terms and degree of every generator of every
-    Y_i, then of every exclusion, so one line call gives every G(x) on a
-    line; supports and exclusions are index spans into that list.  Each
-    Y_i also gets a plan (start, stop, degrees, c', key, d beta_i, float
-    beta_i), where key is what a scan memoizes Y_i by per height: None
-    for no memo, else the index of its one generator's value or the slice
-    of its generators' values (see the module docstring for the rule).
+    Y_i, then of every exclusion, so form j is the j-th value at a point;
+    supports and exclusions are index spans into that list.  Each Y_i also
+    gets a plan (start, stop, degrees, c', key, d beta_i, float beta_i),
+    where key is what a scan memoizes Y_i by per height: None for no memo,
+    else the index of its one generator's value or the slice of its
+    generators' values (see the module docstring for the rule).
     """
 
     def __init__(self, config, exps):
         self.rad = math.prod(v.p for v in config.places if not v.is_infinite)
         self.forms, self.plans = [], []
-        n = config.nvars - 1
+        self.n = n = config.nvars - 1
         for Y, e, b in zip(config.subschemes, exps, config.betas):
-            start, stop, c = self._compile(Y.generators)
+            start, stop, c = self._append(Y.generators)
             degs = tuple(g.degree for g in Y.generators)
             key = None
             if degs == (1,) or sum(degs) < n:
@@ -342,54 +346,216 @@ class _Kernel:
             self.plans.append((start, stop, degs, _s_free(c, self.rad),
                                key, e, float(b)))
         self.supports = [plan[:2] for plan in self.plans]
-        self.exclusions = [self._compile(Z.generators)[:2]
+        self.exclusions = [self._append(Z.generators)[:2]
                            for Z in config.exclusions]
 
-    def _compile(self, generators):
+    def _append(self, generators):
         """Append the integral forms of generators; their span and c."""
         start = len(self.forms)
         terms, c = _integral(generators)
         self.forms.extend((t, g.degree) for t, g in zip(terms, generators))
         return start, len(self.forms), c
 
-    def line(self, prefix, ts):
-        """Every G at prefix + (t,), one tuple of values per t in ts.
+    def source(self, rhs_exp):
+        """The text of the function that scans with this kernel.
 
-        On the line each G is a polynomial in t: its coefficients are
-        computed once, then Horner's rule runs over all of ts at once."""
-        cols = []
-        for terms, deg in self.forms:
-            coeffs = [0] * (deg + 1)
-            for coeff, factors, k in terms:
-                for i in factors:
-                    coeff *= prefix[i]
-                coeffs[k] += coeff
-            while len(coeffs) > 1 and not coeffs[-1]:
-                coeffs.pop()
-            a = coeffs.pop()
-            if coeffs:
-                b = coeffs.pop()
-                col = [a * t + b for t in ts]
-                while coeffs:
-                    b = coeffs.pop()
-                    col = [v * t + b for v, t in zip(col, ts)]
-            else:
-                col = [a] * len(ts)
-            cols.append(col)
-        return zip(*cols)
+        It is one loop over the lines and one over the t of a line, with
+        every loop over forms and plans unrolled: a form's coefficients in
+        t are computed per line, its value per point by Horner's rule, and
+        each Y_i's norm, memo and log in place.  Only integers and indices
+        are written into it; the float weights are arguments.
+        """
+        n, rad, plans = self.n, self.rad, self.plans
+        xs = ["x%d" % i for i in range(n)]
+        # the largest absolute value of the prefix; P^0 has an empty one
+        size = ["abs(%s)" % x for x in xs] or ["0"]
+        ks = range(len(plans))
+        first_excluded = plans[-1][1]
+        # the statements of the values that depend on t, of the supports'
+        # forms and of the exclusions' forms
+        per_line, on_t, vals = [], ([], []), []
+        for j, (terms, deg) in enumerate(self.forms):
+            lines, expr = _form_on_line(j, terms, deg)
+            per_line += lines
+            if expr.isidentifier():
+                vals.append(expr)
+                continue
+            vals.append("v%d" % j)
+            # no coordinate or coefficient name holds a t
+            stmts = on_t[j >= first_excluded] if "t" in expr else per_line
+            stmts.append("v%d = %s" % (j, expr))
+        powers = ["p%d" % j for j in range(first_excluded)]
+        memos = ["m%d" % i for i in ks if plans[i][4] is not None]
+        # Q_i <= c'_i H^(max deg Y_i), so prod_i Q_i^(d beta_i) <= c_prod
+        # H^deg_exp; where that is at most H^(d (1+eps)) nothing is violated
+        c_prod = math.prod(c ** e for _, _, _, c, _, e, _ in plans)
+        deg_exp = sum(e * max(degs) for _, _, degs, _, _, e, _ in plans)
+        level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow",
+                 "rhs_scale * log(H)"] + ["{}"] * len(memos) + [
+                 "%d * H ** %d" % (c, deg)
+                 for _, _, degs, c, _, _, _ in plans for deg in degs]
+        # a certified height needs log Q_i; any other also the factors of
+        # the exact comparison
+        certified, exact = [], []
+        for i, (start, stop, _, _, key, e, _) in enumerate(plans):
+            norm = _norm(vals[start:stop], powers[start:stop], rad)
+            if key is not None:
+                # one generator fills its memo for the negated value too
+                k = vals[start] if stop - start == 1 else \
+                    "(%s,)" % ", ".join(vals[start:stop])
+                store = "m%d[%s] = " % (i, k)
+                if stop - start == 1:
+                    store += "m%d[-%s] = " % (i, k)
+            for stmts, name, value, unpack in (
+                    (certified, "q%d" % i, "log(num / den)", []),
+                    (exact, "f", "(num ** %d, den ** %d, log(num / den))" % (e, e),
+                     ["n{0}, d{0}, q{0} = f".format(i)])):
+                if key is None:
+                    stmts += norm + ["%s = %s" % (name, value)] + unpack
+                else:
+                    stmts += ["%s = m%d.get(%s)" % (name, i, k),
+                              "if %s is None:" % name] + _indent(
+                        norm + ["%s = %s%s" % (name, store, value)]) + unpack
+        lhs_log = "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks)
+        certified += [lhs_log, "violated = False"]
+        exact += [lhs_log, "violated = %s > rhs_pow * %s" % (
+            " * ".join("n%d" % i for i in ks), " * ".join("d%d" % i for i in ks))]
+        point = on_t[0] + ["if %s:" % _zero_test(self.supports, vals),
+                           "    skipped += 1", "    continue"]
+        if self.exclusions:
+            point += on_t[1] + ["if %s:" % _zero_test(self.exclusions, vals),
+                                "    excluded += 1", "    continue"]
+        point += [
+            "evaluated += 1",
+            "H = M if -M <= t <= M else abs(t)",
+            "if H == 1:",
+            "    zero_height += 1",
+            "if H != Hl:",
+            "    Hl = H",
+            "    lev = levels.get(H)",
+            "    if lev is None:",
+            "        rhs_pow = H ** %d" % rhs_exp,
+            "        lev = levels[H] = (%s,)" % ", ".join(level),
+            "    certified, rhs_pow, rhs_log, %s = lev"
+            % ", ".join(memos + powers),
+            "if certified:",
+        ] + _indent(certified) + ["else:"] + _indent(exact) + [
+            "ratio = lhs_log / rhs_log if H > 1 else None",
+            "better = ratio is not None and (best_ratio is None or "
+            "ratio > best_ratio)",
+            "if violated or keep_rows or better:",
+            "    row = ScanRow(head + str(t), H, (%s,), lhs_log, rhs_log, "
+            "ratio, violated)" % ", ".join("q%d" % i for i in ks),
+            "    if violated:",
+            "        if H >= floor:",
+            "            violations.append(row)",
+            "        else:",
+            "            low_hits += 1",
+            "    if better:",
+            "        best = row",
+            "        best_ratio = ratio",
+            "    if keep_rows:",
+            "        rows.append(row)",
+        ]
+        return "\n".join([
+            "def scan(lines, keep_rows, floor, lbs, rhs_scale, ScanRow, log, "
+            "gcd, s_free):",
+            "    %s, = lbs" % ", ".join("l%d" % i for i in ks),
+            "    levels = {}",
+            "    total = skipped = excluded = evaluated = zero_height = 0",
+            "    low_hits = Hl = 0",
+            "    violations = []",
+            "    rows = [] if keep_rows else None",
+            "    best = best_ratio = None",
+            "    for prefix, ts in lines:",
+            "        total += len(ts)",
+            "        (%s) = prefix" % "".join(x + ", " for x in xs),
+            "        M = %s" % (size[0] if n < 2 else "max(%s)" % ", ".join(size)),
+            "        head = %r %% prefix" % ("%s:" * n),
+        ] + _indent(per_line, 2) + [
+            "        for t in ts:",
+        ] + _indent(point, 3) + [
+            "    return (total, skipped, excluded, evaluated, zero_height, "
+            "low_hits, violations, best, rows)",
+            "",
+        ])
 
-    def norm(self, start, stop, degs, c, vals, H):
-        """The product over all places of the local norms of one Y_i, as
-        an unreduced positive (numerator, denominator) pair; c is c'."""
-        vs = vals[start:stop]
-        num = den = 0
-        for deg, v in zip(degs, vs):
-            if v:
-                a, b = H ** deg, abs(v)
-                if not den or a * den < num * b:
-                    num, den = a, b
-        g = math.gcd(*vs)
-        return c * num, den // g * _s_free(g, self.rad)
+
+def _indent(lines, depth=1):
+    return ["    " * depth + line for line in lines]
+
+
+def _form_on_line(j, terms, deg):
+    """(statements, expression) for form j on a line: the statements bind
+    its coefficients in t, integer expressions of the prefix coordinates
+    x0, x1, ..., once per line; the expression is its value at t by
+    Horner's rule.  A coefficient that is one coordinate, or a constant,
+    is written in place."""
+    parts, top = [[] for _ in range(deg)], 0
+    for coeff, factors, k in terms:
+        if not factors:  # t^deg, the one term free of the prefix
+            top = coeff
+            continue
+        names = "*".join("x%d" % i for i in factors)
+        parts[k].append(names if coeff == 1 else "-" + names if coeff == -1
+                        else "%d*%s" % (coeff, names))
+    lines, coeffs = [], []
+    for k, part in enumerate(parts):
+        expr = " + ".join(part).replace("+ -", "- ")
+        if part and not expr.isidentifier():
+            lines.append("a%d_%d = %s" % (j, k, expr))
+            expr = "a%d_%d" % (j, k)
+        coeffs.append(expr or 0)
+    return lines, _horner(coeffs + [top])
+
+
+def _horner(coeffs):
+    """Horner's rule in t over coefficients given from t^0 up, each an int
+    or a name; zero coefficients are left out."""
+    expr = None
+    for c in reversed(coeffs):
+        if expr is not None:
+            expr = "t" if expr == "1" else "-t" if expr == "-1" else \
+                "(%s)*t" % expr if " " in expr else expr + "*t"
+        if c == 0:
+            continue
+        c = c if isinstance(c, str) else "%d" % c
+        if expr is None:
+            expr = c
+        elif c.startswith("-"):
+            expr += " - " + c[1:]
+        else:
+            expr += " + " + c
+    return expr or "0"
+
+
+def _zero_test(spans, vals):
+    """The condition that every value of some span is zero."""
+    return " or ".join("not " + vals[a] if b - a == 1 else
+                       "not (%s)" % " or ".join(vals[a:b]) for a, b in spans)
+
+
+def _norm(vals, powers, rad):
+    """Statements that leave the product over all places of the local
+    norms of one Y_i as the unreduced positive num / den; powers[j] is the
+    level's c' H^(deg G_j).  The archimedean minimum is taken by
+    cross-multiplication."""
+    if len(vals) == 1:
+        return ["num, den = %s, s_free(%s, %d)" % (powers[0], vals[0], rad)]
+    lines = ["num = den = 0"]
+    for v, p in zip(vals, powers):
+        lines += ["if %s:" % v, "    b = abs(%s)" % v,
+                  "    if not den or %s * den < num * b:" % p,
+                  "        num, den = %s, b" % p]
+    return lines + ["g = gcd(%s)" % ", ".join(vals),
+                    "den = den // g * s_free(g, %d)" % rad]
+
+
+def _scan_function(kernel, rhs_exp):
+    """The kernel's scan function, compiled once per scan."""
+    namespace = {}
+    exec(compile(kernel.source(rhs_exp), "<scan kernel>", "exec"), namespace)
+    return namespace["scan"]
 
 
 def _explicit_lines(points, nvars):
@@ -422,109 +588,13 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     d = math.lcm(one_plus_eps.denominator,
                  *(b.denominator for b in config.betas))
     exps = [int(d * b) for b in config.betas]
-    rhs_exp = int(d * one_plus_eps)
-    rhs_scale = float(one_plus_eps)
     kernel = _Kernel(config, exps)
-    norm, log = kernel.norm, math.log
-    # Q_i <= c'_i H^(max deg Y_i), so prod_i Q_i^(d beta_i) <= c_prod H^deg_exp;
-    # at a height where that is at most H^(d (1+eps)) no point is violated
-    c_prod = math.prod(c ** e for _, _, _, c, _, e, _ in kernel.plans)
-    deg_exp = sum(e * max(degs) for _, _, degs, _, _, e, _ in kernel.plans)
-
-    def level(H):
-        """What a height decides once: whether it is certified, H^(d (1+eps)),
-        (1+eps) log H, and the plans with a fresh memo (or None) before
-        their key."""
-        rhs_pow = H ** rhs_exp
-        return (c_prod * H ** deg_exp <= rhs_pow, rhs_pow, rhs_scale * log(H),
-                [plan[:4] + (None if plan[4] is None else {},) + plan[4:]
-                 for plan in kernel.plans])
-
-    levels = {}
-    total = skipped = excluded = evaluated = zero_height = 0
-    violations = []
-    low_hits = 0
-    rows = [] if keep_rows else None
-    best = None
-    best_ratio = None
-    for prefix, ts in lines:
-        total += len(ts)
-        # the height of every point of the line is max(M, |t|)
-        M = max(map(abs, prefix), default=0)
-        head = "".join(str(c) + ":" for c in prefix)
-        for t, vals in zip(ts, kernel.line(prefix, ts)):
-            if 0 in vals:
-                if _vanishes(vals, kernel.supports):
-                    skipped += 1
-                    continue
-                if _vanishes(vals, kernel.exclusions):
-                    excluded += 1
-                    continue
-            evaluated += 1
-            H = M if -M <= t <= M else abs(t)
-            if H == 1:
-                zero_height += 1
-            lev = levels.get(H)
-            if lev is None:
-                lev = levels[H] = level(H)
-            certified, rhs_pow, rhs_log, plans = lev
-            lhs_log = 0.0
-            proxim = []
-            if certified:
-                # only the logs are needed; a memoized one depends on the
-                # key's values alone, and one generator's on |G(x)|
-                for start, stop, degs, c, memo, key, e, lb in plans:
-                    if memo is None:
-                        num, den = norm(start, stop, degs, c, vals, H)
-                        # int / int is correctly rounded: this is log of float(Q)
-                        m = log(num / den)
-                    else:
-                        v = vals[key]
-                        m = memo.get(v)
-                        if m is None:
-                            num, den = norm(start, stop, degs, c, vals, H)
-                            m = memo[v] = log(num / den)
-                            if key == start:
-                                memo[-v] = m
-                    proxim.append(m)
-                    lhs_log += lb * m
-                violated = False
-            else:
-                lhs_num = lhs_den = 1
-                for start, stop, degs, c, memo, key, e, lb in plans:
-                    if memo is None:
-                        num, den = norm(start, stop, degs, c, vals, H)
-                        factors = num ** e, den ** e, log(num / den)
-                    else:
-                        v = vals[key]
-                        factors = memo.get(v)
-                        if factors is None:
-                            num, den = norm(start, stop, degs, c, vals, H)
-                            factors = memo[v] = (
-                                num ** e, den ** e, log(num / den))
-                            if key == start:
-                                memo[-v] = factors
-                    fn, fd, m = factors
-                    lhs_num *= fn
-                    lhs_den *= fd
-                    proxim.append(m)
-                    lhs_log += lb * m
-                violated = lhs_num > rhs_pow * lhs_den
-            ratio = lhs_log / rhs_log if H > 1 else None
-            better = ratio is not None and (best_ratio is None or ratio > best_ratio)
-            if violated or keep_rows or better:
-                row = ScanRow(head + str(t), H, tuple(proxim),
-                              lhs_log, rhs_log, ratio, violated)
-                if violated:
-                    if H >= config.min_height_norm:
-                        violations.append(row)
-                    else:
-                        low_hits += 1
-                if better:
-                    best = row
-                    best_ratio = ratio
-                if keep_rows:
-                    rows.append(row)
+    scan = _scan_function(kernel, int(d * one_plus_eps))
+    (total, skipped, excluded, evaluated, zero_height, low_hits, violations,
+     best, rows) = scan(lines, keep_rows, config.min_height_norm,
+                        [plan[6] for plan in kernel.plans],
+                        float(one_plus_eps), ScanRow, math.log, math.gcd,
+                        _s_free)
     return ScanReport(total, skipped, excluded, evaluated, zero_height,
                       low_hits, tuple(violations), best,
                       None if rows is None else tuple(rows))

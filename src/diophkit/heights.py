@@ -169,7 +169,14 @@ class ProjectivePoint:
         parts = text.split(":")
         if len(parts) < 2:
             raise ValueError("point syntax is a:b:... , got %r" % text)
-        return cls(Fraction(part.strip()) for part in parts)
+        coords = []
+        for i, part in enumerate(map(str.strip, parts)):
+            try:
+                coords.append(Fraction(part))
+            except ZeroDivisionError:
+                raise ValueError("coordinate %d of point %r has a zero denominator: %r"
+                                 % (i, text, part)) from None
+        return cls(coords)
 
     @property
     def nvars(self):

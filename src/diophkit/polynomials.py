@@ -307,6 +307,8 @@ def parse_form(text, nvars=None):
             if kind == "pow":
                 raise ParseError(f"misplaced exponent operator at position {pos}")
             if kind == "num":
+                if not int(value.partition("/")[2] or 1):
+                    raise ParseError(f"zero denominator at position {pos}: {value!r}")
                 coeff *= Fraction(value)
                 saw_factor = True
                 expect_factor = False

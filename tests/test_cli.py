@@ -288,6 +288,16 @@ class TestExitCodes:
         assert (code, out, err) == \
             (1, "", "error: N must be a positive integer\n")
 
+    # a zero denominator is an error line naming where it is
+    @pytest.mark.parametrize("argv,message", [
+        (["height", "--point", "1/0:2"],
+         "coordinate 0 of point '1/0:2' has a zero denominator: '1/0'"),
+        (["beta", "--space", "P2", "--ideal", "1/0*x0", "--N", "2"],
+         "zero denominator at position 0: '1/0'"),
+    ], ids=["point", "generator"])
+    def test_zero_denominator_is_one(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
     # a malformed configuration file is one error line, not a traceback
     @pytest.mark.parametrize("mangle,message", [
         (lambda data: {k: v for k, v in data.items() if k != "betas"},
@@ -295,7 +305,10 @@ class TestExitCodes:
         (lambda data: dict(data, subschemes=5),
          "bad 'subschemes' in configuration: 'int' object is not iterable"),
         (lambda data: [data], "a configuration is a JSON object, not list"),
-    ], ids=["missing-key", "number-for-list", "top-level-list"])
+        (lambda data: dict(data, epsilon="1/0"),
+         "bad 'epsilon' in configuration: '1/0' has a zero denominator"),
+    ], ids=["missing-key", "number-for-list", "top-level-list",
+            "zero-denominator"])
     def test_malformed_config_is_one(self, tmp_path, mangle, message):
         data = InequalityConfig(
             subschemes=(Subscheme.from_strings("H", ["x0"], nvars=2),),

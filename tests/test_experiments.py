@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,21 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="not booleans"):
                 InequalityConfig.from_json(data)
 
+    # a value that cannot be read names its key, whatever its parser raises
+    @pytest.mark.parametrize("key,value,message", [
+        ("epsilon", "1/0", "'1/0' has a zero denominator"),
+        ("betas", ["x"], "Invalid literal for Fraction: 'x'"),
+        ("places", ["inf", "4"], "not a place: '4'"),
+        ("subschemes", [{"label": "H", "nvars": 2, "generators": ["x0 +"]}],
+         "dangling sign at end of input"),
+    ], ids=["zero-denominator", "not-a-number", "not-a-place", "bad-generator"])
+    def test_bad_value_names_its_key(self, key, value, message):
+        data = simple_config().to_json()
+        data[key] = value
+        with pytest.raises(ConfigError) as info:
+            InequalityConfig.from_json(data)
+        assert str(info.value) == "bad %r in configuration: %s" % (key, message)
+
     def test_json_round_trip(self):
         cfg = four_lines_config()
         blob = json.dumps(cfg.to_json())
@@ -201,6 +217,17 @@ class TestScanBasics:
                     ProjectivePoint((2, 4, 6))]:
             got = scan_inequality(cfg, points=[raw], keep_rows=True)
             assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_explicit_points_of_p0(self, keep_rows):
+        # the one point of P^0 is a line with an empty prefix
+        cfg = simple_config(subschemes=(sub("A", ["2*x0"], 1),),
+                            min_height_norm=1)
+        points = [(3,), (-2,), (Fraction(1, 2),)]
+        got = scan_inequality(cfg, points=points, keep_rows=keep_rows)
+        want = reference_scan(cfg, points, keep_rows=keep_rows)
+        assert got.to_json() == want.to_json()
+        assert got.evaluated == got.zero_height == 3
 
     def test_explicit_points_rejected(self):
         with pytest.raises(ValueError):
@@ -357,6 +384,35 @@ DIFFERENTIAL_CASES = {
                     sub("A", ["x0 + x1 - 2*x2 + x3"], 4)),
         betas=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
         places=PlaceSet.from_string("inf,2,3"), epsilon=Fraction(1)), 3),
+    # generators of degrees 1 and 2: the archimedean minimum is taken by
+    # cross-multiplying c' H^deg against |G(x)|; c' = 2 certifies H = 8 but
+    # no lower height, so both paths compare them
+    "mixed_degrees": (dict(
+        subschemes=(sub("T", ["x0 - 1/2*x2", "x1^2 - x0*x2"], 3),
+                    sub("H", ["x0 + x1 - x2"], 3)),
+        betas=(Fraction(1, 2), Fraction(1, 3)),
+        places=PlaceSet.from_string("inf,3,5")), 8),
+    # a single cubic, whose degree is not below n, is not memoized
+    "cubic": (dict(
+        subschemes=(sub("K", ["x0^3 + 2*x1^2*x2 - 3/2*x2^3"], 3),
+                    sub("L", ["x0 - x1"], 3)),
+        betas=(Fraction(1, 4), Fraction(1, 3)),
+        places=PlaceSet.from_string("inf,2,3")), 6),
+    # exclusions of two generators each, the points 1:1:0 and 2:1:-1
+    "point_exclusions": (dict(
+        subschemes=(sub("L", ["x0 + x1 + x2"], 3),
+                    sub("C", ["x0*x1 - x2^2"], 3)),
+        betas=(Fraction(1, 3), Fraction(1, 4)),
+        places=PlaceSet.from_string("inf,2,5"),
+        exclusions=(sub("E", ["x0 - x1", "x2"], 3),
+                    sub("F", ["x0 - 2*x1", "x1 + x2"], 3))), 6),
+    # P^1, where a line has no middle coordinates, with no finite place
+    "p1": (dict(
+        subschemes=(sub("A", ["x0"], 2), sub("B", ["x0 - 3*x1"], 2),
+                    sub("Q", ["x0^2 + x1^2"], 2)),
+        betas=(Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)),
+        places=PlaceSet.from_string("inf"),
+        exclusions=(sub("Z", ["x0 + x1"], 2),)), 14),
     # violations on both sides of the height floor
     "overweight": (dict(
         subschemes=(sub("L", ["x0 - 3/2*x1"], 2),),
@@ -404,6 +460,20 @@ class TestDifferentialOracle:
         kw, bound = DIFFERENTIAL_CASES["overweight"]
         report = scan_inequality(simple_config(**kw), bound=bound)
         assert report.violations and report.low_height_hits > 0
+
+
+class TestKernelSource:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    def test_only_integers_and_indices_are_written(self, name):
+        """The scan function's text holds no weight: the only float
+        literal in it is the 0.0 that starts each sum of logs, and the
+        weights come in as values."""
+        cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
+        d = math.lcm(2, *(b.denominator for b in cfg.betas))
+        source = _Kernel(cfg, [int(d * b) for b in cfg.betas]).source(
+            int(d * (1 + cfg.epsilon)))
+        assert re.findall(r"\b\d+\.\d*", source) == ["0.0", "0.0"]
+        assert "1/" not in source and "Fraction" not in source
 
 
 def height_exponents(cfg):

@@ -134,6 +134,8 @@ class TestPoints:
         assert ProjectivePoint.from_string("1/2 : 1").coords == (1, 2)
         with pytest.raises(ValueError):
             ProjectivePoint.from_string("5")
+        with pytest.raises(ValueError, match="coordinate 1 of point '2:1/0'"):
+            ProjectivePoint.from_string("2:1/0")
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0])
 

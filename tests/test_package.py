@@ -150,6 +150,24 @@ class TestPublicNames:
                   and getattr(node.func, "attr", None) == "add_argument"}
         assert owners == {"build_parser"}
 
+    def test_only_the_scan_kernel_is_compiled(self):
+        """The scan compiles one function per configuration, in
+        experiments._scan_function; no other code in the package, in a
+        function or at module level, calls the compile, exec or eval
+        builtins (re.compile is an attribute call and does not count)."""
+        owners = set()
+        for path in (SRC / "diophkit").glob("*.py"):
+            tree = ast.parse(path.read_text())
+            # ast.walk is breadth-first, so a nested def names its own calls
+            enclosing = {node: func.name for func in ast.walk(tree)
+                         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         for node in ast.walk(func)}
+            owners |= {(path.name, enclosing.get(node)) for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Name)
+                       and node.func.id in ("compile", "exec", "eval")}
+        assert owners == {("experiments.py", "_scan_function")}
+
     def test_only_polynomials_orders_columns(self):
         """Forms become coefficient rows, and rows forms, in one column
         order, so only the polynomials module reads a form's coefficients
@@ -208,6 +226,15 @@ class TestImportSets:
                 'print(json.dumps([0, [m for m in sys.modules'
                 ' if m.startswith("diophkit.")]]), file=sys.stderr)')
         assert loaded_by(code) == (0, set())
+
+    def test_cli_import(self):
+        """What the benchmark's setup time imports: the parser's modules,
+        and neither the scanner nor the code that compiles its kernel."""
+        code = ('import json, sys, diophkit.cli\n'
+                'print(json.dumps([0, [m for m in sys.modules'
+                ' if m.startswith("diophkit.")]]), file=sys.stderr)')
+        assert loaded_by(code) == (0, {"cli", "graded", "linalg", "polynomials",
+                                       "staircase"})
 
     def test_filtration(self):
         code, modules = run_cli("filtration", *LINES, "--weights", "1,1/2,1/3",

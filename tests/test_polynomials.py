@@ -75,6 +75,15 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_form(bad)
 
+    @pytest.mark.parametrize("text,position", [
+        ("1/0*x0", 0), ("x0 + 3/00*x1", 4), ("x0^2 - 7/0*x1^2", 6)])
+    def test_rejects_zero_denominator(self, text, position):
+        # named by the position of its token (leading space included), not
+        # reported as a bare ZeroDivisionError
+        with pytest.raises(ParseError, match="zero denominator at position %d"
+                           % position):
+            parse_form(text)
+
     def test_constant_term(self):
         f = parse_form("5")
         assert f.degree == 0 and f.evaluate([Fraction(7)]) == 5
