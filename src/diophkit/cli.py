@@ -12,8 +12,8 @@ plain command line (a subcommand, then exact long flags of it, each once,
 with values argparse would read the same way) is matched against those
 entries by _plain_args, so it runs without argparse; every other one
 (help, a usage error, any other shape) goes to build_parser(), the one
-argparse parser, which passes each entry to add_argument.  json output is
-written by _json, which gives json.dumps's bytes without the json module.
+argparse parser, which passes each entry to add_argument.  Output modules
+(csv, json) are imported only by the branch of _emit that writes them.
 A process started at run() ends with os._exit once its output is
 flushed, so it skips the interpreter's teardown.
 """
@@ -82,81 +82,14 @@ def _cell(v):
     return v
 
 
-class _Escapes(dict):
-    """Code point -> the text json.dumps writes for it inside a string
-    (ensure_ascii): printable ASCII stands for itself, every other
-    character is a \\u escape, one beyond the BMP a surrogate pair of
-    them; each computed once."""
-
-    def __missing__(self, n):
-        if 0x20 <= n < 0x7f:
-            text = chr(n)
-        elif n < 0x10000:
-            text = "\\u%04x" % n
-        else:
-            text = "\\u%04x\\u%04x" % (0xd800 | (n - 0x10000) >> 10,
-                                       0xdc00 | (n - 0x10000) & 0x3ff)
-        self[n] = text
-        return text
-
-
-_ESCAPES = _Escapes({ord("\\"): "\\\\", ord('"'): '\\"', 8: "\\b", 9: "\\t",
-                     10: "\\n", 12: "\\f", 13: "\\r"})
-
-
-# float.__repr__ of the floats json writes as constants
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json(v, newline="\n"):
-    """json.dumps(v, indent=2, default=str), without the json module: dicts
-    (keys str, int, float, bool or None) and lists or tuples are laid out
-    as json lays them out, str escaped as by ensure_ascii, None, bools,
-    ints and floats (NaN and +-Infinity included) written as json writes
-    them, and any other value as its str()."""
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _JSON_CONSTANTS.get(text, text)
-    if isinstance(v, str):
-        return '"%s"' % v.translate(_ESCAPES)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    inner = newline + "  "
-    if isinstance(v, (list, tuple)):
-        items = [_json(x, inner) for x in v]
-        ends = "[]"
-    elif isinstance(v, dict):
-        items = [(_json(k) if isinstance(k, str) else _json_key(k)) + ": "
-                 + _json(x, inner) for k, x in v.items()]
-        ends = "{}"
-    else:
-        return _json(str(v))
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
-
-
-def _json_key(k):
-    """A dict key that is not a str, quoted as json writes it as a value."""
-    if not isinstance(k, (int, float)) and k is not None:
-        raise TypeError("keys must be str, int, float, bool or None, not %s"
-                        % type(k).__name__)
-    return _json(_json(k))
-
-
 def _emit(fmt, data, table=None, text=None):
     """Write one result to stdout.  json writes `data` (Fractions as strings);
     csv writes `table`, else `data`: a dict or a nonempty list of dicts
     whose keys are the header; text prints the `text` lines, or the csv
     when there are none."""
     if fmt == "json":
-        print(_json(data))
+        import json
+        print(json.dumps(data, indent=2, default=str))
     elif fmt == "csv" or text is None:
         import csv
         rows = data if table is None else table

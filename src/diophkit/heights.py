@@ -176,6 +176,9 @@ class ProjectivePoint:
             except ZeroDivisionError:
                 raise ValueError("coordinate %d of point %r has a zero denominator: %r"
                                  % (i, text, part)) from None
+            except ValueError:
+                raise ValueError("coordinate %d of point %r is not a rational number: %r"
+                                 % (i, text, part)) from None
         return cls(coords)
 
     @property

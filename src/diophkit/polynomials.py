@@ -256,10 +256,12 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
+            rest = text[pos:].lstrip()
+            if rest:
+                at = len(text) - len(rest)
+                raise ParseError(f"unexpected character at position {at}: {text[at]!r}")
             break
-        out.append((m.lastgroup, m.group(m.lastgroup), pos))
+        out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return out
 

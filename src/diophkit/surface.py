@@ -145,7 +145,11 @@ def parse_class(text, k=None):
         sign = m.group("sign")
         if sign is None and not first:
             raise SurfaceError("missing sign between terms in %r" % text)
-        value = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            value = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise SurfaceError("term %r of class %r has a zero denominator"
+                               % (text[m.start("coef"):m.end("sym")], text)) from None
         if sign == "-":
             value = -value
         if m.group("sym") == "H":

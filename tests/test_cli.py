@@ -5,15 +5,13 @@ import gc
 import importlib
 import io
 import json
-import math
 import os
 import runpy
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diophkit import beta as beta_mod
@@ -294,8 +292,22 @@ class TestExitCodes:
          "coordinate 0 of point '1/0:2' has a zero denominator: '1/0'"),
         (["beta", "--space", "P2", "--ideal", "1/0*x0", "--N", "2"],
          "zero denominator at position 0: '1/0'"),
-    ], ids=["point", "generator"])
+        (["beta-surface", "--A", "H - 1/0E1", "--D", "E1", "--N", "2"],
+         "term '1/0E1' of class 'H - 1/0E1' has a zero denominator"),
+        (["seshadri", "--A", "4H", "--D", "1/0E1 + E2"],
+         "term '1/0E1' of class '1/0E1 + E2' has a zero denominator"),
+    ], ids=["point", "generator", "beta-surface", "seshadri"])
     def test_zero_denominator_is_one(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
+    # so is a coordinate that is not a rational number
+    @pytest.mark.parametrize("argv,message", [
+        (["height", "--point", "1:x"],
+         "coordinate 1 of point '1:x' is not a rational number: 'x'"),
+        (["weil", "--ideal", "x0", "--point", "2:y:1", "--place", "inf"],
+         "coordinate 1 of point '2:y:1' is not a rational number: 'y'"),
+    ], ids=["height", "weil"])
+    def test_bad_coordinate_is_one(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
 
     # a malformed configuration file is one error line, not a traceback
@@ -557,40 +569,6 @@ class TestPlainMatcher:
     def test_other_shapes_go_to_argparse(self, argv):
         assert cli._plain_args(argv) is None
         assert argparse_result(argv) is not None
-
-
-# every shape --output json writes: str with any code point (lone surrogates
-# included), ints, floats with their specials, bools, None and Fractions,
-# nested in lists, tuples and dicts whose keys take every type json allows
-TEXT = st.text(st.characters(exclude_categories=()))
-JSON_KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
-JSON_VALUES = st.recursive(
-    st.one_of(TEXT, st.integers(-10 ** 80, 10 ** 80), st.floats(), st.booleans(),
-              st.none(), st.fractions()),
-    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
-                            st.dictionaries(JSON_KEYS, inner)),
-    max_leaves=25)
-
-
-class TestJsonWriter:
-    """--output json is written by cli._json, which must give the bytes of
-    json.dumps(value, indent=2, default=str)."""
-
-    @settings(max_examples=400)
-    @given(JSON_VALUES)
-    @example("\x00\x1f \x7f\"\\/\b\f\n\r\t\u00e9\u20ac\U0001f600\ud800\udfff")
-    @example([0.0, -0.0, 1e300, math.inf, -math.inf, math.nan, 10 ** 60])
-    @example({"": {}, 1: [], 1.5: (), False: None, None: True, math.nan: 0,
-              -math.inf: "x"})
-    def test_matches_json_dumps(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2, default=str)
-
-    def test_rejects_the_keys_json_rejects(self):
-        for bad in ({(1, 2): 0}, {Fraction(1, 2): 0}):
-            with pytest.raises(TypeError):
-                json.dumps(bad, indent=2, default=str)
-            with pytest.raises(TypeError):
-                cli._json(bad)
 
 
 def in_process(capsys, argv):

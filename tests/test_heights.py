@@ -139,6 +139,16 @@ class TestPoints:
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0])
 
+    # a coordinate that is not a rational number is named with its point
+    @pytest.mark.parametrize("text,index,part", [
+        ("1:x", 1, "x"), ("2:y:1", 1, "y"), ("  :1", 0, ""), ("1.5e:2", 0, "1.5e"),
+        ("1:2: 3/x ", 2, "3/x")])
+    def test_from_string_names_a_bad_coordinate(self, text, index, part):
+        with pytest.raises(ValueError) as exc:
+            ProjectivePoint.from_string(text)
+        assert str(exc.value) == ("coordinate %d of point %r is not a rational "
+                                  "number: %r" % (index, text, part))
+
 
 class TestNorms:
     def test_examples(self):

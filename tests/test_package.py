@@ -269,20 +269,20 @@ class TestImportSets:
         assert code == 0
         assert not modules & {"csv", "json"}
 
-    # csv output loads its writer; json output is written by cli._json
-    @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", set()),
+    # each output mode loads its own writer, and text loads neither
+    @pytest.mark.parametrize("fmt,writers", [("text", set()), ("json", {"json"}),
                                              ("csv", {"csv"})])
     def test_output_writers(self, fmt, writers):
         code, modules = run_cli("height", "--point", "2:3", "--output", fmt)
         assert code == 0
         assert modules & {"csv", "json"} == writers
 
-    def test_json_filtration_loads_neither_json_nor_argparse(self):
+    def test_json_filtration_skips_argparse(self):
         code, modules = run_cli("filtration", *LINES, "--weights", "1,1/2,1/3",
                                 "--N", "2", "--output", "json")
         assert code == 0
         assert "filtration" in modules
-        assert not modules & {"json", "argparse"}
+        assert "argparse" not in modules
 
 
 # one command line per subcommand and mode; the records they build are plain

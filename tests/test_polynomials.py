@@ -76,13 +76,32 @@ class TestParsing:
                 parse_form(bad)
 
     @pytest.mark.parametrize("text,position", [
-        ("1/0*x0", 0), ("x0 + 3/00*x1", 4), ("x0^2 - 7/0*x1^2", 6)])
+        ("1/0*x0", 0), ("x0 + 3/00*x1", 5), ("x0^2 - 7/0*x1^2", 7)])
     def test_rejects_zero_denominator(self, text, position):
-        # named by the position of its token (leading space included), not
-        # reported as a bare ZeroDivisionError
+        # named by the position where its token starts, not reported as a
+        # bare ZeroDivisionError
         with pytest.raises(ParseError, match="zero denominator at position %d"
                            % position):
             parse_form(text)
+
+    # the position of the first character that is not whitespace
+    @pytest.mark.parametrize("text,position,char", [
+        ("$", 0, "$"), ("x0 + x1 $", 8, "$"), ("x0 +\t  x1 # 2", 10, "#"),
+        ("x0^(1/2)", 3, "(")])
+    def test_names_the_unexpected_character(self, text, position, char):
+        with pytest.raises(ParseError) as exc:
+            parse_form(text)
+        assert str(exc.value) == \
+            "unexpected character at position %d: %r" % (position, char)
+
+    # a message that names a position names where its token starts
+    @pytest.mark.parametrize("text,message", [
+        ("x0 +  * x1", "misplaced '*' at position 6"),
+        ("x0 -\t^2", "misplaced exponent operator at position 5")])
+    def test_operator_errors_name_the_token(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_form(text)
+        assert str(exc.value) == message
 
     def test_constant_term(self):
         f = parse_form("5")

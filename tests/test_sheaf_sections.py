@@ -12,6 +12,11 @@ The graded ring counts the graded piece of I^m (or of prod_i I_i^{b_i}),
 which is smaller when that ideal is not saturated.  The cases marked xfail
 are inputs where the two differ today: several points in one subscheme,
 and a product of two point ideals.
+
+A second oracle needs no monomials: up to a change of coordinates, k <= 3
+reduced points in general position of P^2 are the points blown up by
+SurfaceModel(k), and h^0(O(D) . I^m) is h^0(D H - m (E_1 + ... + E_k))
+there, which beta-surface computes by Zariski decomposition.
 """
 
 from fractions import Fraction
@@ -22,6 +27,7 @@ from diophkit.beta import beta_truncated
 from diophkit.filtration import build_profile
 from diophkit.graded import Subscheme, terms_until_zero
 from diophkit.polynomials import monomial_exponents
+from diophkit.surface import SurfaceModel, _beta_surface_terms, parse_class
 
 GAP = pytest.mark.xfail(strict=True, reason="graded piece, not sheaf sections")
 
@@ -70,3 +76,15 @@ def test_filtration_jumps(ideals, points, weights, N):
     Ys = [sub("Y%d" % i, gens) for i, gens in enumerate(ideals)]
     profile = build_profile(Ys, weights, N)
     assert profile.jumps == sheaf_jumps(points, weights, 3, N)
+
+
+@pytest.mark.parametrize("gens,k,D", [
+    (["x0", "x1"], 1, "E1"),
+    (["x0*x1", "x2"], 2, "E1 + E2"),
+    pytest.param(["x0*x1", "x0*x2", "x1*x2"], 3, "E1 + E2 + E3", marks=GAP),
+], ids=["one-point", "two-points", "three-points"])
+@pytest.mark.parametrize("N", [3, 5, 6, 8])
+def test_beta_terms_match_the_blowup(gens, k, D, N):
+    model = SurfaceModel(k)
+    blowup = _beta_surface_terms(model, model.H, parse_class(D, k=k), N)[1]
+    assert beta_truncated(sub("Y", gens), 1, N).terms == tuple(blowup)

@@ -68,6 +68,17 @@ class TestPicardClass:
             with pytest.raises(SurfaceError):
                 parse_class(bad)
 
+    # named by its term and its class, not reported as a bare
+    # ZeroDivisionError
+    @pytest.mark.parametrize("text,term", [
+        ("H - 1/0E1", "1/0E1"), ("1/0E1 + E2", "1/0E1"),
+        ("2H - E1 - 3/00 E2", "3/00 E2"), ("1/0H", "1/0H")])
+    def test_rejects_zero_denominator(self, text, term):
+        with pytest.raises(SurfaceError) as exc:
+            parse_class(text)
+        assert str(exc.value) == \
+            "term %r of class %r has a zero denominator" % (term, text)
+
     def test_arithmetic(self):
         A = parse_class("3H - E1", k=2)
         B = parse_class("H - E2", k=2)
