@@ -17,14 +17,14 @@ once over their least common denominator c, as g = G / c with every G
 integral.  These G, then those of every exclusion, form one flat list.
 The sample is walked a line at a time: fixing every coordinate but the
 last, t, makes each G a polynomial in t.  Each scan writes the text of
-one function for its configuration and compiles it with exec: every loop
-over the forms and the Y_i below is unrolled, so a line computes each
-coefficient of each G in t as a straight-line integer expression of its
-fixed coordinates, and a point evaluates each G(x) by Horner's rule into
-a local and tests the supports and exclusions on those locals.  Only
-integers and indices are written into the text; the float weights are
-passed in as values.  Over the g with G(x) != 0, the product over S of
-the local norms of Y_i is
+one function for its configuration (_scan_source) and compiles it with
+exec (_scan_function): every loop over the forms and the Y_i below is
+unrolled, so a line computes each coefficient of each G in t as a
+straight-line integer expression of its fixed coordinates, and a point
+evaluates each G(x) by Horner's rule into a local and tests the supports
+and exclusions on those locals.  Only integers and indices are written
+into the text; the float weights are passed in as values.  Over the g
+with G(x) != 0, the product over S of the local norms of Y_i is
 
     Q_i = min_g c H^deg g / |G(x)|  *  prod_{p in S} p^(min_g ord_p G(x) - ord_p c).
 
@@ -320,165 +320,149 @@ def _s_free(v, rad):
     return v
 
 
-class _Kernel:
-    """A configuration compiled once for integer scanning (see the module
-    docstring).
+def _scan_source(config, exps, rhs_exp):
+    """The text of the function that scans config (see the module
+    docstring); exps are the integer exponents d beta_i.
 
-    forms lists the integral terms and degree of every generator of every
-    Y_i, then of every exclusion, so form j is the j-th value at a point;
-    supports and exclusions are index spans into that list.  Each Y_i also
-    gets a plan (start, stop, degrees, c', key, d beta_i, float beta_i),
-    where key is what a scan memoizes Y_i by per height: None for no memo,
-    else the index of its one generator's value or the slice of its
-    generators' values (see the module docstring for the rule).
+    Every generator of every Y_i, then of every exclusion, is an integral
+    form, so form j is the j-th value at a point; supports and exclusions
+    are index spans into that list.  Each Y_i gets a plan (start, stop,
+    degrees, c', memo, d beta_i), memo telling whether a scan memoizes Y_i
+    per height (see the module docstring for the rule).
+
+    The function is one loop over the lines and one over the t of a line,
+    with every loop over forms and plans unrolled: a form's coefficients
+    in t are computed per line, its value per point by Horner's rule, and
+    each Y_i's norm, memo and log in place.  Only integers and indices are
+    written into it; the float weights are arguments.
     """
-
-    def __init__(self, config, exps):
-        self.rad = math.prod(v.p for v in config.places if not v.is_infinite)
-        self.forms, self.plans = [], []
-        self.n = n = config.nvars - 1
-        for Y, e, b in zip(config.subschemes, exps, config.betas):
-            start, stop, c = self._append(Y.generators)
-            degs = tuple(g.degree for g in Y.generators)
-            key = None
-            if degs == (1,) or sum(degs) < n:
-                key = start if len(degs) == 1 else slice(start, stop)
-            self.plans.append((start, stop, degs, _s_free(c, self.rad),
-                               key, e, float(b)))
-        self.supports = [plan[:2] for plan in self.plans]
-        self.exclusions = [self._append(Z.generators)[:2]
-                           for Z in config.exclusions]
-
-    def _append(self, generators):
-        """Append the integral forms of generators; their span and c."""
-        start = len(self.forms)
-        terms, c = _integral(generators)
-        self.forms.extend((t, g.degree) for t, g in zip(terms, generators))
-        return start, len(self.forms), c
-
-    def source(self, rhs_exp):
-        """The text of the function that scans with this kernel.
-
-        It is one loop over the lines and one over the t of a line, with
-        every loop over forms and plans unrolled: a form's coefficients in
-        t are computed per line, its value per point by Horner's rule, and
-        each Y_i's norm, memo and log in place.  Only integers and indices
-        are written into it; the float weights are arguments.
-        """
-        n, rad, plans = self.n, self.rad, self.plans
-        xs = ["x%d" % i for i in range(n)]
-        # the largest absolute value of the prefix; P^0 has an empty one
-        size = ["abs(%s)" % x for x in xs] or ["0"]
-        ks = range(len(plans))
-        first_excluded = plans[-1][1]
-        # the statements of the values that depend on t, of the supports'
-        # forms and of the exclusions' forms
-        per_line, on_t, vals = [], ([], []), []
-        for j, (terms, deg) in enumerate(self.forms):
-            lines, expr = _form_on_line(j, terms, deg)
-            per_line += lines
-            if expr.isidentifier():
-                vals.append(expr)
-                continue
-            vals.append("v%d" % j)
-            # no coordinate or coefficient name holds a t
-            stmts = on_t[j >= first_excluded] if "t" in expr else per_line
-            stmts.append("v%d = %s" % (j, expr))
-        powers = ["p%d" % j for j in range(first_excluded)]
-        memos = ["m%d" % i for i in ks if plans[i][4] is not None]
-        # Q_i <= c'_i H^(max deg Y_i), so prod_i Q_i^(d beta_i) <= c_prod
-        # H^deg_exp; where that is at most H^(d (1+eps)) nothing is violated
-        c_prod = math.prod(c ** e for _, _, _, c, _, e, _ in plans)
-        deg_exp = sum(e * max(degs) for _, _, degs, _, _, e, _ in plans)
-        level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow",
-                 "rhs_scale * log(H)"] + ["{}"] * len(memos) + [
-                 "%d * H ** %d" % (c, deg)
-                 for _, _, degs, c, _, _, _ in plans for deg in degs]
-        # a certified height needs log Q_i; any other also the factors of
-        # the exact comparison
-        certified, exact = [], []
-        for i, (start, stop, _, _, key, e, _) in enumerate(plans):
-            norm = _norm(vals[start:stop], powers[start:stop], rad)
-            if key is not None:
-                # one generator fills its memo for the negated value too
-                k = vals[start] if stop - start == 1 else \
-                    "(%s,)" % ", ".join(vals[start:stop])
-                store = "m%d[%s] = " % (i, k)
-                if stop - start == 1:
-                    store += "m%d[-%s] = " % (i, k)
-            for stmts, name, value, unpack in (
-                    (certified, "q%d" % i, "log(num / den)", []),
-                    (exact, "f", "(num ** %d, den ** %d, log(num / den))" % (e, e),
-                     ["n{0}, d{0}, q{0} = f".format(i)])):
-                if key is None:
-                    stmts += norm + ["%s = %s" % (name, value)] + unpack
-                else:
-                    stmts += ["%s = m%d.get(%s)" % (name, i, k),
-                              "if %s is None:" % name] + _indent(
-                        norm + ["%s = %s%s" % (name, store, value)]) + unpack
-        lhs_log = "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks)
-        certified += [lhs_log, "violated = False"]
-        exact += [lhs_log, "violated = %s > rhs_pow * %s" % (
-            " * ".join("n%d" % i for i in ks), " * ".join("d%d" % i for i in ks))]
-        point = on_t[0] + ["if %s:" % _zero_test(self.supports, vals),
-                           "    skipped += 1", "    continue"]
-        if self.exclusions:
-            point += on_t[1] + ["if %s:" % _zero_test(self.exclusions, vals),
-                                "    excluded += 1", "    continue"]
-        point += [
-            "evaluated += 1",
-            "H = M if -M <= t <= M else abs(t)",
-            "if H == 1:",
-            "    zero_height += 1",
-            "if H != Hl:",
-            "    Hl = H",
-            "    lev = levels.get(H)",
-            "    if lev is None:",
-            "        rhs_pow = H ** %d" % rhs_exp,
-            "        lev = levels[H] = (%s,)" % ", ".join(level),
-            "    certified, rhs_pow, rhs_log, %s = lev"
-            % ", ".join(memos + powers),
-            "if certified:",
-        ] + _indent(certified) + ["else:"] + _indent(exact) + [
-            "ratio = lhs_log / rhs_log if H > 1 else None",
-            "better = ratio is not None and (best_ratio is None or "
-            "ratio > best_ratio)",
-            "if violated or keep_rows or better:",
-            "    row = ScanRow(head + str(t), H, (%s,), lhs_log, rhs_log, "
-            "ratio, violated)" % ", ".join("q%d" % i for i in ks),
-            "    if violated:",
-            "        if H >= floor:",
-            "            violations.append(row)",
-            "        else:",
-            "            low_hits += 1",
-            "    if better:",
-            "        best = row",
-            "        best_ratio = ratio",
-            "    if keep_rows:",
-            "        rows.append(row)",
-        ]
-        return "\n".join([
-            "def scan(lines, keep_rows, floor, lbs, rhs_scale, ScanRow, log, "
-            "gcd, s_free):",
-            "    %s, = lbs" % ", ".join("l%d" % i for i in ks),
-            "    levels = {}",
-            "    total = skipped = excluded = evaluated = zero_height = 0",
-            "    low_hits = Hl = 0",
-            "    violations = []",
-            "    rows = [] if keep_rows else None",
-            "    best = best_ratio = None",
-            "    for prefix, ts in lines:",
-            "        total += len(ts)",
-            "        (%s) = prefix" % "".join(x + ", " for x in xs),
-            "        M = %s" % (size[0] if n < 2 else "max(%s)" % ", ".join(size)),
-            "        head = %r %% prefix" % ("%s:" * n),
-        ] + _indent(per_line, 2) + [
-            "        for t in ts:",
-        ] + _indent(point, 3) + [
-            "    return (total, skipped, excluded, evaluated, zero_height, "
-            "low_hits, violations, best, rows)",
-            "",
-        ])
+    rad = math.prod(v.p for v in config.places if not v.is_infinite)
+    n = config.nvars - 1
+    forms, spans = [], []
+    for Y in config.subschemes + config.exclusions:
+        terms, c = _integral(Y.generators)
+        spans.append((len(forms), len(forms) + len(terms), c))
+        forms += zip(terms, [g.degree for g in Y.generators])
+    plans = []
+    for (start, stop, c), Y, e in zip(spans, config.subschemes, exps):
+        degs = tuple(g.degree for g in Y.generators)
+        plans.append((start, stop, degs, _s_free(c, rad),
+                      degs == (1,) or sum(degs) < n, e))
+    supports = [plan[:2] for plan in plans]
+    exclusions = [span[:2] for span in spans[len(plans):]]
+    xs = ["x%d" % i for i in range(n)]
+    # the largest absolute value of the prefix; P^0 has an empty one
+    size = ["abs(%s)" % x for x in xs] or ["0"]
+    ks = range(len(plans))
+    first_excluded = plans[-1][1]
+    # the statements of the values that depend on t, of the supports'
+    # forms and of the exclusions' forms
+    per_line, on_t, vals = [], ([], []), []
+    for j, (terms, deg) in enumerate(forms):
+        lines, expr = _form_on_line(j, terms, deg)
+        per_line += lines
+        if expr.isidentifier():
+            vals.append(expr)
+            continue
+        vals.append("v%d" % j)
+        # no coordinate or coefficient name holds a t
+        stmts = on_t[j >= first_excluded] if "t" in expr else per_line
+        stmts.append("v%d = %s" % (j, expr))
+    powers = ["p%d" % j for j in range(first_excluded)]
+    memos = ["m%d" % i for i in ks if plans[i][4]]
+    # Q_i <= c'_i H^(max deg Y_i), so prod_i Q_i^(d beta_i) <= c_prod
+    # H^deg_exp; where that is at most H^(d (1+eps)) nothing is violated
+    c_prod = math.prod(c ** e for _, _, _, c, _, e in plans)
+    deg_exp = sum(e * max(degs) for _, _, degs, _, _, e in plans)
+    level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow",
+             "rhs_scale * log(H)"] + ["{}"] * len(memos) + [
+             "%d * H ** %d" % (c, deg)
+             for _, _, degs, c, _, _ in plans for deg in degs]
+    # a certified height needs log Q_i; any other also the factors of
+    # the exact comparison
+    certified, exact = [], []
+    for i, (start, stop, _, _, memo, e) in enumerate(plans):
+        norm = _norm(vals[start:stop], powers[start:stop], rad)
+        if memo:
+            # one generator fills its memo for the negated value too
+            key = vals[start] if stop - start == 1 else \
+                "(%s,)" % ", ".join(vals[start:stop])
+            store = "m%d[%s] = " % (i, key)
+            if stop - start == 1:
+                store += "m%d[-%s] = " % (i, key)
+        for stmts, name, value, unpack in (
+                (certified, "q%d" % i, "log(num / den)", []),
+                (exact, "f", "(num ** %d, den ** %d, log(num / den))" % (e, e),
+                 ["n{0}, d{0}, q{0} = f".format(i)])):
+            if not memo:
+                stmts += norm + ["%s = %s" % (name, value)] + unpack
+            else:
+                stmts += ["%s = m%d.get(%s)" % (name, i, key),
+                          "if %s is None:" % name] + _indent(
+                    norm + ["%s = %s%s" % (name, store, value)]) + unpack
+    lhs_log = "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks)
+    certified += [lhs_log, "violated = False"]
+    exact += [lhs_log, "violated = %s > rhs_pow * %s" % (
+        " * ".join("n%d" % i for i in ks), " * ".join("d%d" % i for i in ks))]
+    point = on_t[0] + ["if %s:" % _zero_test(supports, vals),
+                       "    skipped += 1", "    continue"]
+    if exclusions:
+        point += on_t[1] + ["if %s:" % _zero_test(exclusions, vals),
+                            "    excluded += 1", "    continue"]
+    point += [
+        "evaluated += 1",
+        "H = M if -M <= t <= M else abs(t)",
+        "if H == 1:",
+        "    zero_height += 1",
+        "if H != Hl:",
+        "    Hl = H",
+        "    lev = levels.get(H)",
+        "    if lev is None:",
+        "        rhs_pow = H ** %d" % rhs_exp,
+        "        lev = levels[H] = (%s,)" % ", ".join(level),
+        "    certified, rhs_pow, rhs_log, %s = lev"
+        % ", ".join(memos + powers),
+        "if certified:",
+    ] + _indent(certified) + ["else:"] + _indent(exact) + [
+        "ratio = lhs_log / rhs_log if H > 1 else None",
+        "better = ratio is not None and (best_ratio is None or "
+        "ratio > best_ratio)",
+        "if violated or keep_rows or better:",
+        "    row = ScanRow(head + str(t), H, (%s,), lhs_log, rhs_log, "
+        "ratio, violated)" % ", ".join("q%d" % i for i in ks),
+        "    if violated:",
+        "        if H >= floor:",
+        "            violations.append(row)",
+        "        else:",
+        "            low_hits += 1",
+        "    if better:",
+        "        best = row",
+        "        best_ratio = ratio",
+        "    if keep_rows:",
+        "        rows.append(row)",
+    ]
+    return "\n".join([
+        "def scan(lines, keep_rows, floor, lbs, rhs_scale, ScanRow, log, "
+        "gcd, s_free):",
+        "    %s, = lbs" % ", ".join("l%d" % i for i in ks),
+        "    levels = {}",
+        "    total = skipped = excluded = evaluated = zero_height = 0",
+        "    low_hits = Hl = 0",
+        "    violations = []",
+        "    rows = [] if keep_rows else None",
+        "    best = best_ratio = None",
+        "    for prefix, ts in lines:",
+        "        total += len(ts)",
+        "        (%s) = prefix" % "".join(x + ", " for x in xs),
+        "        M = %s" % (size[0] if n < 2 else "max(%s)" % ", ".join(size)),
+        "        head = %r %% prefix" % ("%s:" * n),
+    ] + _indent(per_line, 2) + [
+        "        for t in ts:",
+    ] + _indent(point, 3) + [
+        "    return (total, skipped, excluded, evaluated, zero_height, "
+        "low_hits, violations, best, rows)",
+        "",
+    ])
 
 
 def _indent(lines, depth=1):
@@ -511,21 +495,15 @@ def _form_on_line(j, terms, deg):
 
 def _horner(coeffs):
     """Horner's rule in t over coefficients given from t^0 up, each an int
-    or a name; zero coefficients are left out."""
+    or a name; zero coefficients are left out, and only the top one may be
+    a negative int."""
     expr = None
     for c in reversed(coeffs):
         if expr is not None:
             expr = "t" if expr == "1" else "-t" if expr == "-1" else \
                 "(%s)*t" % expr if " " in expr else expr + "*t"
-        if c == 0:
-            continue
-        c = c if isinstance(c, str) else "%d" % c
-        if expr is None:
-            expr = c
-        elif c.startswith("-"):
-            expr += " - " + c[1:]
-        else:
-            expr += " + " + c
+        if c != 0:
+            expr = "%s" % c if expr is None else "%s + %s" % (expr, c)
     return expr or "0"
 
 
@@ -551,10 +529,11 @@ def _norm(vals, powers, rad):
                     "den = den // g * s_free(g, %d)" % rad]
 
 
-def _scan_function(kernel, rhs_exp):
-    """The kernel's scan function, compiled once per scan."""
+def _scan_function(config, exps, rhs_exp):
+    """The scan function of config, compiled once per scan."""
     namespace = {}
-    exec(compile(kernel.source(rhs_exp), "<scan kernel>", "exec"), namespace)
+    exec(compile(_scan_source(config, exps, rhs_exp), "<scan kernel>", "exec"),
+         namespace)
     return namespace["scan"]
 
 
@@ -588,11 +567,10 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     d = math.lcm(one_plus_eps.denominator,
                  *(b.denominator for b in config.betas))
     exps = [int(d * b) for b in config.betas]
-    kernel = _Kernel(config, exps)
-    scan = _scan_function(kernel, int(d * one_plus_eps))
+    scan = _scan_function(config, exps, int(d * one_plus_eps))
     (total, skipped, excluded, evaluated, zero_height, low_hits, violations,
      best, rows) = scan(lines, keep_rows, config.min_height_norm,
-                        [plan[6] for plan in kernel.plans],
+                        [float(b) for b in config.betas],
                         float(one_plus_eps), ScanRow, math.log, math.gcd,
                         _s_free)
     return ScanReport(total, skipped, excluded, evaluated, zero_height,

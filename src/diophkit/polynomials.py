@@ -281,27 +281,22 @@ def parse_form(text, nvars=None):
     n = len(tokens)
     while i < n:
         sign = Fraction(1)
-        saw_sign = False
         while i < n and tokens[i][0] in ("plus", "minus"):
             if tokens[i][0] == "minus":
                 sign = -sign
-            saw_sign = True
             i += 1
         if i >= n:
             raise ParseError("dangling sign at end of input")
-        if terms and not saw_sign:
-            raise ParseError(f"expected '+' or '-' before position {tokens[i][2]}")
 
         coeff = sign
         exps = {}
-        saw_factor = False
         expect_factor = True
         while i < n:
             kind, value, pos = tokens[i]
             if kind in ("plus", "minus"):
                 break
             if kind == "mul":
-                if not saw_factor:
+                if expect_factor:
                     raise ParseError(f"misplaced '*' at position {pos}")
                 expect_factor = True
                 i += 1
@@ -312,7 +307,6 @@ def parse_form(text, nvars=None):
                 if not int(value.partition("/")[2] or 1):
                     raise ParseError(f"zero denominator at position {pos}: {value!r}")
                 coeff *= Fraction(value)
-                saw_factor = True
                 expect_factor = False
                 i += 1
                 continue
@@ -327,10 +321,7 @@ def parse_form(text, nvars=None):
                 power = int(tokens[i][1])
                 i += 1
             exps[idx] = exps.get(idx, 0) + power
-            saw_factor = True
             expect_factor = False
-        if not saw_factor:
-            raise ParseError("term with no factors")
         if expect_factor:
             raise ParseError("dangling '*' at end of term")
         terms.append((coeff, exps))

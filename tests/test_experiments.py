@@ -24,7 +24,7 @@ from diophkit.experiments import (
     sample_points,
     scan_inequality,
     sigma_select,
-    _Kernel,
+    _scan_source,
 )
 from diophkit.graded import Subscheme
 from diophkit.heights import PLACE_INF, Place, PlaceSet, ProjectivePoint, weil_norm
@@ -453,8 +453,9 @@ class TestDifferentialOracle:
         degrees of its generators sum below n: not the conic or the point
         of P^2, but the quadric, the line and the plane of P^3."""
         cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
-        kernel = _Kernel(cfg, [1] * len(cfg.subschemes))
-        assert [plan[4] is not None for plan in kernel.plans] == memoized
+        source = _scan_source(cfg, [1] * len(cfg.subschemes), 2)
+        assert ["m%d.get(" % i in source
+                for i in range(len(cfg.subschemes))] == memoized
 
     def test_overweight_case_splits_at_the_floor(self):
         kw, bound = DIFFERENTIAL_CASES["overweight"]
@@ -470,8 +471,8 @@ class TestKernelSource:
         weights come in as values."""
         cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
         d = math.lcm(2, *(b.denominator for b in cfg.betas))
-        source = _Kernel(cfg, [int(d * b) for b in cfg.betas]).source(
-            int(d * (1 + cfg.epsilon)))
+        source = _scan_source(cfg, [int(d * b) for b in cfg.betas],
+                              int(d * (1 + cfg.epsilon)))
         assert re.findall(r"\b\d+\.\d*", source) == ["0.0", "0.0"]
         assert "1/" not in source and "Fraction" not in source
 

@@ -297,6 +297,12 @@ class TestGeneralPosition:
         Ys = [sub("a", ["x0"], 3), sub("b", ["x1"], 3)]
         assert check_general_position(Ys).ok
 
+    def test_empty_subscheme_has_infinite_codimension(self):
+        # x0, x1, x2 cut out nothing in P^2: its codimension, and that of
+        # its meet with the line, is infinite, so no subset fails
+        Ys = [sub("empty", ["x0", "x1", "x2"], 3), sub("a", ["x0"], 3)]
+        assert check_general_position(Ys).ok
+
     def test_rejects_mixed_ambient_spaces(self):
         Ys = [sub("a", ["x0"], 2), sub("b", ["x0"], 3)]
         with pytest.raises(ValueError, match="share one ambient space"):

@@ -94,14 +94,21 @@ class TestParsing:
         assert str(exc.value) == \
             "unexpected character at position %d: %r" % (position, char)
 
-    # a message that names a position names where its token starts
+    # a message that names a position names where its token starts; a
+    # term that ends in '*' has no token to name
     @pytest.mark.parametrize("text,message", [
         ("x0 +  * x1", "misplaced '*' at position 6"),
-        ("x0 -\t^2", "misplaced exponent operator at position 5")])
+        ("x0 -\t^2", "misplaced exponent operator at position 5"),
+        ("x0 * * x1", "misplaced '*' at position 5"),
+        ("x0*", "dangling '*' at end of term"),
+        ("x0* + x1", "dangling '*' at end of term")])
     def test_operator_errors_name_the_token(self, text, message):
         with pytest.raises(ParseError) as exc:
             parse_form(text)
         assert str(exc.value) == message
+
+    def test_trailing_whitespace(self):
+        assert parse_form("x0 ") == parse_form("x0")
 
     def test_constant_term(self):
         f = parse_form("5")

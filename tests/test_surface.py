@@ -68,6 +68,11 @@ class TestPicardClass:
             with pytest.raises(SurfaceError):
                 parse_class(bad)
 
+    def test_rejects_missing_sign(self):
+        with pytest.raises(SurfaceError) as exc:
+            parse_class("H E1")
+        assert str(exc.value) == "missing sign between terms in 'H E1'"
+
     # named by its term and its class, not reported as a bare
     # ZeroDivisionError
     @pytest.mark.parametrize("text,term", [
@@ -319,6 +324,20 @@ class TestComparison:
             rep = compare_beta_seshadri(model, weighted_lines_class(l),
                                         strict_transform_line(1), r=1, n=2)
             assert rep.beta >= Fraction(3 * l, 4)
+
+    def test_nonzero_self_intersection_takes_the_truncation(self):
+        """D = E1 + E2 + E3 has D^2 = -3, so beta is the level-N truncation:
+        4/15 at N = 3, the value beta-surface prints."""
+        model = three_point_blowup()
+        A, D = model.H, parse_class("E1 + E2 + E3", k=3)
+        assert model.intersect(D, D) == -3
+        rep = compare_beta_seshadri(model, A, D, r=1, n=2, N=3)
+        assert rep.beta == Fraction(4, 15)
+        assert rep.epsilon == Fraction(1, 2)
+        assert rep.seshadri_side == Fraction(1, 6)
+        assert rep.holds
+        with pytest.raises(ValueError, match="need a truncation level N"):
+            compare_beta_seshadri(model, A, D, r=1, n=2)
 
 
 def run_cli(*argv):
