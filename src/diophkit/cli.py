@@ -51,11 +51,7 @@ def fmt_rat(q, decimals=True):
     if isinstance(q, float):
         return "inf" if math.isinf(q) else "%.12g" % q
     q = Fraction(q)
-    body = str(q.numerator) if q.denominator == 1 \
-        else "%d/%d" % (q.numerator, q.denominator)
-    if not decimals:
-        return body
-    return "%s (%.12g)" % (body, float(q))
+    return "%s (%.12g)" % (q, float(q)) if decimals else str(q)
 
 
 def _parse_subschemes(text, nvars=None):

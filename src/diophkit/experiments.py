@@ -51,9 +51,9 @@ den_i >= 1, Q_i <= c'_i H^D_i, so
 
 with c_prod = prod_i c'_i^(d beta_i) and deg_exp = sum_i d beta_i D_i.  A
 height H with c_prod H^deg_exp <= H^(d (1 + epsilon)) holds no violated
-point; this one integer comparison is made when H is first met, and on
-such a certified height the scan computes only the logs.  Any other
-height takes the exact comparison above.  With delta = sum_i beta_i D_i
+point; this one integer comparison is made when H is first met, and a
+certified height skips only the exact comparison above, the one place
+that raises the factors of an unmemoized Y_i.  With delta = sum_i beta_i D_i
 - 1 - epsilon, the certified heights are those from
 H0 = c_prod^(1 / (d |delta|)) on when delta < 0, all or none when
 delta = 0 (as c_prod = 1 or not), and at most H = 1 when delta > 0.
@@ -62,9 +62,9 @@ generator g of every Y_i are computed once per height too; the last are
 the numerators num_i.
 
 num_i and den_i depend only on H and the values G(x) of the generators
-of Y_i, so a height can keep one memo per Y_i, keyed by those values: log
-Q_i on a certified height, and num_i^(d beta_i), den_i^(d beta_i) and
-log Q_i on any other.  Since |G(x)| <= ||G||_1 H^(deg G), a height has
+of Y_i, so a height can keep one memo per Y_i, keyed by those values,
+that holds the raised factors num_i^(d beta_i), den_i^(d beta_i) and log
+Q_i.  Since |G(x)| <= ||G||_1 H^(deg G), a height has
 O(H^(sum of the degrees)) keys of Y_i against about H^n points of P^n, so
 the memo pays where that sum is below n, and Y_i is memoized exactly
 then, or when it is one linear form.  One generator is keyed by G(x) and
@@ -333,8 +333,8 @@ def _scan_source(config, exps, rhs_exp):
     The function is one loop over the lines and one over the t of a line,
     with every loop over forms and plans unrolled: a form's coefficients
     in t are computed per line, its value per point by Horner's rule, and
-    each Y_i's norm, memo and log in place.  Only integers and indices are
-    written into it; the float weights are arguments.
+    one block per Y_i leaves its factors and log.  Only integers and
+    indices are written into it; the float weights are arguments.
     """
     rad = math.prod(v.p for v in config.places if not v.is_infinite)
     n = config.nvars - 1
@@ -378,32 +378,31 @@ def _scan_source(config, exps, rhs_exp):
              "rhs_scale * log(H)"] + ["{}"] * len(memos) + [
              "%d * H ** %d" % (c, deg)
              for _, _, degs, c, _, _ in plans for deg in degs]
-    # a certified height needs log Q_i; any other also the factors of
-    # the exact comparison
-    certified, exact = [], []
+    # one block per Y_i leaves n_i, d_i, q_i: a memo holds the raised
+    # factors, and an unmemoized Y_i is raised only in the comparison
+    block, lhs, rhs = [], [], []
     for i, (start, stop, _, _, memo, e) in enumerate(plans):
         norm = _norm(vals[start:stop], powers[start:stop], rad)
-        if memo:
-            # one generator fills its memo for the negated value too
-            key = vals[start] if stop - start == 1 else \
-                "(%s,)" % ", ".join(vals[start:stop])
-            store = "m%d[%s] = " % (i, key)
-            if stop - start == 1:
-                store += "m%d[-%s] = " % (i, key)
-        for stmts, name, value, unpack in (
-                (certified, "q%d" % i, "log(num / den)", []),
-                (exact, "f", "(num ** %d, den ** %d, log(num / den))" % (e, e),
-                 ["n{0}, d{0}, q{0} = f".format(i)])):
-            if not memo:
-                stmts += norm + ["%s = %s" % (name, value)] + unpack
-            else:
-                stmts += ["%s = m%d.get(%s)" % (name, i, key),
-                          "if %s is None:" % name] + _indent(
-                    norm + ["%s = %s%s" % (name, store, value)]) + unpack
-    lhs_log = "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks)
-    certified += [lhs_log, "violated = False"]
-    exact += [lhs_log, "violated = %s > rhs_pow * %s" % (
-        " * ".join("n%d" % i for i in ks), " * ".join("d%d" % i for i in ks))]
+        unpack = "n{0}, d{0}, q{0} = ".format(i)
+        power = "" if memo else " ** %d" % e
+        lhs.append("n%d%s" % (i, power))
+        rhs.append("d%d%s" % (i, power))
+        if not memo:
+            block += norm + [unpack + "num, den, log(num / den)"]
+            continue
+        # one generator fills its memo for the negated value too
+        key = vals[start] if stop - start == 1 else \
+            "(%s,)" % ", ".join(vals[start:stop])
+        store = "m%d[%s] = " % (i, key)
+        if stop - start == 1:
+            store += "m%d[-%s] = " % (i, key)
+        block += ["f = m%d.get(%s)" % (i, key), "if f is None:"] + _indent(
+            norm + ["f = %s(num ** %d, den ** %d, log(num / den))"
+                    % (store, e, e)]) + [unpack + "f"]
+    block += [
+        "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks),
+        "violated = not certified and %s > rhs_pow * %s"
+        % (" * ".join(lhs), " * ".join(rhs))]
     point = on_t[0] + ["if %s:" % _zero_test(supports, vals),
                        "    skipped += 1", "    continue"]
     if exclusions:
@@ -422,8 +421,7 @@ def _scan_source(config, exps, rhs_exp):
         "        lev = levels[H] = (%s,)" % ", ".join(level),
         "    certified, rhs_pow, rhs_log, %s = lev"
         % ", ".join(memos + powers),
-        "if certified:",
-    ] + _indent(certified) + ["else:"] + _indent(exact) + [
+    ] + block + [
         "ratio = lhs_log / rhs_log if H > 1 else None",
         "better = ratio is not None and (best_ratio is None or "
         "ratio > best_ratio)",

@@ -289,19 +289,17 @@ def build_profile(Ys, t, N, with_bases=False):
     Ys, t = _validate_inputs(Ys, t, N)
     nvars = Ys[0].nvars
     norm = normalize(Ys)
-    if norm is None:
-        if len(Ys) == 1 and not with_bases:
-            degrees = complete_intersection_degrees(Ys[0])
-            if degrees is not None:
-                return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
-        return _generic_profile(Ys, t, N, with_bases)
-    if with_bases:
-        return _walk_profile(_image_walk(norm, t, N), nvars, N, True)
-    # the dimension at a level is the number of monomials at or above it
-    levels = _monomial_levels(norm, t, N)
-    dims = itertools.accumulate(len(items) for _, items in levels)
-    pairs = [(x, d) for (x, _), d in zip(levels, dims)]
-    return _profile_from_pairs(pairs[::-1], nvars, N, pairs[-1][1])
+    if not with_bases and norm is not None:
+        # the dimension at a level is the number of monomials at or above it
+        levels = _monomial_levels(norm, t, N)
+        dims = itertools.accumulate(len(items) for _, items in levels)
+        pairs = [(x, d) for (x, _), d in zip(levels, dims)]
+        return _profile_from_pairs(pairs[::-1], nvars, N, pairs[-1][1])
+    if not with_bases and len(Ys) == 1:
+        degrees = complete_intersection_degrees(Ys[0])
+        if degrees is not None:
+            return _complete_intersection_profile(degrees, Ys[0].n, t[0], N)
+    return _walk_profile(_filtration_walk(Ys, t, N, norm), nvars, N, with_bases)
 
 
 def _complete_intersection_profile(degrees, n, w, N):
@@ -398,11 +396,16 @@ def _product_walk(Ys, t, N):
                  lambda b: _piece_rows(gens, b, monos, cache), monos.width)
 
 
-def _image_walk(norm, t, N):
-    """The walk for ``norm = (groups, A)`` from ``normalize``: in y = A x the
-    piece at x is spanned by the y^e at level t.o(e) >= x, so each value
-    adds the images of its own monomials.  These are independent, so the
-    full-rank stop fires only once all of them are in."""
+def _filtration_walk(Ys, t, N, norm):
+    """The downward walk on degree-N forms for ``norm = normalize(Ys)``.
+
+    Where ``normalize`` rejects Ys it is the product walk.  Where it
+    returns (groups, A), in y = A x the piece at x is spanned by the y^e at
+    level t.o(e) >= x, so each value adds the images of its own monomials.
+    These are independent, so the full-rank stop fires only once all of
+    them are in."""
+    if norm is None:
+        return _product_walk(Ys, t, N)
     images = _monomial_images(norm[1], N)
     return _walk(_monomial_levels(norm, t, N), lambda i: (images[i],), len(images))
 
@@ -420,8 +423,8 @@ def _walk_profile(spaces, nvars, N, with_bases):
 
 
 def _generic_profile(Ys, t, N, with_bases=False):
-    """The profile from the product-row walk, for subschemes that
-    ``normalize`` rejects, and the oracle of those it accepts."""
+    """The profile from the product-row walk, whether or not ``normalize``
+    accepts Ys: the oracle of the other routes."""
     return _walk_profile(_product_walk(Ys, t, N), Ys[0].nvars, N, with_bases)
 
 
@@ -432,14 +435,12 @@ def mu_value(s, Ys, t):
     Ys, t = _validate_inputs(Ys, t, s.degree)
     if s.nvars != Ys[0].nvars:
         raise FormError("form and subschemes live in different ambient spaces")
-    norm = normalize(Ys)
-    if norm is None:
-        return _generic_mu(s, Ys, t)
-    return _walk_mu(s, _image_walk(norm, t, s.degree))
+    return _walk_mu(s, _filtration_walk(Ys, t, s.degree, normalize(Ys)))
 
 
 def _generic_mu(s, Ys, t):
-    """mu from the product-row walk."""
+    """mu from the product-row walk, whether or not ``normalize`` accepts
+    Ys: the oracle of mu_value."""
     return _walk_mu(s, _product_walk(Ys, t, s.degree))
 
 

@@ -194,12 +194,17 @@ def _power_products(Y, m, cache=None):
     return out
 
 
-def ideal_power_gens(Y, m, D):
-    """Spanning family of the degree-D piece of I_Y^m: Y's filtration family at m."""
+def _power(m):
+    """m as the exponent of an ideal power: a fractional m raises
+    TypeError rather than being rounded, a negative one ValueError."""
     if m < 0:
         raise ValueError("power must be nonnegative")
-    # a power is an integer: a fractional m raises TypeError, not rounds up
-    return filtration_ideal_gens([Y], (1,), operator.index(m) if m else m, D)
+    return operator.index(m) if m else m
+
+
+def ideal_power_gens(Y, m, D):
+    """Spanning family of the degree-D piece of I_Y^m: Y's filtration family at m."""
+    return filtration_ideal_gens([Y], (1,), _power(m), D)
 
 
 def coordinate_groups(Ys):
@@ -284,14 +289,8 @@ def order_vector(exps, groups):
 
 
 def graded_dim_ideal_power(Y, m, D):
-    """dim of the degree-D piece of I_Y^m."""
-    from .filtration import build_profile
-
-    if m < 0:
-        raise ValueError("power must be nonnegative")
-    if D < 0:
-        return 0
-    return build_profile([Y], (1,), D).dim_at(m)
+    """dim of the degree-D piece of I_Y^m: Y's filtration ideal at m."""
+    return graded_dim_filtration_ideal([Y], (1,), _power(m), D)
 
 
 def _family(Ys):
@@ -430,7 +429,8 @@ def check_general_position(Ys):
     Ys = _family(Ys)
     n = Ys[0].n
     codims = [_subscheme_codim(Y) for Y in Ys]
-    for size in range(1, len(Ys) + 1):
+    # a single subscheme meets its own codimension
+    for size in range(2, len(Ys) + 1):
         for subset in itertools.combinations(range(len(Ys)), size):
             d = common_support_dim([Ys[i] for i in subset])
             codim_inter = math.inf if d is None else n - d

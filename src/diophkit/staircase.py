@@ -27,13 +27,19 @@ class EmptyThresholdSetError(ValueError):
     """The requested threshold set contains no lattice points at all."""
 
 
-def validate_weights(t):
-    """Normalize a weight vector to Fractions: entries >= 0, not all zero."""
+def _nonnegative(t):
+    """A weight vector as a nonempty tuple of Fractions, entries >= 0."""
     entries = tuple(Fraction(w) for w in t)
     if not entries:
         raise ValueError("weight vector must have length >= 1")
     if any(w < 0 for w in entries):
         raise ValueError("weights must be nonnegative")
+    return entries
+
+
+def validate_weights(t):
+    """Normalize a weight vector to Fractions: entries >= 0, not all zero."""
+    entries = _nonnegative(t)
     if all(w == 0 for w in entries):
         raise ValueError("weight vector must have at least one positive entry")
     return entries
@@ -51,11 +57,7 @@ def threshold_set(t, x):
     x = Fraction(x)
     if x < 0:
         raise ValueError("threshold x must be nonnegative")
-    entries = tuple(Fraction(w) for w in t)
-    if not entries:
-        raise ValueError("weight vector must have length >= 1")
-    if any(w < 0 for w in entries):
-        raise ValueError("weights must be nonnegative")
+    entries = _nonnegative(t)
     if x == 0:
         return ((0,) * len(entries),)
     if all(w == 0 for w in entries):

@@ -167,21 +167,17 @@ def parse_class(text, k=None):
     return PicardClass(a, tuple(coeffs.get(i, Fraction(0)) for i in range(1, width + 1)))
 
 
-def _fmt_coef(c):
-    return str(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
 def format_class(D):
     parts = []
     if D.a != 0:
         mag = abs(D.a)
-        body = "H" if mag == 1 else _fmt_coef(mag) + "H"
+        body = "H" if mag == 1 else str(mag) + "H"
         parts.append(("-" if D.a < 0 else "") + body)
     for i, c in enumerate(D.e, start=1):
         if c == 0:
             continue
         mag = abs(c)
-        body = "E%d" % i if mag == 1 else "%sE%d" % (_fmt_coef(mag), i)
+        body = "E%d" % i if mag == 1 else "%sE%d" % (mag, i)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

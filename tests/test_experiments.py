@@ -377,7 +377,8 @@ DIFFERENTIAL_CASES = {
         places=PlaceSet.from_string("inf,2,3")), 6),
     # memoized beyond hyperplanes: degrees 2 and 1 + 1 stay below n = 3,
     # and the two-form line is keyed by the tuple of its values; c' = 5
-    # for the quadric certifies H = 3 but not H <= 2, so both paths memoize
+    # for the quadric certifies H = 3 but not H <= 2, so both kinds of
+    # height read the memos
     "quadric_line_p3": (dict(
         subschemes=(sub("Q", ["x0*x3 - 3/2*x1*x2 + 1/5*x2^2"], 4),
                     sub("L", ["x0 - 1/3*x3", "1/2*x1 + x2"], 4),
@@ -463,18 +464,62 @@ class TestDifferentialOracle:
         assert report.violations and report.low_height_hits > 0
 
 
+def kernel_source(cfg):
+    """The scan function's text for cfg, with the exponents d beta_i and
+    d (1 + epsilon) that scan_inequality passes."""
+    one_plus_eps = 1 + cfg.epsilon
+    d = math.lcm(one_plus_eps.denominator, *(b.denominator for b in cfg.betas))
+    return _scan_source(cfg, [int(d * b) for b in cfg.betas],
+                        int(d * one_plus_eps))
+
+
+# the benchmark's scan shapes, each with the memo rule's verdict per Y_i:
+# the four lines; a conic, a line and a point of the plane; two planes, a
+# quadric and a line of space
+KERNEL_SHAPES = {
+    "four_lines": (four_lines_config(), [True] * 4),
+    "plane": (simple_config(
+        subschemes=(sub("C", ["x0^2 + x1^2 - x2^2"], 3),
+                    sub("L", ["x0 + 2*x1 - x2"], 3),
+                    sub("P", ["x0 - x2", "x1 - x2"], 3)),
+        betas=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 3)),
+        places=PlaceSet.from_string("inf,2,3,5,7")), [False, True, False]),
+    "space": (simple_config(
+        subschemes=(sub("A", ["x0 + x1 + x2 + x3"], 4),
+                    sub("B", ["x0 - x1 + 2*x2"], 4),
+                    sub("Q", ["x0*x3 - x1*x2"], 4),
+                    sub("M", ["x0 - x3", "x1 + x2"], 4)),
+        betas=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4)),
+        places=PlaceSet.from_string("inf,2,3")), [True] * 4),
+}
+
+
 class TestKernelSource:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
     def test_only_integers_and_indices_are_written(self, name):
         """The scan function's text holds no weight: the only float
-        literal in it is the 0.0 that starts each sum of logs, and the
+        literal in it is the 0.0 that starts the sum of logs, and the
         weights come in as values."""
-        cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
-        d = math.lcm(2, *(b.denominator for b in cfg.betas))
-        source = _scan_source(cfg, [int(d * b) for b in cfg.betas],
-                              int(d * (1 + cfg.epsilon)))
-        assert re.findall(r"\b\d+\.\d*", source) == ["0.0", "0.0"]
+        source = kernel_source(simple_config(**DIFFERENTIAL_CASES[name][0]))
+        assert re.findall(r"\b\d+\.\d*", source) == ["0.0"]
         assert "1/" not in source and "Fraction" not in source
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
+    def test_one_block_per_subscheme(self, name):
+        """Every height runs the same block per Y_i, so a memo is read in
+        one place; the height certificate only skips the comparison, which
+        alone raises the factors of an unmemoized Y_i."""
+        cfg, memoized = KERNEL_SHAPES[name]
+        source = kernel_source(cfg)
+        assert "if certified:" not in source
+        assert [source.count("m%d.get(" % i)
+                for i in range(len(cfg.subschemes))] == list(map(int, memoized))
+        lines = [line.strip() for line in source.splitlines()]
+        compare = [line for line in lines if line.startswith("violated = ")]
+        assert len(compare) == 1
+        assert compare[0].startswith("violated = not certified and ")
+        raised = [line for line in lines if re.search(r"\b[nd]\d+ \*\*", line)]
+        assert raised == (compare if not all(memoized) else [])
 
 
 def height_exponents(cfg):

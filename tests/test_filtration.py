@@ -142,7 +142,27 @@ class TestFValue:
         assert F_value(profile) == avg
 
 
+class TestProfileChecks:
+    @pytest.mark.parametrize("jumps,bases,message", [
+        ((), None, "at least one jump"),
+        (((-1, 2),), None, "nonnegative"),
+        (((0, 2), (0, 1)), None, "strictly increase"),
+        (((1, 2), (Fraction(1, 2), 1)), None, "strictly increase"),
+        (((0, 2), (1, 1)), [[(1, 0), (0, 1)]], "one basis per jump"),
+        (((0, 2), (1, 1)), [[(1, 0), (0, 1)], [(1, 0), (0, 1)]], "disagree"),
+    ])
+    def test_rejects(self, jumps, bases, message):
+        with pytest.raises(ProfileError, match=message):
+            FiltrationProfile(2, 1, 2, jumps, bases)
+
+
 class TestAdaptedBasis:
+    @pytest.mark.parametrize("mus", [(), (1,), (2, 1, 0)])
+    def test_rejects_wrong_mu_count(self, mus):
+        elements = (parse_form("x0", nvars=2), parse_form("x1", nvars=2))
+        with pytest.raises(ProfileError, match="one mu value per element"):
+            AdaptedBasis(elements, mus)
+
     def test_greedy_elements_and_mu(self):
         profile = build_profile([POINT_P1], (1,), 2, with_bases=True)
         basis = adapted_basis(profile)
@@ -223,6 +243,16 @@ class TestConcavityBound:
                               (1, 1), 3)
         assert not rep.hypotheses_met
         assert rep.lhs == 3 and rep.rhs == 3
+
+    @pytest.mark.parametrize("betas,message", [
+        ((), "one beta per subscheme"),
+        ((Fraction(1, 6), Fraction(1, 6)), "one beta per subscheme"),
+        ((0,), "positive"),
+        ((Fraction(-1, 3),), "positive"),
+    ])
+    def test_rejects_betas(self, betas, message):
+        with pytest.raises(ValueError, match=message):
+            concavity_bound([LINE_P2], betas, (3,), 5)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,14 @@ class TestIdealPowerDims:
         gens = ideal_power_gens(Y, 2, 3)
         assert span_dim(gens) == 7
 
+    @pytest.mark.parametrize("m", [Fraction(1, 2), 1.5])
+    def test_fractional_power_is_rejected(self, m):
+        # rounding would give dim I^1 = 9 at m = 1/2 and dim I^2 = 7 at 1.5
+        Y = sub("pt", ["x0", "x1"], 3)
+        for power in (ideal_power_gens, graded_dim_ideal_power):
+            with pytest.raises(TypeError):
+                power(Y, m, 3)
+
     def test_gens_below_degree_zero_are_empty(self):
         Y = sub("pt", ["x0", "x1"], 3)
         assert [ideal_power_gens(Y, m, -1) for m in range(3)] == [[], [], []]

@@ -235,6 +235,15 @@ class TestFlags:
             for v in small:
                 assert in_span(v, big_basis)
 
+    @pytest.mark.parametrize("chain,message", [
+        ([], "at least the ambient space"),
+        ([[(1, 0)]], "span the ambient space"),
+        ([[(1, 0), (0, 1), (1, 1)]], "span the ambient space"),
+    ])
+    def test_rejects_chain_without_ambient_space(self, chain, message):
+        with pytest.raises(ValueError, match=message):
+            chain_basis([frac_rows(level) for level in chain], 2)
+
     def test_rejects_nondecreasing_chain(self):
         ambient = frac_rows([(1, 0), (0, 1)])
         with pytest.raises(ValueError):

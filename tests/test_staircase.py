@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diophkit.staircase import EmptyThresholdSetError, threshold_set
+from diophkit.staircase import (EmptyThresholdSetError, threshold_set,
+                                validate_weights)
 
 
 def box_members(t, x, side):
@@ -62,6 +63,20 @@ class TestThresholdSet:
         with pytest.raises(EmptyThresholdSetError):
             threshold_set((0, 0), 1)
 
+    @pytest.mark.parametrize("t,x,error,message", [
+        ((), 0, ValueError, "length >= 1"),
+        ((), 1, ValueError, "length >= 1"),
+        ((1, -1), 0, ValueError, "nonnegative"),
+        ((Fraction(-1, 2),), 1, ValueError, "nonnegative"),
+        ((0, 0), 1, EmptyThresholdSetError, "empty set"),
+    ])
+    def test_rejects_weights(self, t, x, error, message):
+        with pytest.raises(error, match=message):
+            threshold_set(t, x)
+
+    def test_all_zero_weights_at_zero_threshold(self):
+        assert threshold_set((0, 0), 0) == ((0, 0),)
+
     def test_fractional_weights(self):
         sat = threshold_set((1, Fraction(1, 2)), 1)
         assert set(sat) == {(1, 0), (0, 2)}
@@ -103,3 +118,19 @@ class TestThresholdSet:
                 if g[i]:
                     lowered = tuple(v - (i == j) for j, v in enumerate(g))
                     assert sum(w * v for w, v in zip(t, lowered)) < x
+
+
+class TestValidateWeights:
+    @pytest.mark.parametrize("t,message", [
+        ((), "length >= 1"),
+        ((1, -1), "nonnegative"),
+        ((Fraction(-1, 2),), "nonnegative"),
+        ((0, 0), "positive entry"),
+        ((Fraction(0),), "positive entry"),
+    ])
+    def test_rejects(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            validate_weights(t)
+
+    def test_keeps_zero_entries_beside_a_positive_one(self):
+        assert validate_weights((0, 1, "1/2")) == (0, 1, Fraction(1, 2))
