@@ -18,10 +18,11 @@ for normalized inputs and the products of its b's for the rest, and the
 walk stops once the rank is full.  The rank after a value is the
 dimension there.  Ideal powers are the case of one subscheme with weight 1.
 
-Rows are integers end to end.  A generator has its denominators cleared
-once, products are integer polynomials on packed exponents
-(``_Monomials``), and the images of the monomials under a change of
-coordinates are built one variable at a time, once per (A, N).  Scaling a
+Rows are integers end to end, the images of the monomials included.  A
+generator has its denominators cleared once, products are integer
+polynomials on packed exponents (``_Monomials``), and the images of the
+monomials under a change of coordinates are built one variable at a time
+from the integer rows of A, once per (A, N).  Scaling a
 row by a positive integer changes neither its span nor the row space's
 primitive rows, so the reduced echelon bases are those of the Fraction
 rows.  Fractions appear only in jump values and in those bases.
@@ -39,8 +40,7 @@ from fractions import Fraction
 
 from . import linalg
 from .graded import (
-    _linear_forms,
-    _linear_rows,
+    Subscheme,
     _validate_family,
     complete_intersection_degrees,
     dim_full,
@@ -268,13 +268,15 @@ def _mul(f, g):
 @functools.lru_cache(maxsize=8)
 def _monomial_images(A, N):
     """Integer rows, over the degree-N monomials in x, of the images of the
-    degree-N monomials y^e under y = A x, in column order.  Row k of A has
-    its denominators cleared, and the image of y^e is that of y^(e - u_k)
-    times y_k, for the first variable k of e: each row is the Fraction
-    image times a positive integer."""
+    degree-N monomials y^e under y = A x, in column order.  Row k of A,
+    its denominators cleared, is y_k as an integer polynomial (x_j has the
+    key B^j), and the image of y^e is that of y^(e - u_k) times y_k, for
+    the first variable k of e: each row is the Fraction image times a
+    positive integer."""
     nvars = len(A)
     monos = _Monomials(N, nvars)
-    ys = [monos.form(y) for y in _linear_forms(A)]
+    ys = [{p: c for p, c in zip(monos._powers, linalg._int_row(row)) if c}
+          for row in A]
     images = {(0,) * nvars: {0: 1}}
     for d in range(1, N + 1):
         for e in monomial_exponents(d, nvars):
@@ -565,12 +567,11 @@ class BoundReport:
 
 
 def _hypotheses_met(Ys):
-    """Every generator linear, and all of them independent (a regular
-    sequence) with a nonempty common support: fewer than the variables."""
+    """Every generator linear, and all of them together a regular sequence
+    with a nonempty common support (``complete_intersection_degrees``)."""
     gens = [g for Y in Ys for g in Y.generators]
-    if any(g.degree != 1 for g in gens):
-        return False
-    return len(gens) < Ys[0].nvars and linalg.rank(_linear_rows(gens)) == len(gens)
+    return all(g.degree == 1 for g in gens) and \
+        complete_intersection_degrees(Subscheme("Y", gens)) is not None
 
 
 def concavity_bound(Ys, betas, t, N):

@@ -350,24 +350,16 @@ def graded_dim_filtration_ideal(Ys, t, x, D):
 #
 # The decidable catalog: any number of subschemes with linear generators,
 # plus at most one nonlinear hypersurface effectively appearing per
-# intersection.  Supports are intersected by solving the linear part and
-# restricting nonlinear generators to the solution space.
+# intersection.  The linear generators cut a linear space V(L) of
+# dimension nvars - rank - 1.  A nonlinear generator f vanishes on it
+# exactly when f lies in the ideal (L), so f cuts V(L) effectively
+# exactly when its order along L, the filtration's mu value, is below 1.
 
 
 def _linear_rows(forms):
     """Each linear form as its row of coefficients of x_0 .. x_n (the
     monomial order lists x_n first)."""
     return [row[::-1] for row in _to_rows(forms, forms[0].nvars, 1)]
-
-
-def _linear_forms(rows):
-    """Row k as the linear form sum_j rows[k][j] x_j; inverse of _linear_rows."""
-    return _to_forms([row[::-1] for row in rows], len(rows[0]), 1)
-
-
-def _restrict(form, basis_vectors):
-    """form on the span of basis_vectors, in their coordinates."""
-    return form.substitute(_linear_forms(list(zip(*basis_vectors))))
 
 
 def common_support_dim(Ys):
@@ -378,24 +370,24 @@ def common_support_dim(Ys):
     else raises CatalogError.
     """
     Ys = _family(Ys)
-    nvars = Ys[0].nvars
     linear = []
     nonlinear = []
     for Y in Ys:
         for g in Y.generators:
             (linear if g.degree == 1 else nonlinear).append(g)
 
-    basis = (linalg.nullspace(_linear_rows(linear)) if linear
-             else linalg._unit_rows(nvars))
-    if not basis:
+    # dimension of the solution cone of the linear generators
+    s = Ys[0].nvars - (linalg.rank(_linear_rows(linear)) if linear else 0)
+    if not s:
         return None
-    s = len(basis)  # dimension of the solution cone, >= 1 here
+    if linear and nonlinear:
+        from .filtration import mu_value
 
-    restrictions = [_restrict(f, basis) for f in nonlinear]
-    live = [r for r in restrictions if not r.is_zero]
-    if not live:
+        L = [Subscheme("L", linear)]
+        nonlinear = [f for f in nonlinear if mu_value(f, L, (1,)) < 1]
+    if not nonlinear:
         return s - 1
-    if len(live) > 1:
+    if len(nonlinear) > 1:
         raise CatalogError("cannot decide dimensions with several effective "
                            "nonlinear hypersurfaces")
     if s - 1 == 0:

@@ -177,27 +177,6 @@ class HomogeneousForm:
             total += term
         return total
 
-    def substitute(self, replacements):
-        """Substitute each variable by a form; all replacements must share
-        one degree and one variable count."""
-        reps = list(replacements)
-        if len(reps) != self.nvars:
-            raise FormError("need one replacement form per variable")
-        new_nvars = {f.nvars for f in reps}
-        rep_deg = {f.degree for f in reps}
-        if len(new_nvars) != 1 or len(rep_deg) != 1:
-            raise FormError("replacement forms must share degree and variable count")
-        m = new_nvars.pop()
-        d0 = rep_deg.pop()
-        total = HomogeneousForm.zero(m, self.degree * d0)
-        for exps, coeff in self.terms.items():
-            piece = HomogeneousForm.one(m).scale(coeff)
-            for f, e in zip(reps, exps):
-                for _ in range(e):
-                    piece = piece * f
-            total = total + piece
-        return total
-
     def coeff_vector(self, column_index):
         """Coefficients against a fixed monomial ordering {exps: column}."""
         vec = [Fraction(0)] * len(column_index)

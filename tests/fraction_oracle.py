@@ -1,10 +1,15 @@
-"""The Fraction routes that integer rows replaced on the profile paths.
+"""The Fraction routes that integer rows and ideal membership replaced.
 
 They are kept here, and only here, as differential oracles:
 
-* ``monomial_rows`` maps every monomial through
-  ``HomogeneousForm.substitute``, the old way to write y^e in the x of
-  y = A x;
+* ``substitute`` replaces each variable of a form by a form, with
+  Fraction polynomial products;
+* ``monomial_rows`` maps every monomial through ``substitute``, the old
+  way to write y^e in the x of y = A x;
+* ``common_support_dim`` is the support catalog that restricts each
+  nonlinear generator to a ``linalg.nullspace`` basis of the linear ones
+  by substitution, where ``graded.common_support_dim`` asks whether the
+  generator lies in the ideal of the linear ones (``mu_value``);
 * ``piece_rows`` multiplies generators as Fraction ``HomogeneousForm``s
   and clears the denominators of each product;
 * ``adapted_cells`` puts the g's in f-coordinates through a Fraction
@@ -19,10 +24,74 @@ no span, no primitive row and no reduced echelon basis.
 import itertools
 import math
 
-from diophkit.graded import _linear_forms, _power_products
+from diophkit import linalg
+from diophkit.graded import CatalogError, _family, _linear_rows, _power_products
 from diophkit.linalg import chain_basis
-from diophkit.polynomials import HomogeneousForm, monomial_exponents
+from diophkit.polynomials import (FormError, HomogeneousForm, _to_forms,
+                                  monomial_exponents)
 from elimination_oracle import inverse, rref
+
+
+def substitute(form, replacements):
+    """Substitute each variable of form by a form; all replacements must
+    share one degree and one variable count."""
+    reps = list(replacements)
+    if len(reps) != form.nvars:
+        raise FormError("need one replacement form per variable")
+    new_nvars = {f.nvars for f in reps}
+    rep_deg = {f.degree for f in reps}
+    if len(new_nvars) != 1 or len(rep_deg) != 1:
+        raise FormError("replacement forms must share degree and variable count")
+    m = new_nvars.pop()
+    d0 = rep_deg.pop()
+    total = HomogeneousForm.zero(m, form.degree * d0)
+    for exps, coeff in form.terms.items():
+        piece = HomogeneousForm.one(m).scale(coeff)
+        for f, e in zip(reps, exps):
+            for _ in range(e):
+                piece = piece * f
+        total = total + piece
+    return total
+
+
+def linear_forms(rows):
+    """Row k as the linear form sum_j rows[k][j] x_j; inverse of
+    ``graded._linear_rows``."""
+    return _to_forms([row[::-1] for row in rows], len(rows[0]), 1)
+
+
+def restrict(form, basis_vectors):
+    """form on the span of basis_vectors, in their coordinates."""
+    return substitute(form, linear_forms(list(zip(*basis_vectors))))
+
+
+def common_support_dim(Ys):
+    """``graded.common_support_dim`` by substitution: the nonlinear
+    generators restricted to the solution space of the linear ones."""
+    Ys = _family(Ys)
+    nvars = Ys[0].nvars
+    linear = []
+    nonlinear = []
+    for Y in Ys:
+        for g in Y.generators:
+            (linear if g.degree == 1 else nonlinear).append(g)
+
+    basis = (linalg.nullspace(_linear_rows(linear)) if linear
+             else linalg._unit_rows(nvars))
+    if not basis:
+        return None
+    s = len(basis)  # dimension of the solution cone, >= 1 here
+
+    restrictions = [restrict(f, basis) for f in nonlinear]
+    live = [r for r in restrictions if not r.is_zero]
+    if not live:
+        return s - 1
+    if len(live) > 1:
+        raise CatalogError("cannot decide dimensions with several effective "
+                           "nonlinear hypersurfaces")
+    if s - 1 == 0:
+        return None  # the single point misses the hypersurface
+    return s - 2
 
 
 def monomial_rows(monos, A=None):
@@ -31,8 +100,8 @@ def monomial_rows(monos, A=None):
     index = {e: i for i, e in enumerate(monos)}
     forms = [HomogeneousForm.monomial(e) for e in monos]
     if A is not None:
-        images = _linear_forms(A)
-        forms = [f.substitute(images) for f in forms]
+        images = linear_forms(A)
+        forms = [substitute(f, images) for f in forms]
     return [f.coeff_vector(index) for f in forms]
 
 

@@ -254,3 +254,14 @@ class TestConvergence:
         ]
         assert rebuilt == [(r.N, r.numerator, r.denominator, r.value,
                             r.min_so_far) for r in rows]
+
+
+@pytest.mark.parametrize("gens,nvars,message", [
+    (["x0", "x1^2"], 3, "crosscheck needs a linearly cut (reduced) point"),
+    (["x0", "x1"], 4, "crosscheck is for points in the plane (three variables)"),
+    (["x0", "2*x0"], 3, "generators must cut a single reduced point"),
+], ids=["nonlinear_generator", "not_the_plane", "not_a_point"])
+def test_crosscheck_rejections(gens, nvars, message):
+    with pytest.raises(ValueError) as exc:
+        beta_blowup_crosscheck(sub("Y", gens, nvars), 1, 2)
+    assert str(exc.value) == message

@@ -276,6 +276,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: a subscheme needs at least one generator\n"
 
+    # beta and weil take one subscheme, and a list of subschemes with none
+    # in it names no generator
+    @pytest.mark.parametrize("argv,message", [
+        (["beta", "--space", "P2", "--ideal", "x0;x1", "--N", "2"],
+         "beta takes a single subscheme"),
+        (["weil", "--ideal", "x0;x1", "--point", "2:3", "--place", "inf"],
+         "weil takes a single subscheme"),
+        (["check-position", "--space", "P2", "--ideals", ";"],
+         "no generators given"),
+    ], ids=["beta", "weil", "no-generators"])
+    def test_subscheme_count_is_one(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+
     # a level below 1 gets the level error, not one about the reference
     # class counted at that level
     @pytest.mark.parametrize("level", [["--N", "0"], ["--N=-2"]],

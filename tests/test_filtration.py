@@ -21,7 +21,7 @@ from diophkit.filtration import (
     scale_check,
 )
 from diophkit.graded import Subscheme
-from diophkit.polynomials import parse_form
+from diophkit.polynomials import FormError, parse_form
 
 
 def sub(label, gens, nvars):
@@ -273,3 +273,22 @@ class TestConcavityBound:
                               (1 / beta,), 4)
         assert rep.hypotheses_met
         assert rep.lhs == rep.rhs
+
+
+LINE = sub("L", ["x0"], 3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: build_profile([LINE], (1,), 2).dim_at(-1), ValueError,
+     "threshold must be nonnegative"),
+    (lambda: mu_value(parse_form("x0", nvars=2), [LINE], (1,)), FormError,
+     "form and subschemes live in different ambient spaces"),
+    (lambda: scale_check([LINE], (1,), 0, 2), ValueError,
+     "scale factor must be positive"),
+    (lambda: scale_check([LINE], (1,), Fraction(-1, 2), 2), ValueError,
+     "scale factor must be positive"),
+], ids=["dim_at_negative", "mu_form_in_other_space", "scale_zero", "scale_negative"])
+def test_rejections(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -7,10 +7,15 @@ instances; the randomized sweep lives in the acceptance suite.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_oracle
 from adapted_oracle import meet
+from diophkit import graded
 from diophkit.filtration import build_profile
 from diophkit.graded import (
     CatalogError,
@@ -18,6 +23,7 @@ from diophkit.graded import (
     _parse_family,
     check_general_position,
     common_support_dim,
+    complete_intersection_degrees,
     coordinate_groups,
     dim_full,
     filtration_ideal_gens,
@@ -319,6 +325,65 @@ class TestGeneralPosition:
             check_general_position([])
 
 
+@st.composite
+def families(draw):
+    """1-3 subschemes in P^1..P^3, each of 1-3 generators of degree 1-3
+    with 1-3 terms and small rational coefficients."""
+    nvars = draw(st.integers(2, 4))
+    coefficient = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+    def form():
+        degree = draw(st.integers(1, 3))
+        terms = draw(st.dictionaries(st.sampled_from(monomial_exponents(degree, nvars)),
+                                     coefficient, min_size=1, max_size=3))
+        return HomogeneousForm(nvars, degree, terms)
+
+    return [Subscheme("Y%d" % i, [form() for _ in range(draw(st.integers(1, 3)))])
+            for i in range(draw(st.integers(1, 3)))]
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the message of its CatalogError."""
+    try:
+        return call(*args)
+    except CatalogError as exc:
+        return "CatalogError: %s" % exc
+
+
+class TestSupportOracle:
+    """``common_support_dim`` asks whether each nonlinear generator lies in
+    the ideal of the linear ones; ``fraction_oracle.common_support_dim``
+    restricts it to their solution space by substitution.  Both, and what
+    is built on them, give the same answers and the same refusals."""
+
+    @settings(max_examples=300)
+    @given(families())
+    def test_support_dims_equal_the_substitution_catalog(self, Ys):
+        got = [outcome(common_support_dim, Ys), outcome(check_general_position, Ys),
+               [outcome(complete_intersection_degrees, Y) for Y in Ys]]
+        with mock.patch.object(graded, "common_support_dim",
+                               fraction_oracle.common_support_dim):
+            want = [outcome(fraction_oracle.common_support_dim, Ys),
+                    outcome(check_general_position, Ys),
+                    [outcome(complete_intersection_degrees, Y) for Y in Ys]]
+        assert got == want
+
+    @pytest.mark.parametrize("gens,dim", [
+        (["x0*x1", "x0"], 1),
+        (["x0^2 - x1*x2", "x0 - x1", "x1 - x2"], 0),
+        (["x0^2 + x2^2", "x0", "x1"], None),
+        (["x1^3 - x0*x2^2", "x0", "x1"], 0),
+    ], ids=["vanishes_on_line", "tangent", "misses_point", "contains_point"])
+    def test_cases(self, gens, dim):
+        Y = sub("Y", gens, 3)
+        assert common_support_dim([Y]) == fraction_oracle.common_support_dim([Y]) == dim
+
+    def test_substitute_linear_change(self):
+        f = parse_form("x0*x1")
+        g = fraction_oracle.substitute(f, [parse_form("x0 + x1"), parse_form("x0 - x1")])
+        assert g == parse_form("x0^2 - x1^2")
+
+
 class TestSubschemeBasics:
     def test_json_round_trip_preserves_ambient(self):
         Y = sub("L", ["x0"], 4)
@@ -348,3 +413,17 @@ class TestSubschemeBasics:
         Y = sub("pt", ["x0", "x1"], 3)
         assert Y.vanishes_at([0, 0, 5])
         assert not Y.vanishes_at([1, 0, 0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Subscheme("Y", ("x0",)), TypeError,
+     "generators must be HomogeneousForm instances"),
+    (lambda: Subscheme("Y", (parse_form("x0"), parse_form("x1"))), ValueError,
+     "generators must share one ambient space"),
+    (lambda: ideal_power_gens(sub("L", ["x0"], 3), -1, 2), ValueError,
+     "power must be nonnegative"),
+], ids=["generator_not_a_form", "generators_in_two_spaces", "negative_power"])
+def test_rejections(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

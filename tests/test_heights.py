@@ -139,6 +139,12 @@ class TestPoints:
         with pytest.raises(ValueError):
             ProjectivePoint([0, 0])
 
+    def test_equality_and_hash_follow_the_canonical_coordinates(self):
+        P = ProjectivePoint([Fraction(1, 2), 1])
+        assert P == ProjectivePoint([-2, -4]) and hash(P) == hash(ProjectivePoint([1, 2]))
+        assert P != ProjectivePoint([1, 3]) and P != (1, 2)
+        assert len({P, ProjectivePoint.from_string("3:6"), ProjectivePoint([2, 1])}) == 2
+
     # a coordinate that is not a rational number is named with its point
     @pytest.mark.parametrize("text,index,part", [
         ("1:x", 1, "x"), ("2:y:1", 1, "y"), ("  :1", 0, ""), ("1.5e:2", 0, "1.5e"),

@@ -241,7 +241,6 @@ def test_profile_paths_use_no_fraction_route(monkeypatch):
         raise AssertionError("a Fraction route ran on a profile path")
 
     monkeypatch.setattr(HomogeneousForm, "__mul__", forbidden)
-    monkeypatch.setattr(HomogeneousForm, "substitute", forbidden)
     # the images under y = A x are memoized; build them again under the guard
     filtration._monomial_images.cache_clear()
     got = [build_profile(lines, t, 4, True),

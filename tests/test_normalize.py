@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_oracle
 from diophkit import linalg
 from diophkit.beta import beta_truncated
 from diophkit.filtration import (
@@ -64,7 +65,8 @@ def unimodular(rng, n):
 def change_coordinates(Ys, U):
     """Replace every generator g by g(U x)."""
     images = linear_forms(U)
-    return [Subscheme(Y.label, tuple(g.substitute(images) for g in Y.generators))
+    return [Subscheme(Y.label, tuple(fraction_oracle.substitute(g, images)
+                                     for g in Y.generators))
             for Y in Ys]
 
 

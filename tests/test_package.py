@@ -168,6 +168,33 @@ class TestPublicNames:
                        and node.func.id in ("compile", "exec", "eval")}
         assert owners == {("experiments.py", "_scan_function")}
 
+    def test_no_fraction_substitution(self):
+        """Support dimensions read ideal membership off the filtration walk
+        and the monomial images are integer rows, so no module defines or
+        calls the Fraction substitution (``fraction_oracle`` keeps it), and
+        ``common_support_dim`` takes no nullspace."""
+        banned = {"substitute", "_restrict", "_linear_forms"}
+        found = set()
+        for path in (SRC / "diophkit").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else \
+                        getattr(func, "attr", None)
+                else:
+                    continue
+                if name in banned:
+                    found.add((path.name, name))
+        assert found == set()
+        tree = ast.parse((SRC / "diophkit" / "graded.py").read_text())
+        support = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                       and node.name == "common_support_dim")
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(support) if isinstance(node, ast.Call)}
+        assert "mu_value" in called and "nullspace" not in called
+
     def test_only_polynomials_orders_columns(self):
         """Forms become coefficient rows, and rows forms, in one column
         order, so only the polynomials module reads a form's coefficients

@@ -147,11 +147,6 @@ class TestArithmetic:
         assert f.evaluate([1, 2, 4]) == 0
         assert f.evaluate([1, 1, 3]) == 2
 
-    def test_substitute_linear_change(self):
-        f = parse_form("x0*x1")
-        g = f.substitute([parse_form("x0 + x1"), parse_form("x0 - x1")])
-        assert g == parse_form("x0^2 - x1^2")
-
     def test_coeff_vector(self):
         columns = {e: i for i, e in enumerate(monomial_exponents(2, 2))}
         f = parse_form("x0^2 - 2*x1^2")
@@ -248,3 +243,34 @@ def test_counts_reject_booleans(name):
         call(1.5)
     with pytest.raises(wanted.type, match="^%s$" % re.escape(str(wanted.value))):
         call(True)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: HomogeneousForm(2, 1, {(True, 0): 1}), "bad exponent tuple (True, 0)"),
+    (lambda: HomogeneousForm(2, 1, {(2, -1): 1}), "bad exponent tuple (2, -1)"),
+    (lambda: parse_form("x0", nvars=2) * parse_form("x0", nvars=3),
+     "forms live in different variable counts"),
+    (lambda: parse_form("x0*x1").evaluate([1]), "wrong number of coordinates"),
+], ids=["bool_exponent", "negative_exponent", "product_across_spaces",
+        "evaluate_wrong_length"])
+def test_rejections(call, message):
+    with pytest.raises(FormError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("form,text", [
+    (HomogeneousForm.zero(2, 3), "0"),
+    (HomogeneousForm.one(2), "1"),
+    (HomogeneousForm.one(3).scale(Fraction(-3, 2)), "-3/2"),
+], ids=["zero", "one", "negative_constant"])
+def test_to_string_of_constants(form, text):
+    assert form.to_string() == text
+
+
+def test_negation_and_subtraction():
+    f, g = parse_form("x0^2 - 3/2*x0*x1"), parse_form("x1^2 + x0*x1", nvars=2)
+    assert -f == parse_form("-x0^2 + 3/2*x0*x1")
+    assert f - g == parse_form("x0^2 - 5/2*x0*x1 - x1^2")
+    assert (f - f).is_zero and f - f == HomogeneousForm.zero(2, 2)
+    assert f.__sub__(1) is NotImplemented

@@ -134,3 +134,14 @@ class TestValidateWeights:
 
     def test_keeps_zero_entries_beside_a_positive_one(self):
         assert validate_weights((0, 1, "1/2")) == (0, 1, Fraction(1, 2))
+
+
+# the box is sized before any cell is enumerated, so these are cheap
+@pytest.mark.parametrize("t,x", [
+    ((Fraction(1, 1000), Fraction(1, 1000)), 10),
+    ((1, Fraction(1, 2_000_000)), 1),
+], ids=["two_small_weights", "one_tiny_weight"])
+def test_rejects_box_over_cap(t, x):
+    with pytest.raises(ValueError) as exc:
+        threshold_set(t, x)
+    assert str(exc.value) == "threshold box too large for direct enumeration"

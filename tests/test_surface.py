@@ -361,3 +361,43 @@ class TestBetaSurfaceCommand:
                        "--N", "1")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "terms = 10,6,3,1"
+
+
+def surface_rejections():
+    """(call, error, exact message) for each surface check no other test
+    reaches."""
+    model = SurfaceModel(1)
+    return {
+        "four_exceptional_classes": (lambda: PicardClass(1, (0, 0, 0, 0)),
+                                     UnsupportedClassError,
+                                     "at most 3 exceptional classes"),
+        "dot_across_surfaces": (lambda: PicardClass(1, (0,)).dot(PicardClass(1, (0, 0))),
+                                SurfaceError, "classes live on different surfaces"),
+        "pad_to_fewer_points": (lambda: PicardClass(1, (0, 0)).pad(1), SurfaceError,
+                                "cannot drop exceptional coefficients"),
+        "parse_index_above_k": (lambda: parse_class("H - E3", 2), SurfaceError,
+                                "class uses E3 but the surface has k = 2"),
+        "E_above_k": (lambda: SurfaceModel(2).E(3), SurfaceError,
+                      "E3 does not exist for k = 2"),
+        "E_zero": (lambda: SurfaceModel(2).E(0), SurfaceError,
+                   "E0 does not exist for k = 2"),
+        "seshadri_A_not_nef": (lambda: model.seshadri(model.E(1), model.H), NotNefError,
+                               "reference class is not nef (fails on E1)"),
+        "beta_A_without_sections": (
+            lambda: beta_surface_truncated(model, -model.H, model.E(1), 2),
+            UnsupportedClassError, "reference class has no sections"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(surface_rejections()))
+def test_rejections(name):
+    call, error, message = surface_rejections()[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_negation():
+    D = parse_class("3H - E1 + 1/2E2")
+    assert -D == parse_class("-3H + E1 - 1/2E2")
+    assert -(-D) == D and (D + -D).is_zero
