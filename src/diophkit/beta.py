@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .filtration import _power_terms
-from .graded import _linear_rows, dim_full
+from .graded import common_support_dim, dim_full
 from .polynomials import _is_count
 
 __all__ = [
@@ -84,7 +83,7 @@ def beta_blowup_crosscheck(Y, d, N):
         raise ValueError("crosscheck is for points in the plane (three variables)")
     if any(g.degree != 1 for g in Y.generators):
         raise ValueError("crosscheck needs a linearly cut (reduced) point")
-    if linalg.rank(_linear_rows(list(Y.generators))) != 2:
+    if common_support_dim([Y]) != 0:
         raise ValueError("generators must cut a single reduced point")
     terms = ideal_power_terms(Y, d * N)
     model = SurfaceModel(1)

@@ -12,20 +12,19 @@ histogram (``_levels``) of the monomials, and one complete intersection
 (the generators a regular sequence with nonempty support,
 ``complete_intersection_degrees``) is a sum of binomials.  Every other
 profile, and every mu value, is read off one downward walk of (x, row
-space) pairs (``_walk``): each value adds only its own rows, from one of
-two sources, the images of its monomials under the change of coordinates
-for normalized inputs and the products of its b's for the rest, and the
-walk stops once the rank is full.  The rank after a value is the
-dimension there.  Ideal powers are the case of one subscheme with weight 1.
+space) pairs (``_walk``): each value adds only its own rows, from one
+source, the products of its b's (``_piece_rows``), and the walk stops once
+the rank is full.  For normalized inputs the b's are the exponents e of
+the monomials y^e in y = A x, over one subscheme per row of A.  The rank
+after a value is the dimension there.  Ideal powers are the case of one
+subscheme with weight 1.
 
-Rows are integers end to end, the images of the monomials included.  A
-generator has its denominators cleared once, products are integer
-polynomials on packed exponents (``_Monomials``), and the images of the
-monomials under a change of coordinates are built one variable at a time
-from the integer rows of A, once per (A, N).  Scaling a
-row by a positive integer changes neither its span nor the row space's
-primitive rows, so the reduced echelon bases are those of the Fraction
-rows.  Fractions appear only in jump values and in those bases.
+Rows are integers end to end.  A generator, or a row of A, has its
+denominators cleared once, and products are integer polynomials on packed
+exponents (``_Monomials``).  Scaling a row by a positive integer changes
+neither its span nor the row space's primitive rows, so the reduced
+echelon bases are those of the Fraction rows.  Fractions appear only in
+jump values and in those bases.
 
 Step convention: a profile [(x_1, d_1), ..., (x_K, d_K)] means the
 dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
@@ -33,7 +32,6 @@ dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -183,11 +181,11 @@ def _levels(t, pairs):
 
 
 def _monomial_levels(norm, t, N):
-    """The levels t.o(e) of the degree-N monomials e, items their column
-    indices, for ``norm = (groups, A)`` from ``normalize``."""
+    """The levels t.o(e) of the degree-N monomials e, items the exponents e
+    in column order, for ``norm = (groups, A)`` from ``normalize``."""
     groups, A = norm
-    return _levels(t, ((order_vector(e, groups), i)
-                       for i, e in enumerate(monomial_exponents(N, len(A)))))
+    return _levels(t, ((order_vector(e, groups), e)
+                       for e in monomial_exponents(N, len(A))))
 
 
 def _profile_from_pairs(pairs, nvars, N, ambient, bases=None):
@@ -263,27 +261,6 @@ def _mul(f, g):
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _monomial_images(A, N):
-    """Integer rows, over the degree-N monomials in x, of the images of the
-    degree-N monomials y^e under y = A x, in column order.  Row k of A,
-    its denominators cleared, is y_k as an integer polynomial (x_j has the
-    key B^j), and the image of y^e is that of y^(e - u_k) times y_k, for
-    the first variable k of e: each row is the Fraction image times a
-    positive integer."""
-    nvars = len(A)
-    monos = _Monomials(N, nvars)
-    ys = [{p: c for p, c in zip(monos._powers, linalg._int_row(row)) if c}
-          for row in A]
-    images = {(0,) * nvars: {0: 1}}
-    for d in range(1, N + 1):
-        for e in monomial_exponents(d, nvars):
-            k = next(j for j, a in enumerate(e) if a)
-            lower = e[:k] + (e[k] - 1,) + e[k + 1:]
-            images[e] = _mul(images[lower], ys[k])
-    return tuple(tuple(monos.row(images[e])) for e in monomial_exponents(N, nvars))
 
 
 def build_profile(Ys, t, N, with_bases=False):
@@ -369,47 +346,46 @@ def _piece_rows(gens, b, monos, cache):
             yield monos.row(prod, shift)
 
 
-def _walk(levels, rows, width):
+def _walk(levels, gens, monos):
     """Walk the values x > 0 of ``levels`` downwards, yielding (x, space)
     with ``space`` spanning the filtration piece at x: the sum of the
-    pieces at the values >= x, so each value adds only ``rows(item)`` for
-    its own items.  Stops once the piece is the whole space."""
+    pieces at the values >= x, so each value adds only the ``_piece_rows``
+    of its own items b.  Stops once the piece is the whole space."""
+    width = monos.width
     space = linalg.RowSpace(width)
+    cache = {}
     for x, items in levels:
         if x == 0 or space.rank == width:
             return
-        for row in itertools.chain.from_iterable(map(rows, items)):
+        for row in itertools.chain.from_iterable(
+                _piece_rows(gens, b, monos, cache) for b in items):
             if space.add(row) and space.rank == width:
                 break
         yield x, space
 
 
-def _product_walk(Ys, t, N):
-    """The walk over the values t.b, each adding the rows of its own
-    products, over the b with sum_i b_i mindeg(Y_i) <= N: for any other b
-    the product of the powers I_i^{b_i} has no degree-N part."""
-    mins = [min(g.degree for g in Y.generators) for Y in Ys]
-    box = [b for b in itertools.product(*[range(N // m + 1) for m in mins])
-           if sum(bi * m for bi, m in zip(b, mins)) <= N]
-    monos = _Monomials(N, Ys[0].nvars)
-    gens = [[(g.degree, monos.form(g)) for g in Y.generators] for Y in Ys]
-    cache = {}
-    return _walk(_levels(t, zip(box, box)),
-                 lambda b: _piece_rows(gens, b, monos, cache), monos.width)
-
-
 def _filtration_walk(Ys, t, N, norm):
-    """The downward walk on degree-N forms for ``norm = normalize(Ys)``.
+    """The downward walk on degree-N forms for ``norm = normalize(Ys)``, or
+    for None.
 
-    Where ``normalize`` rejects Ys it is the product walk.  Where it
-    returns (groups, A), in y = A x the piece at x is spanned by the y^e at
-    level t.o(e) >= x, so each value adds the images of its own monomials.
-    These are independent, so the full-rank stop fires only once all of
-    them are in."""
+    For None it walks the values t.b, each adding the rows of its own
+    products, over the b with sum_i b_i mindeg(Y_i) <= N: for any other b
+    the product of the powers I_i^{b_i} has no degree-N part.  For
+    (groups, A), in y = A x the piece at x is spanned by the y^e at level
+    t.o(e) >= x, and y^e is the product for b = e over the family whose
+    i-th member has the one generator y_i (row i of A, its denominators
+    cleared).  These are independent, so the full-rank stop fires only
+    once all of them are in."""
+    monos = _Monomials(N, Ys[0].nvars)
     if norm is None:
-        return _product_walk(Ys, t, N)
-    images = _monomial_images(norm[1], N)
-    return _walk(_monomial_levels(norm, t, N), lambda i: (images[i],), len(images))
+        mins = [min(g.degree for g in Y.generators) for Y in Ys]
+        box = [b for b in itertools.product(*[range(N // m + 1) for m in mins])
+               if sum(bi * m for bi, m in zip(b, mins)) <= N]
+        gens = [[(g.degree, monos.form(g)) for g in Y.generators] for Y in Ys]
+        return _walk(_levels(t, zip(box, box)), gens, monos)
+    gens = [[(1, {p: c for p, c in zip(monos._powers, linalg._int_row(row)) if c})]
+            for row in norm[1]]
+    return _walk(_monomial_levels(norm, t, N), gens, monos)
 
 
 def _walk_profile(spaces, nvars, N, with_bases):
@@ -425,9 +401,9 @@ def _walk_profile(spaces, nvars, N, with_bases):
 
 
 def _generic_profile(Ys, t, N, with_bases=False):
-    """The profile from the product-row walk, whether or not ``normalize``
-    accepts Ys: the oracle of the other routes."""
-    return _walk_profile(_product_walk(Ys, t, N), Ys[0].nvars, N, with_bases)
+    """The profile from the walk over the products of Ys's own generators,
+    whether or not ``normalize`` accepts Ys: the oracle of the other routes."""
+    return _walk_profile(_filtration_walk(Ys, t, N, None), Ys[0].nvars, N, with_bases)
 
 
 def mu_value(s, Ys, t):
@@ -441,9 +417,9 @@ def mu_value(s, Ys, t):
 
 
 def _generic_mu(s, Ys, t):
-    """mu from the product-row walk, whether or not ``normalize`` accepts
-    Ys: the oracle of mu_value."""
-    return _walk_mu(s, _product_walk(Ys, t, s.degree))
+    """mu from the walk over the products of Ys's own generators, whether
+    or not ``normalize`` accepts Ys: the oracle of mu_value."""
+    return _walk_mu(s, _filtration_walk(Ys, t, s.degree, None))
 
 
 def _walk_mu(s, spaces):

@@ -170,6 +170,17 @@ class TestSubcommands:
         assert "E1" in out
         assert "not nef at 101/100" in out
 
+    def test_seshadri_unbounded(self, capsys):
+        argv = ["seshadri", "--A", "H", "--D", "0", "--k", "1", "--output"]
+        assert run(capsys, *argv, "text") == \
+            (0, "seshadri = inf\nnef at gamma: True\n", "")
+        code, out, _ = run(capsys, *argv, "csv")
+        assert code == 0 and out.splitlines()[1] == "inf,,1,,"
+        code, out, _ = run(capsys, *argv, "json")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["gamma"], data["tight"], data["fail_gamma"]) == ("inf", [], None)
+
     # argparse alone reads a value with a leading minus sign as an option
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command,flag,value,rest", [
@@ -347,9 +358,9 @@ class TestExitCodes:
         assert out == b""
         assert err.decode() == "error: %s\n" % message
 
-    # a flag that another one would override is an error, not ignored;
-    # the runner checks it, so the argparse path (a glued --output=text)
-    # gives the same line
+    # a flag that another one would override is an error, not ignored, and
+    # so is a choice of flags given neither way; the runner checks both, so
+    # the argparse path (a glued --output=text) gives the same line
     @pytest.mark.parametrize("argv,message", [
         (lambda tmp_path: overweight_scan(tmp_path) + ["--four-lines"],
          "need --config FILE or --four-lines, not both"),
@@ -362,7 +373,12 @@ class TestExitCodes:
         (lambda tmp_path: ["weil", "--ideal", "x0", "--point", "2:3",
                            "--places", "inf,2", "--place", "3"],
          "need --place or --places, not both"),
-    ], ids=["scan", "beta-N", "beta-crosscheck", "weil"])
+        (lambda tmp_path: ["scan", "--bound", "2"],
+         "need --config FILE or --four-lines"),
+        (lambda tmp_path: ["weil", "--ideal", "x0", "--point", "2:3"],
+         "need --place or --places"),
+    ], ids=["scan", "beta-N", "beta-crosscheck", "weil", "scan-neither",
+            "weil-neither"])
     @pytest.mark.parametrize("tail", [[], ["--output=text"]],
                              ids=["plain", "argparse"])
     def test_conflicting_flags_are_one(self, capsys, tmp_path, argv, message,

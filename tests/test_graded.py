@@ -36,7 +36,7 @@ from diophkit.graded import (
     span_piece,
 )
 from diophkit.linalg import in_span, rref
-from diophkit.polynomials import HomogeneousForm, monomial_exponents, parse_form
+from diophkit.polynomials import FormError, HomogeneousForm, monomial_exponents, parse_form
 
 
 def sub(label, gens, nvars):
@@ -75,6 +75,9 @@ class TestSpanRank:
         assert len(piece) == 2
         texts = {f.to_string() for f in piece}
         assert texts == {"x0^2", "x1^2"}
+
+    def test_span_piece_of_zeros_is_empty(self):
+        assert span_piece([HomogeneousForm.zero(3, 2)] * 2, 3, 2) == ()
 
 
 class TestIdealPowerDims:
@@ -422,7 +425,10 @@ class TestSubschemeBasics:
      "generators must share one ambient space"),
     (lambda: ideal_power_gens(sub("L", ["x0"], 3), -1, 2), ValueError,
      "power must be nonnegative"),
-], ids=["generator_not_a_form", "generators_in_two_spaces", "negative_power"])
+    (lambda: span_piece([parse_form("x0^2", nvars=3)], 3, 1), FormError,
+     "family does not match the requested graded piece"),
+], ids=["generator_not_a_form", "generators_in_two_spaces", "negative_power",
+        "span_piece_wrong_degree"])
 def test_rejections(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -1,8 +1,8 @@
 """Integer arithmetic on the profile paths against the Fraction routes.
 
 The normalized path counts dimensions from one histogram of integer
-levels; the generic path multiplies integer generators; the monomial
-images under y = A x are integer rows; and ``linalg.adapted_cells`` finds
+levels; the walk multiplies integer generators, the rows of A among them
+for the monomials y^e under y = A x; and ``linalg.adapted_cells`` finds
 f-coordinates by fraction-free elimination.  Each is checked here against
 the per-candidate sweep (``sweep_oracle``) or the Fraction route it
 replaced (``fraction_oracle``), and a guard makes the Fraction routes raise
@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
-from diophkit import filtration, linalg
+from diophkit import linalg
 from diophkit.beta import ideal_power_terms
 from diophkit.cli import _parse_subschemes
 from diophkit.filtration import (
     _Monomials,
     _generic_mu,
-    _monomial_images,
     _piece_rows,
     build_profile,
     common_adapted_basis,
@@ -132,9 +131,13 @@ def invertible(draw):
 def test_monomial_images_are_positive_multiples(A, N):
     if linalg.rank(A) < len(A):
         return
-    monos = monomial_exponents(N, len(A))
-    oracle = fraction_oracle.monomial_rows(monos, A)
-    images = _monomial_images(A, N)
+    exponents = monomial_exponents(N, len(A))
+    oracle = fraction_oracle.monomial_rows(exponents, A)
+    monos = _Monomials(N, len(A))
+    gens = [[(1, {p: c for p, c in zip(monos._powers, linalg._int_row(row)) if c})]
+            for row in A]
+    cache = {}
+    images = [row for e in exponents for row in _piece_rows(gens, e, monos, cache)]
     assert len(images) == len(oracle)
     assert all(type(v) is int for row in images for v in row)
     assert all(positive_multiple(row, want) for row, want in zip(images, oracle))
@@ -241,8 +244,6 @@ def test_profile_paths_use_no_fraction_route(monkeypatch):
         raise AssertionError("a Fraction route ran on a profile path")
 
     monkeypatch.setattr(HomogeneousForm, "__mul__", forbidden)
-    # the images under y = A x are memoized; build them again under the guard
-    filtration._monomial_images.cache_clear()
     got = [build_profile(lines, t, 4, True),
            build_profile(tilted_four, t4, 5),
            build_profile(tilted_four, t4, 4, True),

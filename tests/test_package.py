@@ -139,6 +139,24 @@ class TestPublicNames:
                     and getattr(node.func, "attr", None) == "RowSpace"}
         assert len(builders) == 1
 
+    def test_one_filtration_row_builder(self):
+        """Every row of the walk, the y^e of a normalized input included, is
+        a product built by ``_products``, so only it multiplies integer
+        polynomials, and no memoized image builder is left beside it."""
+        tree = ast.parse((SRC / "diophkit" / "filtration.py").read_text())
+        callers = {func.name for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_mul"}
+        assert callers == {"_products"}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert "functools" not in imported and "_monomial_images" not in defined
+
     def test_only_build_parser_declares_flags(self):
         """Every subcommand flag is one entry of cli._COMMANDS, which
         build_parser() and the plain matcher both read, so add_argument is

@@ -62,6 +62,8 @@ class TestPicardClass:
     def test_zero_class(self):
         D = parse_class("H") - parse_class("H")
         assert D.is_zero and format_class(D) == "0"
+        zero = parse_class("0", k=2)
+        assert zero.is_zero and zero.k == 2
 
     def test_parse_rejects_garbage(self):
         for bad in ["", "H + ", "3G", "E0", "H - - E1", "xH"]:
