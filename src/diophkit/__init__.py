@@ -36,7 +36,6 @@ _EXPORTS = {
         "four_lines_table",
         "sample_points",
         "scan_inequality",
-        "sigma_select",
     ),
     "filtration": (
         "AdaptedBasis",
@@ -73,10 +72,8 @@ _EXPORTS = {
         "height",
         "height_norm",
         "parse_place",
-        "product_formula_holds",
         "proximity",
         "weil",
-        "weil_floor_norm",
         "weil_norm",
     ),
     "linalg": (),

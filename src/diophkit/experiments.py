@@ -84,7 +84,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .graded import Subscheme, _family, common_support_dim
+from .graded import Subscheme, _family
 from .heights import PlaceSet, ProjectivePoint
 from .polynomials import _is_count
 
@@ -95,7 +95,6 @@ __all__ = [
     "ScanReport",
     "sample_points",
     "scan_inequality",
-    "sigma_select",
     "four_lines",
     "four_lines_config",
     "four_lines_exclusions",
@@ -574,26 +573,6 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     return ScanReport(total, skipped, excluded, evaluated, zero_height,
                       low_hits, tuple(violations), best,
                       None if rows is None else tuple(rows))
-
-
-def sigma_select(Ys, values):
-    """Indices of the longest prefix, after sorting by value descending,
-    whose supports still share a common point.
-
-    Ties break by original index.  This mirrors picking, at a given point,
-    the subschemes it is closest to, as many as can meet simultaneously.
-    """
-    Ys = list(Ys)
-    if len(values) != len(Ys):
-        raise ValueError("need one value per subscheme")
-    order = sorted(range(len(Ys)), key=lambda i: (-Fraction(values[i]), i))
-    selected = []
-    for i in order:
-        trial = selected + [i]
-        if common_support_dim([Ys[j] for j in trial]) is None:
-            break
-        selected = trial
-    return tuple(selected)
 
 
 def four_lines():

@@ -400,12 +400,6 @@ def _walk_profile(spaces, nvars, N, with_bases):
     return _profile_from_pairs([(x, d) for x, d, _ in steps], nvars, N, ambient, bases)
 
 
-def _generic_profile(Ys, t, N, with_bases=False):
-    """The profile from the walk over the products of Ys's own generators,
-    whether or not ``normalize`` accepts Ys: the oracle of the other routes."""
-    return _walk_profile(_filtration_walk(Ys, t, N, None), Ys[0].nvars, N, with_bases)
-
-
 def mu_value(s, Ys, t):
     """Largest threshold x whose filtration subspace still contains s."""
     if not isinstance(s, HomogeneousForm) or s.is_zero:
@@ -414,12 +408,6 @@ def mu_value(s, Ys, t):
     if s.nvars != Ys[0].nvars:
         raise FormError("form and subschemes live in different ambient spaces")
     return _walk_mu(s, _filtration_walk(Ys, t, s.degree, normalize(Ys)))
-
-
-def _generic_mu(s, Ys, t):
-    """mu from the walk over the products of Ys's own generators, whether
-    or not ``normalize`` accepts Ys: the oracle of mu_value."""
-    return _walk_mu(s, _filtration_walk(Ys, t, s.degree, None))
 
 
 def _walk_mu(s, spaces):

@@ -4,7 +4,7 @@ Points carry canonical integer coordinates (coprime, first nonzero entry
 positive), so the height is log max |x_i| and every local computation
 reduces to integer arithmetic.  Local contributions are kept as exact
 rational norm values Q_v; logs appear only in reporting, which keeps
-product-formula and proximity identities exact.
+global Weil norms and proximity sums exact.
 
 The local value of a subscheme cut by forms phi_j at a point off its
 support is min_j of max_i ||x_i||_v^{deg phi_j} / ||phi_j(x)||_v, written
@@ -27,16 +27,12 @@ __all__ = [
     "PlaceSet",
     "ProjectivePoint",
     "ord_p",
-    "norm",
     "height_norm",
     "height",
     "weil_norm",
     "weil",
     "proximity_norms",
     "proximity",
-    "weil_floor_norm",
-    "product_formula_factors",
-    "product_formula_holds",
 ]
 
 
@@ -220,16 +216,6 @@ def _ord(q, p):
     return n
 
 
-def norm(q, place):
-    """Exact normalized absolute value ||q||_v as a Fraction."""
-    q = Fraction(q)
-    if place.is_infinite:
-        return abs(q)
-    if q == 0:
-        return Fraction(0)
-    return Fraction(place.p) ** (-_ord(q, place.p))
-
-
 def height_norm(P):
     """Multiplicative height: max |x_i| over canonical coordinates."""
     return max(abs(c) for c in P.coords)
@@ -288,33 +274,3 @@ def global_weil_norm(Y, P):
     for place in relevant_places(Y, P):
         total *= weil_norm(Y, P, place)
     return total
-
-
-def weil_floor_norm(Y, place):
-    """A floor f with weil_norm(Y, ., place) >= f off the support."""
-    if place.is_infinite:
-        worst = max(sum(abs(c) for c in g.terms.values()) for g in Y.generators)
-        return Fraction(1) / worst
-    p = place.p
-    drop = min(min(_ord(c, p) for c in g.terms.values()) for g in Y.generators)
-    return Fraction(p) ** min(0, drop)
-
-
-def product_formula_factors(q):
-    """All nontrivial local norms of a nonzero rational, inf first."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("product formula concerns nonzero rationals")
-    factors = {PLACE_INF: abs(q)}
-    for n in (q.numerator, q.denominator):
-        for p in _primes_dividing(abs(n)):
-            place = Place(p)
-            factors[place] = norm(q, place)
-    return factors
-
-
-def product_formula_holds(q):
-    product = Fraction(1)
-    for value in product_formula_factors(q).values():
-        product *= value
-    return product == 1

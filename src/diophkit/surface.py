@@ -259,10 +259,6 @@ class SurfaceModel:
                 return False, C
         return True, None
 
-    def is_ample(self, D):
-        self._check(D)
-        return all(D.dot(C) > 0 for C in self.test_curves)
-
     def zariski_h0(self, D):
         """Exact number of global sections of an integral class."""
         self._check(D)

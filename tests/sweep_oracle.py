@@ -6,7 +6,7 @@ of the threshold ideal from scratch (``filtration_ideal_gens``) and takes its
 exact rank, or its echelon basis; mu is found by bisection over the same
 candidates with an exact membership test.  Every rank, basis and membership
 test comes from ``elimination_oracle``, so it shares no elimination code
-with ``filtration._generic_profile``.
+with ``generic_oracle.generic_profile``.
 """
 
 import itertools

@@ -2,8 +2,8 @@
 
 ``build_profile`` counts the ideal powers of one subscheme whose generators
 form a regular sequence with nonempty support by binomial sums, without
-forming a row.  ``_generic_profile`` is the exact elimination every such
-input took before; it stays the oracle here.
+forming a row.  ``generic_oracle.generic_profile`` is the exact elimination
+every such input took before; it stays the oracle here.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from diophkit import filtration
 from diophkit.cli import main
-from diophkit.filtration import _generic_profile, adapted_basis, build_profile
+from diophkit.filtration import adapted_basis, build_profile
 from diophkit.graded import (
     CatalogError,
     Subscheme,
@@ -22,6 +22,7 @@ from diophkit.graded import (
     normalize,
 )
 from diophkit.polynomials import parse_form
+from generic_oracle import generic_profile
 
 CONIC = "6*x0*x1 + x1^2 - 8*x1*x2 + 4*x2^2"
 
@@ -61,7 +62,7 @@ def test_classifier_returns_generator_degrees(name):
 def test_closed_form_equals_elimination(name, w):
     Y, degrees = COMPLETE_INTERSECTIONS[name]
     for N in range(2 * max(degrees) + 2):
-        assert build_profile([Y], (w,), N) == _generic_profile([Y], (w,), N)
+        assert build_profile([Y], (w,), N) == generic_profile([Y], (w,), N)
 
 
 def test_closed_form_builds_no_rows(monkeypatch):
@@ -70,7 +71,7 @@ def test_closed_form_builds_no_rows(monkeypatch):
     def no_elimination(*args, **kwargs):
         raise AssertionError("a complete intersection reached elimination")
 
-    monkeypatch.setattr(filtration, "_generic_profile", no_elimination)
+    monkeypatch.setattr(filtration, "_filtration_walk", no_elimination)
     monkeypatch.setattr(filtration, "_piece_rows", no_elimination)
     got = build_profile([COMPLETE_INTERSECTIONS["conic"][0]], (1,), 6)
     assert got == expected
@@ -94,7 +95,7 @@ def test_classifier_rejects(name):
     assert normalize([Y]) is None
     assert complete_intersection_degrees(Y) is None
     for N in range(5):
-        assert build_profile([Y], (1,), N) == _generic_profile([Y], (1,), N)
+        assert build_profile([Y], (1,), N) == generic_profile([Y], (1,), N)
 
 
 def test_classifier_rejects_outside_the_support_catalog():
@@ -103,7 +104,7 @@ def test_classifier_rejects_outside_the_support_catalog():
         common_support_dim([Y])
     assert complete_intersection_degrees(Y) is None
     for N in range(6):
-        assert build_profile([Y], (1,), N) == _generic_profile([Y], (1,), N)
+        assert build_profile([Y], (1,), N) == generic_profile([Y], (1,), N)
 
 
 @pytest.fixture
@@ -119,9 +120,9 @@ def test_bases_multiple_subschemes_and_normalized_inputs_skip_classifier(
     conic = COMPLETE_INTERSECTIONS["conic"][0]
     line = subscheme(["x0 + x1"], 3)
     with_bases = build_profile([conic], (1,), 4, with_bases=True)
-    assert with_bases == _generic_profile([conic], (1,), 4, with_bases=True)
+    assert with_bases == generic_profile([conic], (1,), 4, with_bases=True)
     both = build_profile([conic, line], (1, Fraction(1, 2)), 4)
-    assert both == _generic_profile([conic, line], (1, Fraction(1, 2)), 4)
+    assert both == generic_profile([conic, line], (1, Fraction(1, 2)), 4)
     # a line is a complete intersection too, but normalize takes it first
     assert build_profile([line], (1,), 4).jumps == ((0, 15), (1, 10), (2, 6),
                                                     (3, 3), (4, 1))
@@ -133,7 +134,7 @@ def test_adapted_basis_on_conic_keeps_its_bases(no_classifier, capsys):
                  "--weights", "1", "--N", "4", "--output", "json"])
     assert code == 0
     got = json.loads(capsys.readouterr().out)
-    oracle = adapted_basis(_generic_profile([conic], (1,), 4, with_bases=True))
+    oracle = adapted_basis(generic_profile([conic], (1,), 4, with_bases=True))
     assert [row["element"] for row in got] == \
         [f.to_string() for f in oracle.elements]
     assert [row["mu"] for row in got] == [str(m) for m in oracle.mu_values]

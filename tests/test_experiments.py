@@ -23,7 +23,6 @@ from diophkit.experiments import (
     four_lines_table,
     sample_points,
     scan_inequality,
-    sigma_select,
     _scan_source,
 )
 from diophkit.graded import Subscheme
@@ -703,36 +702,6 @@ class TestFourLinesScan:
         assert cfg.epsilon == Fraction(1, 2)
         assert cfg.min_height_norm == 10
         assert [str(p) for p in cfg.places] == ["inf", "2", "3", "5"]
-
-
-class TestSigmaSelect:
-    def test_disjoint_points_pick_larger(self):
-        Ys = [sub("P", ["x0", "x1"], 3), sub("Q", ["x1", "x2"], 3)]
-        assert sigma_select(Ys, [Fraction(3), Fraction(1)]) == (0,)
-        assert sigma_select(Ys, [Fraction(1), Fraction(3)]) == (1,)
-
-    def test_meeting_lines_keep_both(self):
-        Ys = [sub("A", ["x0"], 3), sub("B", ["x1"], 3)]
-        assert sigma_select(Ys, [2, 1]) == (0, 1)
-        assert sigma_select(Ys, [1, 2]) == (1, 0)
-
-    def test_non_concurrent_triple_stops_at_two(self):
-        Ys = [sub("A", ["x0"], 3), sub("B", ["x1"], 3),
-              sub("C", ["x0 + x1 + x2"], 3)]
-        assert sigma_select(Ys, [3, 2, 1]) == (0, 1)
-        assert sigma_select(Ys, [1, 3, 2]) == (1, 2)
-
-    def test_rescale_invariant_and_ties(self):
-        Ys = [sub("A", ["x0"], 3), sub("B", ["x1"], 3),
-              sub("C", ["x0 + x1 + x2"], 3)]
-        vals = [Fraction(5, 2), Fraction(1, 3), Fraction(7, 4)]
-        assert sigma_select(Ys, vals) == \
-            sigma_select(Ys, [7 * v for v in vals])
-        assert sigma_select(Ys, [1, 1, 1]) == (0, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sigma_select([sub("A", ["x0"], 3)], [1, 2])
 
 
 class TestFourLinesTable:

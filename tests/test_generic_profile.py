@@ -1,6 +1,6 @@
 """The one-pass generic profile against the per-candidate rank sweep.
 
-``filtration._generic_profile`` and ``_generic_mu`` walk the values t.b
+``generic_oracle.generic_profile`` and ``generic_mu`` walk the values t.b
 downwards once, growing a single integer row space.  ``sweep_oracle``
 recomputes every candidate from scratch the old way.  Profiles, bases and
 mu values must agree exactly on dependent families (which ``normalize``
@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from diophkit.filtration import _generic_profile, build_profile, mu_value
+from diophkit.filtration import build_profile, mu_value
 from diophkit.graded import Subscheme, normalize
 from diophkit.polynomials import HomogeneousForm, monomial_exponents, parse_form
 
+from generic_oracle import generic_profile
 from sweep_oracle import sweep_mus, sweep_profile
 
 
@@ -72,7 +73,7 @@ MU_CASES, MU_IDS = expand(4)
 @pytest.mark.parametrize("Ys,t,N", PROFILE_CASES, ids=PROFILE_IDS)
 def test_profile_and_bases_match_sweep(Ys, t, N):
     assert normalize(Ys) is None
-    new = _generic_profile(Ys, t, N, with_bases=True)
+    new = generic_profile(Ys, t, N, with_bases=True)
     old = sweep_profile(Ys, t, N, with_bases=True)
     assert new.jumps == old.jumps
     assert new.bases == old.bases

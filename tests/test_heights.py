@@ -24,16 +24,12 @@ from diophkit.heights import (
     global_weil_norm,
     height,
     height_norm,
-    norm,
     ord_p,
     parse_place,
-    product_formula_factors,
-    product_formula_holds,
     proximity,
     proximity_norms,
     relevant_places,
     weil,
-    weil_floor_norm,
     weil_norm,
 )
 from diophkit.heights import _is_prime, _primes_dividing
@@ -58,6 +54,28 @@ def random_point(rng, nvars, box=30):
     if all(c == 0 for c in coords):
         coords[0] = 1
     return ProjectivePoint(coords)
+
+
+# the local norms of single rationals: the reference that heights are
+# compared against
+def norm(q, place):
+    """Exact normalized absolute value ||q||_v as a Fraction."""
+    q = Fraction(q)
+    if place.is_infinite:
+        return abs(q)
+    if q == 0:
+        return Fraction(0)
+    return Fraction(place.p) ** -ord_p(q, place.p)
+
+
+def product_formula_factors(q):
+    """All nontrivial local norms of a nonzero rational, inf first."""
+    q = Fraction(q)
+    factors = {PLACE_INF: abs(q)}
+    for n in (q.numerator, q.denominator):
+        for p in _primes_dividing(abs(n)):
+            factors[Place(p)] = norm(q, Place(p))
+    return factors
 
 
 class TestPlaces:
@@ -97,8 +115,8 @@ def sieve_primes(limit):
 
 
 class TestPrimeFactors:
-    # the one trial-division helper behind Place, relevant_places and
-    # product_formula_factors, against a sieve
+    # the one trial-division helper behind Place and relevant_places, and
+    # the product_formula_factors above, against a sieve
     LIMIT = 2000
 
     def test_primes_dividing_matches_sieve(self):
@@ -177,22 +195,6 @@ class TestNorms:
     def test_ord_rejects_a_p_that_is_not_a_prime(self, p):
         with pytest.raises(ValueError, match="prime"):
             ord_p(12, p)
-
-    def test_product_formula(self):
-        f = product_formula_factors(Fraction(-12, 5))
-        assert f[PLACE_INF] == Fraction(12, 5)
-        assert f[Place(2)] == Fraction(1, 4)
-        assert f[Place(3)] == Fraction(1, 3)
-        assert f[Place(5)] == 5
-        rng = random.Random(3)
-        for _ in range(100):
-            q = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-            if rng.random() < 0.5:
-                q = -q
-            assert product_formula_holds(q)
-        with pytest.raises(ValueError):
-            product_formula_factors(0)
-
 
 class TestHeight:
     def test_examples(self):
@@ -452,36 +454,3 @@ class TestContainmentBound:
         assert consts[PLACE_INF] == Fraction(3, 2)
         assert consts[Place(2)] == 2
         assert consts[Place(3)] == 1
-
-
-class TestFloor:
-    def test_infinite_floor(self):
-        Y = sub("H", ["x0 + x1"], 2)
-        assert weil_floor_norm(Y, PLACE_INF) == Fraction(1, 2)
-
-    def test_finite_floor_integer_coefficients(self):
-        Y = sub("H", ["3*x0 + x1"], 2)
-        assert weil_floor_norm(Y, Place(3)) == 1
-
-    def test_finite_floor_fractional_coefficients(self):
-        Y = sub("H", ["1/2*x0 + x1"], 2)
-        assert weil_floor_norm(Y, Place(2)) == Fraction(1, 2)
-
-    def test_floor_is_a_true_floor(self):
-        rng = random.Random(37)
-        schemes = [
-            sub("H", ["x0 + 2*x1"], 2),
-            sub("pt", ["x0 - x1", "x1 - 5*x2"], 3),
-            sub("Q", ["1/3*x0^2 + x1*x2"], 3),
-        ]
-        for Y in schemes:
-            floors = {v: weil_floor_norm(Y, v) for v in PLACES}
-            checked = 0
-            while checked < 40:
-                P = random_point(rng, Y.nvars, box=20)
-                try:
-                    for v in PLACES:
-                        assert weil_norm(Y, P, v) >= floors[v]
-                except SupportError:
-                    continue
-                checked += 1

@@ -22,7 +22,6 @@ from diophkit.beta import ideal_power_terms
 from diophkit.cli import _parse_subschemes
 from diophkit.filtration import (
     _Monomials,
-    _generic_mu,
     _piece_rows,
     build_profile,
     common_adapted_basis,
@@ -30,6 +29,7 @@ from diophkit.filtration import (
 )
 from diophkit.graded import Subscheme, coordinate_groups, normalize
 from diophkit.polynomials import HomogeneousForm, monomial_exponents, parse_form
+from generic_oracle import generic_mu
 from sweep_oracle import sweep_profile
 from test_golden import CASES as GOLDEN_CASES
 
@@ -238,7 +238,7 @@ def test_profile_paths_use_no_fraction_route(monkeypatch):
              ("x0^2*x1^2 + x0*x1*x2^2", "x0^4 - 3*x1^2*x2^2", "x2^4", "x0^3*x1")]
     mu_cases = [(s, Ys, w) for s in forms
                 for Ys, w in ((lines, t), (coordinate, weights(1, "1/2")))]
-    want_mu = [_generic_mu(s, Ys, w) for s, Ys, w in mu_cases]
+    want_mu = [generic_mu(s, Ys, w) for s, Ys, w in mu_cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fraction route ran on a profile path")

@@ -28,8 +28,7 @@ EXPORTS = {
     "experiments": [
         "ConfigError", "FourLinesRow", "InequalityConfig", "ScanReport", "ScanRow",
         "four_lines", "four_lines_config", "four_lines_exclusions",
-        "four_lines_table", "sample_points",
-        "scan_inequality", "sigma_select",
+        "four_lines_table", "sample_points", "scan_inequality",
     ],
     "filtration": [
         "AdaptedBasis", "BoundReport", "FiltrationProfile",
@@ -45,8 +44,7 @@ EXPORTS = {
     "heights": [
         "PLACE_INF", "Place", "PlaceError", "PlaceSet", "ProjectivePoint",
         "SupportError", "global_weil_norm", "height", "height_norm",
-        "parse_place", "product_formula_holds", "proximity", "weil",
-        "weil_floor_norm", "weil_norm",
+        "parse_place", "proximity", "weil", "weil_norm",
     ],
     "polynomials": ["FormError", "HomogeneousForm", "ParseError", "parse_form"],
     "surface": [
@@ -61,10 +59,29 @@ SUBMODULES = ["beta", "experiments", "filtration", "graded", "heights", "linalg"
               "polynomials", "staircase", "surface"]
 
 
+# (module, name) of each function or class the benchmark's tracer wraps
+TRACED = {(short, path.split(".")[0]) for _, short, path in TARGETS}
+
+
+def names_used_in_src():
+    """Every name that code in src/ loads, reads as an attribute or
+    imports; a def or class line and the __all__ strings use none."""
+    used = set()
+    for path in (SRC / "diophkit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
 class TestPublicNames:
     def test_all_is_unchanged(self):
         names = SUBMODULES + [n for group in EXPORTS.values() for n in group]
-        assert len(names) == 82
+        assert len(names) == 79
         assert diophkit.__all__ == sorted(names)
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -95,23 +112,31 @@ class TestPublicNames:
 
     def test_every_listed_name_is_used(self):
         """A name in a submodule's __all__ is re-exported by the package,
-        wrapped by the benchmark's tracer, or used by code in src/: loaded,
-        read as an attribute or imported, which its own def or class line
-        and the __all__ strings are not."""
-        traced = {(short, path.split(".")[0]) for _, short, path in TARGETS}
-        used = set()
-        for path in (SRC / "diophkit").glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name)
+        wrapped by the benchmark's tracer, or used by code in src/."""
+        used = names_used_in_src()
         unused = ["%s.%s" % (module, name) for module in SUBMODULES
                   for name in importlib.import_module("diophkit." + module).__all__
                   if name not in diophkit._EXPORTS[module]
-                  and (module, name) not in traced and name not in used]
+                  and (module, name) not in TRACED and name not in used]
+        assert unused == []
+
+    def test_every_top_level_definition_is_used(self):
+        """A function or class defined at the top of a module in src/ is
+        used by code in src/, re-exported by the package, or wrapped by the
+        benchmark's tracer; a name only the tests call belongs in tests/,
+        beside the oracles.  Module hooks such as ``__getattr__`` are
+        called by the interpreter and do not count."""
+        used = names_used_in_src()
+        defined = [(path.stem, node.name)
+                   for path in (SRC / "diophkit").glob("*.py")
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))]
+        unused = ["%s.%s" % (module, name) for module, name in defined
+                  if name not in used
+                  and name not in diophkit._EXPORTS.get(module, ())
+                  and (module, name) not in TRACED]
         assert unused == []
 
     def test_only_filtration_counts_order_vectors(self):

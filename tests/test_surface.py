@@ -123,11 +123,6 @@ class TestModelBasics:
         assert not ok and witness == parse_class("H - E1", k=1)
         assert parse_class("H - 2E1", k=1).dot(witness) < 0
 
-    def test_is_ample(self):
-        model = SurfaceModel(3)
-        assert model.is_ample(parse_class("4H - E1 - E2 - E3"))
-        assert not model.is_ample(parse_class("H - E1", k=3))
-
     def test_intersect_checks_width(self):
         model = SurfaceModel(1)
         with pytest.raises(SurfaceError):
