@@ -11,8 +11,6 @@ intersection such as a plane and a quadric), the terms come in closed
 form from the Koszul complex, with no elimination; see ``filtration``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .filtration import _power_terms
@@ -23,6 +21,7 @@ __all__ = [
     "BetaReport",
     "CrosscheckReport",
     "ConvergenceRow",
+    "ideal_power_terms",
     "beta_truncated",
     "beta_blowup_crosscheck",
     "beta_convergence",

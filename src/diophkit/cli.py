@@ -18,8 +18,6 @@ A process started at run() ends with os._exit once its output is
 flushed, so it skips the interpreter's teardown.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys
@@ -267,20 +265,6 @@ def _run_height(args):
     return 0
 
 
-_SCAN_COLUMNS = ("point", "height_norm", "proximities", "lhs_log", "rhs_log",
-                 "ratio", "violated")
-
-
-class _Formatted(dict):
-    """float -> "%.12g" % float, each distinct value formatted once.  No
-    scan value is -0.0 (the logs are of positive rationals, and their
-    sums start at +0.0), so floats that compare equal print the same."""
-
-    def __missing__(self, x):
-        text = self[x] = "%.12g" % x
-        return text
-
-
 def _scan_lines(report):
     text = ["points    = %d" % report.total,
             "skipped   = %d (on a subscheme support)" % report.skipped,
@@ -310,28 +294,19 @@ def _run_scan(args):
         config = experiments.four_lines_config()
     else:
         raise ValueError("need --config FILE or --four-lines")
-    # each format builds only what it prints: csv one line per kept row
-    # (else per violation), json the whole report, text the summary, so
-    # text keeps no rows
+    # each format builds only what it prints: csv the kernel's line per
+    # kept row (else per violation), json the whole report, text the
+    # summary, so text keeps no rows
     report = experiments.scan_inequality(
         config, bound=args.bound,
-        keep_rows=args.keep_rows and args.output != "text")
+        keep_rows=args.keep_rows and args.output != "text",
+        csv_rows=args.output == "csv")
     if args.output == "json":
         _emit("json", report.to_json())
     elif args.output == "csv":
         rows = report.violations if report.rows is None else report.rows
-        # a point is ints joined by colons and every other cell a number,
-        # so no cell holds a comma, quote or newline and csv.writer would
-        # quote nothing: these are its bytes, one write per row
-        cell = _Formatted()
-        write = sys.stdout.write
-        write(",".join(_SCAN_COLUMNS) + "\n")
-        for r in rows:
-            write("%s,%d,%s,%s,%s,%s,%d\n"
-                  % (r.point, r.height_norm, ";".join(map(cell.__getitem__,
-                                                          r.proximities)),
-                     cell[r.lhs_log], cell[r.rhs_log],
-                     "" if r.ratio is None else cell[r.ratio], r.violated))
+        sys.stdout.write(",".join(experiments._SCAN_COLUMNS) + "\n"
+                         + "".join(rows))
     else:
         _emit("text", None, text=_scan_lines(report))
     return 3 if report.violations else 0

@@ -76,9 +76,15 @@ cap.
 Floats appear only in the reported logs; log(num / den) is the same
 double for every representation of the same rational, since int division
 rounds correctly.
-"""
 
-from __future__ import annotations
+The rows of ``scan --output csv`` are rendered in the kernel: in its csv
+form (scan_inequality's csv_rows) each kept row or violation is its csv
+line, one % of a row format, and no ScanRow is built.  A height's level
+holds that format, with H and the "%.12g" text of rhs_log written in and
+an empty ratio cell at H = 1; a memo entry also holds the text of its
+log, and the log of an unmemoized Y_i is formatted by the row.  The csv
+form tracks no best row, since csv never prints it.
+"""
 
 import itertools
 import math
@@ -99,6 +105,7 @@ __all__ = [
     "four_lines_config",
     "four_lines_exclusions",
     "four_lines_table",
+    "FourLinesRow",
 ]
 
 
@@ -184,6 +191,12 @@ class InequalityConfig:
             exclusions=read("exclusions", subschemes) if "exclusions" in data else (),
             min_height_norm=data.get("min_height_norm", cls.min_height_norm),
         )
+
+
+# the csv header of a scan: a ScanRow's fields, and the cells of each line
+# that the csv form of the scan kernel writes
+_SCAN_COLUMNS = ("point", "height_norm", "proximities", "lhs_log", "rhs_log",
+                 "ratio", "violated")
 
 
 class ScanRow:
@@ -319,9 +332,11 @@ def _s_free(v, rad):
     return v
 
 
-def _scan_source(config, exps, rhs_exp):
+def _scan_source(config, exps, rhs_exp, csv_rows=False):
     """The text of the function that scans config (see the module
-    docstring); exps are the integer exponents d beta_i.
+    docstring); exps are the integer exponents d beta_i.  With csv_rows
+    the function writes each kept row or violation as its csv line and
+    tracks no best row.
 
     Every generator of every Y_i, then of every exclusion, is an integral
     form, so form j is the j-th value at a point; supports and exclusions
@@ -373,21 +388,35 @@ def _scan_source(config, exps, rhs_exp):
     # H^deg_exp; where that is at most H^(d (1+eps)) nothing is violated
     c_prod = math.prod(c ** e for _, _, _, c, _, e in plans)
     deg_exp = sum(e * max(degs) for _, _, degs, _, _, e in plans)
+    # in the csv form a height's level holds its row format, with H and
+    # the "%.12g" text of rhs_log written in; a memoized q_i comes as the
+    # text its memo entry holds, any other log is formatted by the row.
+    # At H = 1 the ratio cell is "%.0s", which prints nothing, and
+    # rhs_div = 1 keeps the division defined
+    level_format = "%%s%%d,%d," + ";".join(
+        "%%s" if memo else "%%.12g" for _, _, _, _, memo, _ in plans) + \
+        ",%%.12g,%s,%s,%%d\n"
+    csv_level = ["row_format", "rhs_div"] if csv_rows else []
     level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow",
-             "rhs_scale * log(H)"] + ["{}"] * len(memos) + [
-             "%d * H ** %d" % (c, deg)
-             for _, _, degs, c, _, _ in plans for deg in degs]
-    # one block per Y_i leaves n_i, d_i, q_i: a memo holds the raised
-    # factors, and an unmemoized Y_i is raised only in the comparison
-    block, lhs, rhs = [], [], []
+             "rhs_log"] + [
+             "%r %% (H, '%%.12g' %% rhs_log, '%%.12g' if H > 1 else '%%.0s')"
+             % level_format, "rhs_log if H > 1 else 1"] * csv_rows + [
+             "{}"] * len(memos) + ["%d * H ** %d" % (c, deg)
+                                  for _, _, degs, c, _, _ in plans
+                                  for deg in degs]
+    # one block per Y_i leaves n_i, d_i, q_i (and s_i, the text of a
+    # memoized q_i, in the csv form): a memo holds the raised factors, and
+    # an unmemoized Y_i is raised only in the comparison
+    block, lhs, rhs, cells = [], [], [], []
     for i, (start, stop, _, _, memo, e) in enumerate(plans):
         norm = _norm(vals[start:stop], powers[start:stop], rad)
-        unpack = "n{0}, d{0}, q{0} = ".format(i)
+        unpack = "n{0}, d{0}, q{0}".format(i)
         power = "" if memo else " ** %d" % e
         lhs.append("n%d%s" % (i, power))
         rhs.append("d%d%s" % (i, power))
+        cells.append(("s%d" if memo else "q%d") % i)
         if not memo:
-            block += norm + [unpack + "num, den, log(num / den)"]
+            block += norm + [unpack + " = num, den, log(num / den)"]
             continue
         # one generator fills its memo for the negated value too
         key = vals[start] if stop - start == 1 else \
@@ -396,12 +425,42 @@ def _scan_source(config, exps, rhs_exp):
         if stop - start == 1:
             store += "m%d[-%s] = " % (i, key)
         block += ["f = m%d.get(%s)" % (i, key), "if f is None:"] + _indent(
-            norm + ["f = %s(num ** %d, den ** %d, log(num / den))"
-                    % (store, e, e)]) + [unpack + "f"]
+            norm + ["q = log(num / den)",
+                    "f = %s(num ** %d, den ** %d, q%s)"
+                    % (store, e, e, ', "%.12g" % q' * csv_rows)]) + [
+            unpack + ", s%d" % i * csv_rows + " = f"]
     block += [
         "lhs_log = 0.0 + " + " + ".join("l%d * q%d" % (i, i) for i in ks),
         "violated = not certified and %s > rhs_pow * %s"
         % (" * ".join(lhs), " * ".join(rhs))]
+    if csv_rows:
+        # the cells of _SCAN_COLUMNS, violated as 0 or 1.  A point is ints
+        # joined by colons and every other cell a number, so no cell holds
+        # a comma, quote or newline: these are the bytes csv.writer would
+        # write
+        block += [
+            "if violated or keep_rows:",
+            "    row = row_format %% (head, t, %s, lhs_log, "
+            "lhs_log / rhs_div, violated)" % ", ".join(cells)]
+    else:
+        block += [
+            "ratio = lhs_log / rhs_log if H > 1 else None",
+            "better = ratio is not None and (best_ratio is None or "
+            "ratio > best_ratio)",
+            "if violated or keep_rows or better:",
+            "    row = ScanRow(head + str(t), H, (%s,), lhs_log, rhs_log, "
+            "ratio, violated)" % ", ".join("q%d" % i for i in ks),
+            "    if better:",
+            "        best = row",
+            "        best_ratio = ratio"]
+    block += [
+        "    if violated:",
+        "        if H >= floor:",
+        "            violations.append(row)",
+        "        else:",
+        "            low_hits += 1",
+        "    if keep_rows:",
+        "        rows.append(row)"]
     point = on_t[0] + ["if %s:" % _zero_test(supports, vals),
                        "    skipped += 1", "    continue"]
     if exclusions:
@@ -417,32 +476,17 @@ def _scan_source(config, exps, rhs_exp):
         "    lev = levels.get(H)",
         "    if lev is None:",
         "        rhs_pow = H ** %d" % rhs_exp,
+        "        rhs_log = rhs_scale * log(H)",
         "        lev = levels[H] = (%s,)" % ", ".join(level),
         "    certified, rhs_pow, rhs_log, %s = lev"
-        % ", ".join(memos + powers),
-    ] + block + [
-        "ratio = lhs_log / rhs_log if H > 1 else None",
-        "better = ratio is not None and (best_ratio is None or "
-        "ratio > best_ratio)",
-        "if violated or keep_rows or better:",
-        "    row = ScanRow(head + str(t), H, (%s,), lhs_log, rhs_log, "
-        "ratio, violated)" % ", ".join("q%d" % i for i in ks),
-        "    if violated:",
-        "        if H >= floor:",
-        "            violations.append(row)",
-        "        else:",
-        "            low_hits += 1",
-        "    if better:",
-        "        best = row",
-        "        best_ratio = ratio",
-        "    if keep_rows:",
-        "        rows.append(row)",
-    ]
+        % ", ".join(csv_level + memos + powers),
+    ] + block
     return "\n".join([
         "def scan(lines, keep_rows, floor, lbs, rhs_scale, ScanRow, log, "
         "gcd, s_free):",
         "    %s, = lbs" % ", ".join("l%d" % i for i in ks),
         "    levels = {}",
+    ] + [
         "    total = skipped = excluded = evaluated = zero_height = 0",
         "    low_hits = Hl = 0",
         "    violations = []",
@@ -526,11 +570,11 @@ def _norm(vals, powers, rad):
                     "den = den // g * s_free(g, %d)" % rad]
 
 
-def _scan_function(config, exps, rhs_exp):
+def _scan_function(config, exps, rhs_exp, csv_rows):
     """The scan function of config, compiled once per scan."""
     namespace = {}
-    exec(compile(_scan_source(config, exps, rhs_exp), "<scan kernel>", "exec"),
-         namespace)
+    exec(compile(_scan_source(config, exps, rhs_exp, csv_rows),
+                 "<scan kernel>", "exec"), namespace)
     return namespace["scan"]
 
 
@@ -543,12 +587,16 @@ def _explicit_lines(points, nvars):
         yield P.coords[:-1], P.coords[-1:]
 
 
-def scan_inequality(config, bound=None, points=None, keep_rows=False):
+def scan_inequality(config, bound=None, points=None, keep_rows=False,
+                    csv_rows=False):
     """Test the weighted inequality at every sample point; exact decisions.
 
     Either a coordinate bound or an explicit point list must be given.
     Explicit points may be ProjectivePoints or coordinate tuples, which
     are canonicalized; an all-zero tuple is rejected.
+
+    The violations and kept rows are ScanRows, or with csv_rows the lines
+    that ``scan --output csv`` prints for them (no max_ratio_row then).
     """
     if points is None:
         if bound is None:
@@ -564,7 +612,7 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False):
     d = math.lcm(one_plus_eps.denominator,
                  *(b.denominator for b in config.betas))
     exps = [int(d * b) for b in config.betas]
-    scan = _scan_function(config, exps, int(d * one_plus_eps))
+    scan = _scan_function(config, exps, int(d * one_plus_eps), csv_rows)
     (total, skipped, excluded, evaluated, zero_height, low_hits, violations,
      best, rows) = scan(lines, keep_rows, config.min_height_norm,
                         [float(b) for b in config.betas],

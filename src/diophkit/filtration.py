@@ -30,8 +30,6 @@ Step convention: a profile [(x_1, d_1), ..., (x_K, d_K)] means the
 dimension is d_1 on [0, x_1], d_k on (x_{k-1}, x_k], and 0 past x_K.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

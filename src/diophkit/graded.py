@@ -32,8 +32,6 @@ dependent linear families like four lines in the plane, goes through
 exact elimination of generating rows.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

@@ -11,8 +11,6 @@ support is min_j of max_i ||x_i||_v^{deg phi_j} / ||phi_j(x)||_v, written
 multiplicatively.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 
@@ -30,6 +28,7 @@ __all__ = [
     "height_norm",
     "height",
     "weil_norm",
+    "global_weil_norm",
     "weil",
     "proximity_norms",
     "proximity",

@@ -15,8 +15,6 @@ vector per Bruhat cell of their relative position (``adapted_cells``), so
 no intersection of subspaces is ever formed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

@@ -7,8 +7,6 @@ the command line: terms like ``x0^2*x1``, ``3/2*x1*x2``, ``-x2^3`` joined by
 ``+`` and ``-``.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 

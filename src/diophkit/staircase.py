@@ -7,8 +7,6 @@ Everything is carried in Fractions so that membership tests and jump values
 stay exact.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -10,8 +10,6 @@ D.C < 0 and C^2 < 0, then read off chi on the nef chamber.  Vanishing in
 higher degree holds there because D - K is ample, so the count is exact.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

@@ -139,7 +139,8 @@ class TestSubcommands:
         assert len(calls) == 20
         assert len(set(map(str, calls))) == 20
 
-    # text prints no row, so only csv and json ask the scan to keep them
+    # text prints no row, so only csv and json ask the scan to keep them,
+    # and only csv asks for its rows as csv lines
     @pytest.mark.parametrize("fmt,keep", [("text", False), ("csv", True),
                                           ("json", True)])
     def test_scan_keeps_rows_only_to_print_them(self, capsys, monkeypatch,
@@ -149,15 +150,16 @@ class TestSubcommands:
         asked = []
         scan = experiments.scan_inequality
 
-        def spy(config, bound, keep_rows):
-            asked.append(keep_rows)
-            return scan(config, bound=bound, keep_rows=keep_rows)
+        def spy(config, bound, keep_rows, csv_rows):
+            asked.append((keep_rows, csv_rows))
+            return scan(config, bound=bound, keep_rows=keep_rows,
+                        csv_rows=csv_rows)
 
         monkeypatch.setattr(experiments, "scan_inequality", spy)
         argv = ["scan", "--four-lines", "--bound", "3", "--output", fmt]
         kept = run(capsys, *argv, "--keep-rows")
         plain = run(capsys, *argv)
-        assert asked == [keep, False]
+        assert asked == [(keep, fmt == "csv"), (False, fmt == "csv")]
         assert kept[0] == plain[0] == 0
         if fmt == "text":
             assert kept == plain

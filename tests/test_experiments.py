@@ -1,5 +1,7 @@
 """Point enumeration, the inequality scanner, and the four-line preset."""
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -227,6 +229,7 @@ class TestScanBasics:
         want = reference_scan(cfg, points, keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
         assert got.evaluated == got.zero_height == 3
+        assert_csv_form(cfg, want, points=points, keep_rows=keep_rows)
 
     def test_explicit_points_rejected(self):
         with pytest.raises(ValueError):
@@ -421,6 +424,31 @@ DIFFERENTIAL_CASES = {
 }
 
 
+def csv_line(row):
+    """The line csv.writer writes for a row's cells: each float as
+    "%.12g", the ratio of a height-1 row empty and violated as 0 or 1."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([
+        row.point, row.height_norm,
+        ";".join("%.12g" % q for q in row.proximities), "%.12g" % row.lhs_log,
+        "%.12g" % row.rhs_log, "" if row.ratio is None else "%.12g" % row.ratio,
+        int(row.violated)])
+    return out.getvalue()
+
+
+def assert_csv_form(cfg, want, **kw):
+    """The csv form of a scan has want's counters, and its violations and
+    kept rows are the csv lines of want's; it reports no best row."""
+    got = scan_inequality(cfg, csv_rows=True, **kw)
+    for key in ("total", "skipped", "excluded", "evaluated", "zero_height",
+                "low_height_hits"):
+        assert getattr(got, key) == getattr(want, key)
+    assert got.violations == tuple(map(csv_line, want.violations))
+    assert got.rows == (None if want.rows is None
+                        else tuple(map(csv_line, want.rows)))
+    assert got.max_ratio_row is None
+
+
 class TestDifferentialOracle:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
     @pytest.mark.parametrize("keep_rows", [False, True])
@@ -432,6 +460,15 @@ class TestDifferentialOracle:
                               keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
 
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_csv_form_matches_fraction_scanner(self, name, keep_rows):
+        kw, bound = DIFFERENTIAL_CASES[name]
+        cfg = simple_config(**kw)
+        want = reference_scan(cfg, reference_points(cfg.nvars - 1, bound),
+                              keep_rows=keep_rows)
+        assert_csv_form(cfg, want, bound=bound, keep_rows=keep_rows)
+
     @pytest.mark.parametrize("keep_rows", [False, True])
     def test_explicit_points_with_duplicates(self, keep_rows):
         kw, _ = DIFFERENTIAL_CASES["multi_generator"]
@@ -442,6 +479,7 @@ class TestDifferentialOracle:
         got = scan_inequality(cfg, points=points, keep_rows=keep_rows)
         want = reference_scan(cfg, points, keep_rows=keep_rows)
         assert got.to_json() == want.to_json()
+        assert_csv_form(cfg, want, points=points, keep_rows=keep_rows)
 
     @pytest.mark.parametrize("name,memoized", [
         ("fractional", [False, True]),
@@ -463,13 +501,13 @@ class TestDifferentialOracle:
         assert report.violations and report.low_height_hits > 0
 
 
-def kernel_source(cfg):
+def kernel_source(cfg, csv_rows=False):
     """The scan function's text for cfg, with the exponents d beta_i and
     d (1 + epsilon) that scan_inequality passes."""
     one_plus_eps = 1 + cfg.epsilon
     d = math.lcm(one_plus_eps.denominator, *(b.denominator for b in cfg.betas))
     return _scan_source(cfg, [int(d * b) for b in cfg.betas],
-                        int(d * one_plus_eps))
+                        int(d * one_plus_eps), csv_rows)
 
 
 # the benchmark's scan shapes, each with the memo rule's verdict per Y_i:
@@ -496,29 +534,31 @@ KERNEL_SHAPES = {
 class TestKernelSource:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
     def test_only_integers_and_indices_are_written(self, name):
-        """The scan function's text holds no weight: the only float
-        literal in it is the 0.0 that starts the sum of logs, and the
-        weights come in as values."""
-        source = kernel_source(simple_config(**DIFFERENTIAL_CASES[name][0]))
-        assert re.findall(r"\b\d+\.\d*", source) == ["0.0"]
-        assert "1/" not in source and "Fraction" not in source
+        """The scan function's text, in both forms, holds no weight: the
+        only float literal in it is the 0.0 that starts the sum of logs,
+        and the weights come in as values."""
+        cfg = simple_config(**DIFFERENTIAL_CASES[name][0])
+        for source in (kernel_source(cfg), kernel_source(cfg, csv_rows=True)):
+            assert re.findall(r"\b\d+\.\d*", source) == ["0.0"]
+            assert "1/" not in source and "Fraction" not in source
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
     def test_one_block_per_subscheme(self, name):
-        """Every height runs the same block per Y_i, so a memo is read in
-        one place; the height certificate only skips the comparison, which
-        alone raises the factors of an unmemoized Y_i."""
+        """Every height runs the same block per Y_i, in both forms, so a
+        memo is read in one place; the height certificate only skips the
+        comparison, which alone raises the factors of an unmemoized Y_i."""
         cfg, memoized = KERNEL_SHAPES[name]
-        source = kernel_source(cfg)
-        assert "if certified:" not in source
-        assert [source.count("m%d.get(" % i)
-                for i in range(len(cfg.subschemes))] == list(map(int, memoized))
-        lines = [line.strip() for line in source.splitlines()]
-        compare = [line for line in lines if line.startswith("violated = ")]
-        assert len(compare) == 1
-        assert compare[0].startswith("violated = not certified and ")
-        raised = [line for line in lines if re.search(r"\b[nd]\d+ \*\*", line)]
-        assert raised == (compare if not all(memoized) else [])
+        for source in (kernel_source(cfg), kernel_source(cfg, csv_rows=True)):
+            assert "if certified:" not in source
+            assert [source.count("m%d.get(" % i)
+                    for i in range(len(cfg.subschemes))] == list(map(int, memoized))
+            lines = [line.strip() for line in source.splitlines()]
+            compare = [line for line in lines if line.startswith("violated = ")]
+            assert len(compare) == 1
+            assert compare[0].startswith("violated = not certified and ")
+            raised = [line for line in lines
+                      if re.search(r"\b[nd]\d+ \*\*", line)]
+            assert raised == (compare if not all(memoized) else [])
 
 
 def height_exponents(cfg):
@@ -662,10 +702,12 @@ class TestLineWalk:
     def test_scan_matches_fraction_scanner(self, cfg, data):
         n = cfg.nvars - 1
         bound = data.draw(st.integers(1, 5 if n < 3 else 3), label="bound")
-        want = reference_scan(cfg, reference_points(n, bound),
-                              keep_rows=True).to_json()
+        reference = reference_scan(cfg, reference_points(n, bound),
+                                   keep_rows=True)
+        want = reference.to_json()
         assert scan_inequality(cfg, bound=bound,
                                keep_rows=True).to_json() == want
+        assert_csv_form(cfg, reference, bound=bound, keep_rows=True)
         # without rows the report is the same, less its rows
         del want["rows"]
         assert scan_inequality(cfg, bound=bound).to_json() == want
@@ -693,6 +735,33 @@ class TestFourLinesScan:
         best = max(with_ratio, key=lambda r: r.ratio)
         assert report.max_ratio_row == best
         assert report.max_ratio_row.ratio < 1
+
+    @pytest.mark.xfail(strict=True, reason="the max row is picked by float "
+                       "rounding among exact ties (ROADMAP item 20)")
+    def test_max_ratio_row_is_the_first_exact_maximum(self):
+        """Where all four line values are S-units, every Q_i = H and the
+        ratio is exactly (4/3) / (3/2) = 8/9, the largest the four lines
+        reach at bound 3; the strict maximum keeps the first such row in
+        scan order.  Decided here in integers alone."""
+        cfg = four_lines_config()
+
+        def s_unit(v):
+            v = abs(v)
+            for p in (2, 3, 5):
+                while v % p == 0:
+                    v //= p
+            return v == 1
+
+        first = next(
+            pt for pt in sample_points(2, 3)
+            if max(map(abs, pt)) > 1
+            and not any(Z.vanishes_at(pt) for Z in cfg.exclusions)
+            and all(v and s_unit(v) for v in
+                    (pt[0], pt[1], pt[2], pt[0] + pt[1] + pt[2])))
+        best = scan_inequality(cfg, bound=3).max_ratio_row
+        assert best.ratio == pytest.approx(8 / 9, abs=1e-15)
+        assert (best.point, best.height_norm) == \
+            (":".join(map(str, first)), max(map(abs, first)))
 
     def test_preset_shape(self):
         cfg = four_lines_config()

@@ -26,7 +26,10 @@ substituted monomial images and a Fraction inverse, before integer rows
 replaced them; the help_*.txt files (every -h text and three usage runs,
 in a fresh interpreter at 100 columns) were recorded from the argparse
 parser built by one `_*_args` function per subcommand, before one table
-of flags replaced them.  A
+of flags replaced them; the overweight csv (violation rows only) and the
+four-line keep-rows json were recorded while the command line still built
+one row record per kept point and formatted its csv cells one by one,
+before the scan kernel wrote the csv lines itself.  A
 change that moves a single byte of these outputs changes behaviour, not
 just speed.  Regenerate one only for
 a deliberate, documented output change, e.g.
@@ -185,9 +188,13 @@ CASES += [("%s.%s" % (stem, ext), argv + ["--output", fmt])
 # floor, so the scan exits 3
 OVERWEIGHT = ["scan", "--config", str(GOLDEN / "overweight_config.json"),
               "--bound", "14"]
-CASES += [("scan_overweight_b14.txt", OVERWEIGHT + ["--output", "text"]),
-          ("scan_overweight_b14.json", OVERWEIGHT + ["--output", "json"])]
-EXIT_CODES = {"scan_overweight_b14.txt": 3, "scan_overweight_b14.json": 3}
+CASES += [("scan_overweight_b14.%s" % ext, OVERWEIGHT + ["--output", fmt])
+          for fmt, ext in FORMATS.items()]
+EXIT_CODES = {"scan_overweight_b14.%s" % ext: 3 for ext in FORMATS.values()}
+# every row kept, in json: the path that builds one record per point
+CASES += [("scan_four_lines_b3_rows.json",
+           ["scan", "--four-lines", "--bound", "3", "--keep-rows",
+            "--output", "json"])]
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])

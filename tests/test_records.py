@@ -4,7 +4,7 @@ command line emits through `vars()`, is pinned here."""
 
 import pytest
 
-from diophkit import beta, cli, experiments, filtration, graded
+from diophkit import beta, experiments, filtration, graded
 from diophkit.heights import PLACE_INF, Place, PlaceSet
 
 
@@ -80,8 +80,8 @@ class TestEmittedFieldOrder:
     def test_scan_row_matches_csv_header(self):
         report = experiments.scan_inequality(experiments.four_lines_config(),
                                              bound=2, keep_rows=True)
-        assert list(vars(report.rows[0])) == list(cli._SCAN_COLUMNS)
-        assert list(report.rows[0].to_json()) == list(cli._SCAN_COLUMNS)
+        assert list(vars(report.rows[0])) == list(experiments._SCAN_COLUMNS)
+        assert list(report.rows[0].to_json()) == list(experiments._SCAN_COLUMNS)
 
 
 def test_profile_constructor_calls_post_init(monkeypatch):
