@@ -36,7 +36,13 @@ archimedean minimum,
 
 in ints, since gamma divides G*(x).  For one generator gamma = |G(x)|, and
 this is the product formula: prod_{v in S} |r|_v = |r|' for a rational
-r != 0, so Q_i = c' H^deg / |G(x)|'.  c' is computed once.
+r != 0, so Q_i = c' H^deg / |G(x)|'.  Each ' is one gcd: with rad the
+product of the finite places of S, v' = |v| // gcd(v, rad^k) once
+2^k > |v|, as k then exceeds ord_p v for every p | rad.  A support value
+at height H has |G(x)| <= norm1 H^top (norm1 the largest sum of absolute
+coefficients of a support G, top its largest degree), so each height
+holds R = rad^k, k the bit length of norm1 H^top.  c' takes the same gcd
+once, when the text is written.
 
 With d the common denominator of the beta_i and 1 + epsilon, the point
 violates the inequality exactly when
@@ -212,28 +218,26 @@ class ScanRow:
                 "lhs_log": self.lhs_log, "rhs_log": self.rhs_log,
                 "ratio": self.ratio, "violated": self.violated}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["point"], data["height_norm"],
-                   tuple(data["proximities"]), data["lhs_log"],
-                   data["rhs_log"], data["ratio"], data["violated"])
-
 
 class ScanReport:
     def __init__(self, total, skipped, excluded, evaluated, zero_height,
-                 low_height_hits, violations, max_ratio_row=None, rows=None):
+                 low_height_hits, violations, max_ratio_row=None, rows=None,
+                 csv_rows=False):
         if skipped + excluded + evaluated != total:
             raise ValueError("scan counters do not add up")
         self.total, self.skipped, self.excluded = total, skipped, excluded
         self.evaluated, self.zero_height = evaluated, zero_height
         self.low_height_hits, self.violations = low_height_hits, violations
         self.max_ratio_row, self.rows = max_ratio_row, rows
+        self.csv_rows = csv_rows
 
     @property
     def clean(self):
         return not self.violations
 
     def to_json(self):
+        if self.csv_rows:
+            raise ValueError("this report holds csv lines and has no JSON form")
         data = {
             "total": self.total,
             "skipped": self.skipped,
@@ -248,18 +252,6 @@ class ScanReport:
         if self.rows is not None:
             data["rows"] = [r.to_json() for r in self.rows]
         return data
-
-    @classmethod
-    def from_json(cls, data):
-        rows = data.get("rows")
-        best = data.get("max_ratio_row")
-        return cls(data["total"], data["skipped"], data["excluded"],
-                   data["evaluated"], data["zero_height"],
-                   data["low_height_hits"],
-                   tuple(ScanRow.from_json(r) for r in data["violations"]),
-                   None if best is None else ScanRow.from_json(best),
-                   None if rows is None else tuple(ScanRow.from_json(r)
-                                                   for r in rows))
 
 
 def _check_sample(n, bound):
@@ -321,17 +313,6 @@ def _integral(forms):
             for g in forms], c
 
 
-def _s_free(v, rad):
-    """|v| with every prime dividing rad removed; v is nonzero and rad is
-    the product of the finite places of S."""
-    v = abs(v)
-    g = math.gcd(v, rad)
-    while g > 1:
-        v //= g
-        g = math.gcd(v, g)
-    return v
-
-
 def _scan_source(config, exps, rhs_exp, csv_rows=False):
     """The text of the function that scans config (see the module
     docstring); exps are the integer exponents d beta_i.  With csv_rows
@@ -360,15 +341,21 @@ def _scan_source(config, exps, rhs_exp, csv_rows=False):
     plans = []
     for (start, stop, c), Y, e in zip(spans, config.subschemes, exps):
         degs = tuple(g.degree for g in Y.generators)
-        plans.append((start, stop, degs, _s_free(c, rad),
+        c_free = c // math.gcd(c, rad ** c.bit_length())
+        plans.append((start, stop, degs, c_free,
                       degs == (1,) or sum(degs) < n, e))
     supports = [plan[:2] for plan in plans]
     exclusions = [span[:2] for span in spans[len(plans):]]
+    first_excluded = plans[-1][1]
+    # a support value at height H is at most norm1 H^top, which sets each
+    # height's R (see the module docstring)
+    norm1 = max(sum(abs(a) for a, _, _ in terms)
+                for terms, _ in forms[:first_excluded])
+    top = max(deg for _, deg in forms[:first_excluded])
     xs = ["x%d" % i for i in range(n)]
     # the largest absolute value of the prefix; P^0 has an empty one
     size = ["abs(%s)" % x for x in xs] or ["0"]
     ks = range(len(plans))
-    first_excluded = plans[-1][1]
     # the statements of the values that depend on t, of the supports'
     # forms and of the exclusions' forms
     per_line, on_t, vals = [], ([], []), []
@@ -397,8 +384,8 @@ def _scan_source(config, exps, rhs_exp, csv_rows=False):
         "%%s" if memo else "%%.12g" for _, _, _, _, memo, _ in plans) + \
         ",%%.12g,%s,%s,%%d\n"
     csv_level = ["row_format", "rhs_div"] if csv_rows else []
-    level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow",
-             "rhs_log"] + [
+    level = ["%d * H ** %d <= rhs_pow" % (c_prod, deg_exp), "rhs_pow", "rhs_log",
+             "%d ** (%d * H ** %d).bit_length()" % (rad, norm1, top)] + [
              "%r %% (H, '%%.12g' %% rhs_log, '%%.12g' if H > 1 else '%%.0s')"
              % level_format, "rhs_log if H > 1 else 1"] * csv_rows + [
              "{}"] * len(memos) + ["%d * H ** %d" % (c, deg)
@@ -409,7 +396,7 @@ def _scan_source(config, exps, rhs_exp, csv_rows=False):
     # an unmemoized Y_i is raised only in the comparison
     block, lhs, rhs, cells = [], [], [], []
     for i, (start, stop, _, _, memo, e) in enumerate(plans):
-        norm = _norm(vals[start:stop], powers[start:stop], rad)
+        norm = _norm(vals[start:stop], powers[start:stop])
         unpack = "n{0}, d{0}, q{0}".format(i)
         power = "" if memo else " ** %d" % e
         lhs.append("n%d%s" % (i, power))
@@ -478,12 +465,12 @@ def _scan_source(config, exps, rhs_exp, csv_rows=False):
         "        rhs_pow = H ** %d" % rhs_exp,
         "        rhs_log = rhs_scale * log(H)",
         "        lev = levels[H] = (%s,)" % ", ".join(level),
-        "    certified, rhs_pow, rhs_log, %s = lev"
+        "    certified, rhs_pow, rhs_log, R, %s = lev"
         % ", ".join(csv_level + memos + powers),
     ] + block
     return "\n".join([
         "def scan(lines, keep_rows, floor, lbs, rhs_scale, ScanRow, log, "
-        "gcd, s_free):",
+        "gcd):",
         "    %s, = lbs" % ", ".join("l%d" % i for i in ks),
         "    levels = {}",
     ] + [
@@ -554,20 +541,21 @@ def _zero_test(spans, vals):
                        "not (%s)" % " or ".join(vals[a:b]) for a, b in spans)
 
 
-def _norm(vals, powers, rad):
+def _norm(vals, powers):
     """Statements that leave the product over all places of the local
     norms of one Y_i as the unreduced positive num / den; powers[j] is the
-    level's c' H^(deg G_j).  The archimedean minimum is taken by
-    cross-multiplication."""
+    level's c' H^(deg G_j), and gcd with the level's R takes out S.  The
+    archimedean minimum is taken by cross-multiplication."""
     if len(vals) == 1:
-        return ["num, den = %s, s_free(%s, %d)" % (powers[0], vals[0], rad)]
+        return ["num, den = %s, abs(%s) // gcd(%s, R)"
+                % (powers[0], vals[0], vals[0])]
     lines = ["num = den = 0"]
     for v, p in zip(vals, powers):
         lines += ["if %s:" % v, "    b = abs(%s)" % v,
                   "    if not den or %s * den < num * b:" % p,
                   "        num, den = %s, b" % p]
     return lines + ["g = gcd(%s)" % ", ".join(vals),
-                    "den = den // g * s_free(g, %d)" % rad]
+                    "den = den // g * (g // gcd(g, R))"]
 
 
 def _scan_function(config, exps, rhs_exp, csv_rows):
@@ -591,18 +579,21 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False,
                     csv_rows=False):
     """Test the weighted inequality at every sample point; exact decisions.
 
-    Either a coordinate bound or an explicit point list must be given.
-    Explicit points may be ProjectivePoints or coordinate tuples, which
-    are canonicalized; an all-zero tuple is rejected.
+    Either a coordinate bound or an explicit point list must be given,
+    not both.  Explicit points may be ProjectivePoints or coordinate
+    tuples, which are canonicalized; an all-zero tuple is rejected.
 
     The violations and kept rows are ScanRows, or with csv_rows the lines
-    that ``scan --output csv`` prints for them (no max_ratio_row then).
+    that ``scan --output csv`` prints for them (no max_ratio_row and no
+    JSON form then).
     """
     if points is None:
         if bound is None:
             raise ValueError("need a coordinate bound or explicit points")
         _check_sample(config.nvars - 1, bound)
         lines = _lines(config.nvars - 1, bound)
+    elif bound is not None:
+        raise ValueError("need a coordinate bound or explicit points, not both")
     else:
         lines = _explicit_lines(points, config.nvars)
 
@@ -616,11 +607,10 @@ def scan_inequality(config, bound=None, points=None, keep_rows=False,
     (total, skipped, excluded, evaluated, zero_height, low_hits, violations,
      best, rows) = scan(lines, keep_rows, config.min_height_norm,
                         [float(b) for b in config.betas],
-                        float(one_plus_eps), ScanRow, math.log, math.gcd,
-                        _s_free)
+                        float(one_plus_eps), ScanRow, math.log, math.gcd)
     return ScanReport(total, skipped, excluded, evaluated, zero_height,
                       low_hits, tuple(violations), best,
-                      None if rows is None else tuple(rows))
+                      None if rows is None else tuple(rows), csv_rows)
 
 
 def four_lines():

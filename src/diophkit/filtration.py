@@ -145,11 +145,6 @@ class FiltrationProfile:
             "jumps": [[x.numerator, x.denominator, d] for x, d in self.jumps],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        jumps = tuple((Fraction(num, den), d) for num, den, d in data["jumps"])
-        return cls(data["nvars"], data["degree"], data["ambient_dim"], jumps)
-
 
 class AdaptedBasis:
     def __init__(self, elements, mu_values):

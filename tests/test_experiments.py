@@ -1,17 +1,22 @@
 """Point enumeration, the inequality scanner, and the four-line preset."""
 
+import ast
 import csv
 import io
 import itertools
 import json
 import math
+import operator
 import re
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diophkit import experiments
 from diophkit.cli import main
 from diophkit.experiments import (
     ConfigError,
@@ -30,6 +35,9 @@ from diophkit.experiments import (
 from diophkit.graded import Subscheme
 from diophkit.heights import PLACE_INF, Place, PlaceSet, ProjectivePoint, weil_norm
 from diophkit.polynomials import HomogeneousForm, monomial_exponents
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sub(label, gens, nvars):
@@ -252,10 +260,20 @@ class TestScanBasics:
         assert len(lines) == 1 + len(report.rows)
 
     def test_report_json_round_trip(self):
-        report = scan_inequality(simple_config(), bound=2, keep_rows=True)
-        blob = json.dumps(report.to_json())
-        again = ScanReport.from_json(json.loads(blob))
-        assert again.to_json() == report.to_json()
+        # reports are written, never read back: the JSON text holds the
+        # report's to_json unchanged
+        data = scan_inequality(simple_config(), bound=2, keep_rows=True).to_json()
+        assert json.loads(json.dumps(data)) == data
+
+    def test_csv_form_has_no_json(self):
+        report = scan_inequality(four_lines_config(), bound=2, keep_rows=True,
+                                 csv_rows=True)
+        with pytest.raises(ValueError, match="holds csv lines"):
+            report.to_json()
+
+    def test_bound_and_points_together(self):
+        with pytest.raises(ValueError, match="not both"):
+            scan_inequality(four_lines_config(), bound=3, points=[(1, 2, 3)])
 
 
 class TestScanViolations:
@@ -560,6 +578,19 @@ class TestKernelSource:
                       if re.search(r"\b[nd]\d+ \*\*", line)]
             assert raised == (compare if not all(memoized) else [])
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHAPES))
+    def test_calls_only_builtins_and_arguments(self, name):
+        """Per value the kernel calls builtins, its log and gcd arguments
+        and ScanRow, in both forms: the S-free part is a gcd, not a helper.
+        Method calls such as .get and .append are not names."""
+        cfg, _ = KERNEL_SHAPES[name]
+        for source in (kernel_source(cfg), kernel_source(cfg, csv_rows=True)):
+            called = {node.func.id for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)}
+            assert called <= {"abs", "gcd", "log", "max", "len", "str",
+                              "ScanRow"}
+
 
 def height_exponents(cfg):
     """(c_prod, deg_exp, rhs_exp) of the scan's per-height certificate:
@@ -638,6 +669,135 @@ class TestHeightCertificate:
         assert {1, -1} <= values
         report = self.check(cfg, H)
         assert bool(report.violations) == (beta == 2)
+
+
+def s_free_by_division(v, rad):
+    """|v| with every prime dividing rad removed, dividing out gcds until
+    none is left: the reference for the kernel's one gcd."""
+    v = abs(v)
+    g = math.gcd(v, rad)
+    while g > 1:
+        v //= g
+        g = math.gcd(v, g)
+    return v
+
+
+RADICALS = st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])).map(math.prod)
+
+
+class TestSFreePart:
+    """The kernel takes |v|' as |v| // gcd(v, rad^k), k the bit length of
+    a bound B >= |v|: 2^k > |v|, so k exceeds ord_p v for every p of S."""
+
+    @given(bound=st.integers(1, 10 ** 40), rad=RADICALS, data=st.data())
+    def test_one_gcd_matches_division(self, bound, rad, data):
+        v = data.draw(st.integers(-bound, bound).filter(bool), label="v")
+        assert abs(v) // math.gcd(v, rad ** bound.bit_length()) == \
+            s_free_by_division(v, rad)
+
+    # |v| itself is the tightest bound: 2^a 3^b 5^c 7^d times a cofactor
+    # outside the places, up to 10^40
+    @given(rad=RADICALS, data=st.data())
+    def test_exact_powers_at_the_bit_length_boundary(self, rad, data):
+        v = data.draw(st.sampled_from([1, 11, 13, 143]), label="cofactor")
+        for p in (2, 3, 5, 7):
+            e = data.draw(st.integers(0, 133), label="ord_%d" % p)
+            while v * p ** e > 10 ** 40:
+                e -= 1
+            v *= p ** e
+        v *= data.draw(st.sampled_from([1, -1]), label="sign")
+        assert abs(v) // math.gcd(v, rad ** abs(v).bit_length()) == \
+            s_free_by_division(v, rad)
+
+    def test_kernel_matches_heights_on_high_valuations(self):
+        """c' = 11, 13 and 13 with four finite places; the points are the
+        sample's points of height 12 and points whose values carry high
+        powers of 2, 3, 5 and 7."""
+        cfg = simple_config(
+            subschemes=(sub("Q", ["4/11*x0^2 - 9*x1*x2 + 1/6*x2^2"], 3),
+                        sub("P", ["x0 - 8*x2", "1/13*x1 + 1/9*x2"], 3),
+                        sub("L", ["16*x0 - 27*x1 + 1/13*x2"], 3)),
+            betas=(Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)),
+            places=PlaceSet.from_string("inf,2,3,5,7"), min_height_norm=1)
+        c_prod, _, _ = height_exponents(cfg)
+        assert c_prod == 11 ** 3 * 13 ** 4 * 13 ** 6
+        points = [pt for pt in reference_points(2, 12)
+                  if max(map(abs, pt)) == 12]
+        points += [(8, 0, 1), (8 * 7 ** 5, 3 ** 9, 7 ** 5), (27, 16, 0),
+                   (2 ** 12, 3 ** 8, 5 ** 5), (0, 5 ** 6, 7 ** 4),
+                   (6 ** 7, 2 ** 9, 3 ** 4)]
+        want = reference_scan(cfg, points, keep_rows=True)
+        got = scan_inequality(cfg, points=points, keep_rows=True)
+        assert got.to_json() == want.to_json()
+        assert_csv_form(cfg, want, points=points, keep_rows=True)
+
+
+class FloatDecision(AssertionError):
+    pass
+
+
+class OpaqueFloat:
+    """A float that does arithmetic and %g formatting but raises on any
+    comparison and on bool, so nothing can decide by it."""
+
+    def __init__(self, x):
+        self.x = float(x)
+
+    def __float__(self):
+        return self.x
+
+    def __neg__(self):
+        return OpaqueFloat(-self.x)
+
+    def _decide(self, *_):
+        raise FloatDecision("a float decided something")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _decide
+
+
+for _name, _op in [("add", operator.add), ("sub", operator.sub),
+                   ("mul", operator.mul), ("truediv", operator.truediv)]:
+    setattr(OpaqueFloat, "__%s__" % _name,
+            lambda self, other, op=_op: OpaqueFloat(op(self.x, float(other))))
+    setattr(OpaqueFloat, "__r%s__" % _name,
+            lambda self, other, op=_op: OpaqueFloat(op(float(other), self.x)))
+
+
+def opaque_floats(monkeypatch):
+    """Make experiments' logs and float weights OpaqueFloats."""
+    monkeypatch.setattr(experiments, "math", types.SimpleNamespace(
+        log=lambda x: OpaqueFloat(math.log(x)), gcd=math.gcd, lcm=math.lcm,
+        prod=math.prod))
+    monkeypatch.setattr(experiments, "float", OpaqueFloat, raising=False)
+
+
+class TestFloatAudit:
+    """With the kernel's logs and weights opaque, a scan that finishes
+    lets no float decide anything (ROADMAP item 20's audit, for the scan
+    kernel)."""
+
+    @pytest.mark.parametrize("name,bound", [
+        ("four_lines", 8), ("overweight_config.json", 14),
+        ("plane_rows_config.json", 5)])
+    def test_csv_form_decides_in_integers(self, monkeypatch, name, bound):
+        if name == "four_lines":
+            cfg = four_lines_config()
+        else:
+            with open(GOLDEN / name) as fh:
+                cfg = InequalityConfig.from_json(json.load(fh))
+        want = scan_inequality(cfg, bound=bound, keep_rows=True, csv_rows=True)
+        opaque_floats(monkeypatch)
+        got = scan_inequality(cfg, bound=bound, keep_rows=True, csv_rows=True)
+        assert (got.rows, got.violations) == (want.rows, want.violations)
+        assert got.low_height_hits == want.low_height_hits
+
+    @pytest.mark.xfail(strict=True, raises=FloatDecision,
+                       reason="better compares float ratios to pick the max "
+                       "row (ROADMAP item 20)")
+    def test_json_form_decides_in_integers(self, monkeypatch):
+        opaque_floats(monkeypatch)
+        scan_inequality(four_lines_config(), bound=3)
+
 
 # the scan walks the sample a line at a time, each form a polynomial in
 # the last coordinate t: forms free of t are constant on a line, pure
